@@ -15,9 +15,7 @@
 #include "mapping/bnb_mapper.h"
 #include "mapping/chain_dp_mapper.h"
 #include "mapping/greedy_mapper.h"
-#include "mapping/list_mapper.h"
 #include "mapping/mapper.h"
-#include "mapping/nsga2_mapper.h"
 #include "service/service_layer.h"
 
 namespace {
@@ -32,12 +30,10 @@ std::unique_ptr<mapping::Mapper> make_mapper(int which) {
     case 3: return std::make_unique<mapping::FirstFitMapper>();
     case 4: return std::make_unique<mapping::RandomMapper>();
     case 5: return std::make_unique<mapping::AnnealingMapper>();
-    case 6: return std::make_unique<mapping::ListMapper>();
-    case 7: return std::make_unique<mapping::Nsga2Mapper>();
     default: return std::make_unique<mapping::BnbMapper>();
   }
 }
-constexpr int kMapperCount = 9;
+constexpr int kMapperCount = 7;
 
 model::Nffg make_substrate(int which) {
   switch (which) {

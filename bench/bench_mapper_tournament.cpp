@@ -1,13 +1,8 @@
-// E8 — mapper tournament: embedding quality × wall time for every
-// algorithm in the portfolio, plus the portfolio racer itself, over seeded
-// multi-domain substrates. Run with --benchmark_format=json for the
-// machine-readable table; the counters carry the quality axis
-// (feasible/cost/delay/total) next to google-benchmark's time axis.
-//
-// The regret benchmark is the portfolio's core promise quantified: the
-// race winner's score minus the best individual racer's score on the same
-// instance. Within a generous deadline this must be zero — the portfolio
-// is never worse than its best member.
+// E8 — mapper tournament: embedding quality × wall time for each lane of
+// the mapper field over seeded multi-domain substrates. Run with
+// --benchmark_format=json for the machine-readable table; the counters
+// carry the quality axis (feasible/cost/delay/total) next to
+// google-benchmark's time axis.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -15,39 +10,28 @@
 #include <vector>
 
 #include "infra/topologies.h"
-#include "mapping/portfolio.h"
+#include "mapping/annealing_mapper.h"
+#include "mapping/backtracking_mapper.h"
+#include "mapping/bnb_mapper.h"
+#include "mapping/chain_dp_mapper.h"
+#include "mapping/greedy_mapper.h"
 #include "util/rng.h"
 
 namespace {
 
 using namespace unify;
 
-/// The racers in their standard order plus the portfolio itself as the
-/// final lane, so one Args axis sweeps the whole field.
+/// The mapper field, one Args index per lane.
 std::unique_ptr<mapping::Mapper> make_contestant(int which) {
-  auto field = mapping::PortfolioMapper::standard_racers();
-  if (which < static_cast<int>(field.size())) {
-    // standard_racers hands out shared_ptr lanes; keep the picked one.
-    struct Holder final : mapping::Mapper {
-      explicit Holder(std::shared_ptr<const mapping::Mapper> inner)
-          : inner_(std::move(inner)) {}
-      [[nodiscard]] std::string name() const override {
-        return inner_->name();
-      }
-      [[nodiscard]] Result<mapping::Mapping> map(
-          const sg::ServiceGraph& sg, const mapping::SubstrateView& substrate,
-          const catalog::NfCatalog& cat) const override {
-        return inner_->map(sg, substrate, cat);
-      }
-      std::shared_ptr<const mapping::Mapper> inner_;
-    };
-    return std::make_unique<Holder>(field[static_cast<std::size_t>(which)]);
+  switch (which) {
+    case 0: return std::make_unique<mapping::GreedyMapper>();
+    case 1: return std::make_unique<mapping::ChainDpMapper>();
+    case 2: return std::make_unique<mapping::BacktrackingMapper>();
+    case 3: return std::make_unique<mapping::AnnealingMapper>();
+    default: return std::make_unique<mapping::BnbMapper>();
   }
-  mapping::PortfolioOptions options;
-  options.deadline_us = 50'000;  // generous: every racer finishes
-  return std::make_unique<mapping::PortfolioMapper>(std::move(field),
-                                                    options);
 }
+constexpr int kContestants = 5;
 
 model::Nffg make_substrate(int which) {
   Rng rng(0x70D0 + static_cast<std::uint64_t>(which));
@@ -106,60 +90,8 @@ void BM_Tournament(benchmark::State& state) {
   state.counters["total"] = score.total();
 }
 
-/// Portfolio regret over a sweep of seeded instances: winner total minus
-/// the best feasible individual total, accumulated as max and mean. Within
-/// the deadline the winner IS the best individual, so both must be zero.
-void BM_PortfolioRegret(benchmark::State& state) {
-  mapping::PortfolioOptions options;
-  options.deadline_us = 50'000;
-  const mapping::PortfolioMapper portfolio(
-      mapping::PortfolioMapper::standard_racers(), options);
-  const model::Nffg substrate =
-      make_substrate(static_cast<int>(state.range(0)));
-  const catalog::NfCatalog cat = catalog::default_catalog();
-
-  double regret_max = 0;
-  double regret_sum = 0;
-  std::size_t races = 0;
-  std::size_t infeasible = 0;
-  for (auto _ : state) {
-    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-      const sg::ServiceGraph sg =
-          make_request(1 + static_cast<int>(seed % 4), seed);
-      const auto report = portfolio.race(sg, substrate, cat);
-      if (!report.ok()) {
-        ++infeasible;
-        continue;
-      }
-      double best = -1;
-      for (const mapping::RacerOutcome& outcome : report->outcomes) {
-        if (!outcome.feasible) continue;
-        if (best < 0 || outcome.score.total() < best) {
-          best = outcome.score.total();
-        }
-      }
-      const double won =
-          report->outcomes[static_cast<std::size_t>(report->winner)]
-              .score.total();
-      const double regret = won - best;
-      regret_sum += regret;
-      if (regret > regret_max) regret_max = regret;
-      ++races;
-    }
-  }
-  state.SetLabel(substrate_name(static_cast<int>(state.range(0))));
-  state.counters["races"] = static_cast<double>(races);
-  state.counters["infeasible"] = static_cast<double>(infeasible);
-  state.counters["regret_max"] = regret_max;
-  state.counters["regret_mean"] =
-      races > 0 ? regret_sum / static_cast<double>(races) : 0;
-}
-
 void tournament_args(benchmark::internal::Benchmark* bench) {
-  const int contestants =
-      static_cast<int>(mapping::PortfolioMapper::standard_racers().size()) +
-      1;  // the portfolio races as the last lane
-  for (int contestant = 0; contestant < contestants; ++contestant) {
+  for (int contestant = 0; contestant < kContestants; ++contestant) {
     for (int substrate = 0; substrate < 2; ++substrate) {
       for (const int length : {2, 4}) {
         bench->Args({contestant, substrate, length});
@@ -171,10 +103,6 @@ void tournament_args(benchmark::internal::Benchmark* bench) {
 BENCHMARK(BM_Tournament)
     ->Apply(tournament_args)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_PortfolioRegret)
-    ->Args({0})
-    ->Args({1})
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -4,7 +4,7 @@
 // ESCAPEv2's point (iv): the framework is extensible "with additional plug
 // and play components/algorithms, like ... network embedding algorithms".
 // This example exercises exactly that seam: the same RO-less mapping call
-// with nine interchangeable algorithms.
+// with seven interchangeable algorithms.
 //
 // Run: ./embedding_playground [seed]
 #include <cstdio>
@@ -18,8 +18,6 @@
 #include "mapping/bnb_mapper.h"
 #include "mapping/chain_dp_mapper.h"
 #include "mapping/greedy_mapper.h"
-#include "mapping/list_mapper.h"
-#include "mapping/nsga2_mapper.h"
 
 using namespace unify;
 
@@ -42,8 +40,6 @@ int main(int argc, char** argv) {
   mappers.push_back(std::make_unique<mapping::FirstFitMapper>());
   mappers.push_back(std::make_unique<mapping::RandomMapper>());
   mappers.push_back(std::make_unique<mapping::AnnealingMapper>());
-  mappers.push_back(std::make_unique<mapping::ListMapper>());
-  mappers.push_back(std::make_unique<mapping::Nsga2Mapper>());
   mappers.push_back(std::make_unique<mapping::BnbMapper>());
 
   std::printf("%-14s | %-9s | %-10s | %-10s | %-8s\n", "mapper", "accepted",

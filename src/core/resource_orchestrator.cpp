@@ -26,29 +26,7 @@ ResourceOrchestrator::ResourceOrchestrator(
     : name_(std::move(name)),
       mapper_(std::move(mapper)),
       catalog_(std::move(catalog)),
-      options_(options) {
-  if (options_.race_portfolio) {
-    // The injected mapper races as lane 0; standard racers sharing its name
-    // are dropped so per-racer stats stay keyed unambiguously.
-    std::vector<std::shared_ptr<const mapping::Mapper>> racers;
-    if (mapper_ != nullptr) racers.push_back(mapper_);
-    for (auto& racer : mapping::PortfolioMapper::standard_racers()) {
-      if (mapper_ == nullptr || racer->name() != mapper_->name()) {
-        racers.push_back(std::move(racer));
-      }
-    }
-    mapping::PortfolioOptions portfolio_options;
-    portfolio_options.deadline_us = options_.portfolio_deadline_us;
-    portfolio_options.pool = options_.pool;
-    portfolio_ = std::make_shared<mapping::PortfolioMapper>(
-        std::move(racers), portfolio_options);
-    mapper_ = portfolio_;
-  }
-}
-
-void ResourceOrchestrator::drain_portfolio_metrics() {
-  if (portfolio_ != nullptr) portfolio_->drain_metrics(metrics_);
-}
+      options_(options) {}
 
 Result<void> ResourceOrchestrator::add_domain(
     std::unique_ptr<adapters::DomainAdapter> adapter) {
@@ -179,7 +157,6 @@ Result<std::string> ResourceOrchestrator::deploy(
   } else {
     metrics_.add("ro.pre_expansions", stats.pre_expansions);
   }
-  drain_portfolio_metrics();
   return commit(std::move(deployment));
 }
 
@@ -262,7 +239,6 @@ std::vector<Result<std::string>> ResourceOrchestrator::map_batch(
     results[i] = commit(std::move(outcome).value());
   }
   metrics_.merge(batch_metrics);
-  drain_portfolio_metrics();
   return results;
 }
 
@@ -1092,7 +1068,6 @@ Result<ResourceOrchestrator::HealReport> ResourceOrchestrator::heal() {
       report.resync_error = resynced.error();
     }
   }
-  drain_portfolio_metrics();
   return report;
 }
 

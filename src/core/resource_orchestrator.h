@@ -23,7 +23,6 @@
 #include "core/sharded_state.h"
 #include "mapping/decomp_aware_mapper.h"
 #include "mapping/mapper.h"
-#include "mapping/portfolio.h"
 #include "model/nffg.h"
 #include "model/nffg_merge.h"
 #include "sg/service_graph.h"
@@ -69,17 +68,6 @@ struct RoOptions {
   PushPolicy push;
   /// Per-domain circuit breaking (DESIGN.md §10).
   HealthPolicy health;
-  /// Replace the injected mapper with a portfolio racing it against the
-  /// standard mapper field (DESIGN.md §15): every embedding runs K mappers
-  /// speculatively on the pool and commits the best-scoring feasible
-  /// result through the normal conflict-checked path. The injected mapper
-  /// keeps racing as lane 0; same-named standard racers are dropped so
-  /// per-racer telemetry stays unambiguous.
-  bool race_portfolio = false;
-  /// Cooperative wall-clock budget per race (0 = none). Only meaningful
-  /// with race_portfolio; see ScopedMapDeadline for the determinism
-  /// trade-off.
-  std::int64_t portfolio_deadline_us = 0;
 };
 
 class ResourceOrchestrator {
@@ -257,11 +245,6 @@ class ResourceOrchestrator {
     return catalog_;
   }
   [[nodiscard]] telemetry::Registry& metrics() noexcept { return metrics_; }
-  /// The portfolio racer when RoOptions::race_portfolio is on (it is then
-  /// also what mapper() runs); nullptr otherwise.
-  [[nodiscard]] const mapping::PortfolioMapper* portfolio() const noexcept {
-    return portfolio_.get();
-  }
   [[nodiscard]] const std::vector<std::string>& domain_names() const noexcept {
     return domain_names_;
   }
@@ -389,15 +372,8 @@ class ResourceOrchestrator {
   [[nodiscard]] std::vector<std::string> touched_domains(
       const mapping::Mapping& mapping) const;
 
-  /// Moves the portfolio's accumulated race telemetry into metrics_. Called
-  /// from the single-threaded tails of deploy/map_batch/redeploy/heal (the
-  /// races themselves run on pool workers, where Registry is off-limits).
-  void drain_portfolio_metrics();
-
   std::string name_;
   std::shared_ptr<const mapping::Mapper> mapper_;
-  /// Set (and aliased by mapper_) when options_.race_portfolio.
-  std::shared_ptr<const mapping::PortfolioMapper> portfolio_;
   catalog::NfCatalog catalog_;
   RoOptions options_;
   std::vector<std::unique_ptr<adapters::DomainAdapter>> adapters_;

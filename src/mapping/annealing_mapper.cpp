@@ -82,9 +82,6 @@ Result<Mapping> AnnealingMapper::map(const sg::ServiceGraph& sg,
   Rng rng(options_.seed);
   double temperature = options_.initial_temperature;
   for (int iter = 0; iter < options_.iterations; ++iter) {
-    // Anytime behaviour under a portfolio deadline: the incumbent is
-    // always a complete feasible mapping, so stop refining and return it.
-    if (ScopedMapDeadline::expired()) break;
     temperature *= options_.cooling;
     const std::string& nf = nf_ids[rng.next_below(nf_ids.size())];
     const auto& hosts = candidates.at(nf);

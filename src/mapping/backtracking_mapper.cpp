@@ -15,7 +15,6 @@ struct Search {
   std::vector<std::string> order;  ///< NF ids, chain order
   std::size_t steps = 0;
   std::size_t max_steps = 0;
-  bool deadline_killed = false;
 };
 
 /// Routes every SG link whose endpoints both resolve and that is not routed
@@ -48,13 +47,6 @@ bool delays_ok(const Context& ctx) {
 
 bool dfs(Search& search, std::size_t depth) {
   if (search.steps++ > search.max_steps) return false;
-  // Deadline poll amortized over the steady_clock read: a kill mid-search
-  // has no incumbent to fall back to, so it surfaces as budget exhaustion.
-  if ((search.steps & 0xFF) == 0 && ScopedMapDeadline::expired()) {
-    search.deadline_killed = true;
-    search.steps = search.max_steps + 1;
-    return false;
-  }
   if (depth == search.order.size()) {
     return search.ctx->route_all().ok() &&
            search.ctx->check_requirements().ok();
@@ -107,9 +99,6 @@ Result<Mapping> BacktrackingMapper::map(const sg::ServiceGraph& sg,
 
   Search search{&ctx, std::move(order), 0, options_.max_search_steps};
   if (!dfs(search, 0)) {
-    if (search.deadline_killed) {
-      return Error{ErrorCode::kTimeout, "map deadline expired mid-search"};
-    }
     const bool exhausted = search.steps > search.max_steps;
     return Error{ErrorCode::kInfeasible,
                  exhausted ? "search budget exhausted after " +

@@ -104,7 +104,6 @@ struct Search {
   double best_total = kInf;
   std::uint64_t nodes_expanded = 0;
   bool budget_cutoff = false;
-  bool deadline_cutoff = false;
 };
 
 /// The substrate node an SG endpoint resolves to under the current partial
@@ -201,11 +200,7 @@ void evaluate_leaf(Search& search) {
 }
 
 void dfs(Search& search, std::size_t depth) {
-  if (search.budget_cutoff || search.deadline_cutoff) return;
-  if (ScopedMapDeadline::expired()) {
-    search.deadline_cutoff = true;
-    return;
-  }
+  if (search.budget_cutoff) return;
   if (depth == search.order.size()) {
     ++search.nodes_expanded;
     evaluate_leaf(search);
@@ -234,7 +229,7 @@ void dfs(Search& search, std::size_t depth) {
                      return a.lb < b.lb;
                    });
   for (const Child& child : children) {
-    if (search.budget_cutoff || search.deadline_cutoff) return;
+    if (search.budget_cutoff) return;
     // The incumbent may have improved since this bound was computed.
     if (child.lb >= search.best_total - kEps) continue;
     if (!search.ctx->place(choice.id, choice.hosts[child.host]).ok()) {
@@ -259,8 +254,7 @@ Result<BnbResult> BnbMapper::map_exact(const sg::ServiceGraph& sg,
 
   Context ctx(sg, substrate, catalog);
   Relaxation relax(ctx.index());
-  Search search{&ctx, &relax, &options_, {}, {}, {}, {}, kInf, 0, false,
-                false};
+  Search search{&ctx, &relax, &options_, {}, {}, {}, {}, kInf, 0, false};
 
   // Chain order first (tight delay pruning), then leftovers by id — the
   // same visit order as the backtracking mapper.
@@ -307,13 +301,9 @@ Result<BnbResult> BnbMapper::map_exact(const sg::ServiceGraph& sg,
   }
   dfs(search, 0);
   result.nodes_expanded = search.nodes_expanded;
-  result.optimal = !search.budget_cutoff && !search.deadline_cutoff;
+  result.optimal = !search.budget_cutoff;
 
   if (!search.incumbent.has_value()) {
-    if (search.deadline_cutoff) {
-      return Error{ErrorCode::kTimeout,
-                   "map deadline expired before a feasible placement"};
-    }
     if (search.budget_cutoff) {
       return Error{ErrorCode::kResourceExhausted,
                    "node budget exhausted before a feasible placement"};

@@ -18,11 +18,10 @@
 // under-estimate the canonical objective, so a completed search is exact.
 //
 // Exactness is only claimed when the search finishes inside the node
-// budget (and any portfolio deadline): BnbResult::optimal says whether the
-// returned mapping is *proven* minimal w.r.t.
-// EmbeddingScore::total(delay_weight). Instances with more than max_nfs
-// NFs are refused up front (kResourceExhausted) — this is a baseline for
-// small instances, not a production mapper.
+// budget: BnbResult::optimal says whether the returned mapping is *proven*
+// minimal w.r.t. EmbeddingScore::total(delay_weight). Instances with more
+// than max_nfs NFs are refused up front (kResourceExhausted) — this is a
+// baseline for small instances, not a production mapper.
 #pragma once
 
 #include <cstdint>

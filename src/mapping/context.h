@@ -65,9 +65,6 @@ class Context {
   /// placements and reservations live in overlays, NOT here — use
   /// residual()/utilization()/residual_bandwidth() for live arithmetic.
   [[nodiscard]] const model::Nffg& base() const noexcept { return *base_; }
-  /// Legacy alias for base() (pre-overlay callers named the substrate
-  /// copy "work").
-  [[nodiscard]] const model::Nffg& work() const noexcept { return *base_; }
   [[nodiscard]] const model::TopologyIndex& index() const noexcept {
     return *index_;
   }

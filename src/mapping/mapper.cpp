@@ -1,7 +1,6 @@
 #include "mapping/mapper.h"
 
 #include <algorithm>
-#include <chrono>
 #include <set>
 
 #include "model/topology_index.h"
@@ -342,31 +341,6 @@ EmbeddingScore score_mapping(const Mapping& mapping,
     }
   }
   return score;
-}
-
-namespace {
-
-/// Innermost armed deadline of this thread as a steady_clock microsecond
-/// count; 0 = none armed.
-thread_local std::int64_t g_map_deadline_us = 0;
-
-std::int64_t steady_now_us() noexcept {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
-ScopedMapDeadline::ScopedMapDeadline(std::int64_t budget_us)
-    : previous_(g_map_deadline_us) {
-  if (budget_us > 0) g_map_deadline_us = steady_now_us() + budget_us;
-}
-
-ScopedMapDeadline::~ScopedMapDeadline() { g_map_deadline_us = previous_; }
-
-bool ScopedMapDeadline::expired() noexcept {
-  return g_map_deadline_us != 0 && steady_now_us() > g_map_deadline_us;
 }
 
 }  // namespace unify::mapping

@@ -94,9 +94,9 @@ struct MapperOptions {
 };
 
 /// The canonical embedding objective, shared by every mapper that ranks
-/// whole placements (annealing, NSGA-II, branch-and-bound, the portfolio
-/// racer): substrate load, end-to-end delay and health bias as separate
-/// axes, collapsed to one scalar by total(). Lower is better on every axis.
+/// whole placements (annealing, branch-and-bound): substrate load,
+/// end-to-end delay and health bias as separate axes, collapsed to one
+/// scalar by total(). Lower is better on every axis.
 struct EmbeddingScore {
   double cost = 0;     ///< Σ bandwidth × hops (substrate load)
   double delay = 0;    ///< Σ per-requirement chain delay (ms)
@@ -112,32 +112,6 @@ struct EmbeddingScore {
 /// Scores a finished mapping against the substrate it was computed on.
 [[nodiscard]] EmbeddingScore score_mapping(const Mapping& mapping,
                                            const model::Nffg& substrate);
-
-/// Cooperative wall-clock budget for one Mapper::map() invocation,
-/// published through a thread-local so the portfolio racer can bound
-/// arbitrary mappers without widening the Mapper interface. Iterative
-/// mappers poll expired() at loop boundaries and either return their
-/// best-so-far incumbent or fail with kTimeout; a mapper that ignores the
-/// deadline merely races on, it cannot corrupt anything. Nests: an inner
-/// scope restores the outer deadline on destruction. A deadline makes
-/// stochastic mappers nondeterministic by design (the truncation point
-/// depends on wall time); the per-seed replay contract holds only for runs
-/// without one (DESIGN.md §15).
-class ScopedMapDeadline {
- public:
-  /// Arms a deadline `budget_us` microseconds from now; <= 0 arms nothing
-  /// (expired() keeps answering false).
-  explicit ScopedMapDeadline(std::int64_t budget_us);
-  ~ScopedMapDeadline();
-  ScopedMapDeadline(const ScopedMapDeadline&) = delete;
-  ScopedMapDeadline& operator=(const ScopedMapDeadline&) = delete;
-
-  /// True once the innermost armed deadline on this thread has passed.
-  [[nodiscard]] static bool expired() noexcept;
-
- private:
-  std::int64_t previous_;  ///< outer scope's deadline, restored on exit
-};
 
 /// Strategy interface. Implementations never mutate the substrate; they
 /// track their tentative placements and reservations in an overlay

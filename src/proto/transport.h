@@ -36,9 +36,6 @@ struct TransportCounters {
   std::uint64_t bytes_received = 0;
 };
 
-/// Legacy name from the in-memory-channel era; same struct.
-using ChannelCounters = TransportCounters;
-
 /// Timer/deadline provider + event pump. SimClock-backed for in-memory
 /// channels, epoll-reactor-backed for sockets.
 class Driver {

@@ -36,13 +36,4 @@ double Summary::percentile(double p) const {
   return sorted[rank == 0 ? 0 : rank - 1];
 }
 
-std::vector<const EventLog::Event*> EventLog::by_component(
-    const std::string& component) const {
-  std::vector<const Event*> out;
-  for (const Event& e : events_) {
-    if (e.component == component) out.push_back(&e);
-  }
-  return out;
-}
-
 }  // namespace unify::telemetry

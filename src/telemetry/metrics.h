@@ -1,7 +1,7 @@
 // Lightweight metrics for the orchestration stack: counters, gauges and
-// summaries grouped in a registry, plus an event log keyed by simulated
-// time. Benchmarks read these to report per-layer breakdowns (e.g. RPC
-// round trips per deployment, experiment E2/E4).
+// summaries grouped in a registry. Benchmarks read these to report
+// per-layer breakdowns (e.g. RPC round trips per deployment, experiment
+// E2/E4).
 #pragma once
 
 #include <algorithm>
@@ -9,8 +9,6 @@
 #include <map>
 #include <string>
 #include <vector>
-
-#include "util/sim_clock.h"
 
 namespace unify::telemetry {
 
@@ -95,29 +93,6 @@ class Registry {
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, double> gauges_;
   std::map<std::string, Summary> summaries_;
-};
-
-/// Time-stamped structured event trail ("what did the control plane do").
-class EventLog {
- public:
-  struct Event {
-    SimTime at = 0;
-    std::string component;
-    std::string what;
-  };
-
-  void record(SimTime at, std::string component, std::string what) {
-    events_.push_back(Event{at, std::move(component), std::move(what)});
-  }
-  [[nodiscard]] const std::vector<Event>& events() const noexcept {
-    return events_;
-  }
-  [[nodiscard]] std::vector<const Event*> by_component(
-      const std::string& component) const;
-  void clear() { events_.clear(); }
-
- private:
-  std::vector<Event> events_;
 };
 
 }  // namespace unify::telemetry

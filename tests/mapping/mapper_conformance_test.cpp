@@ -5,8 +5,8 @@
 //     bandwidth, path continuity, max_delay);
 //   - rejects are honest: a mapper either embeds the whole request or
 //     fails, it never hands back a silent partial placement;
-//   - stochastic mappers replay byte-identically per seed (no deadline
-//     armed — the contract of DESIGN.md §15);
+//   - stochastic mappers replay byte-identically per seed (the contract
+//     of DESIGN.md §15);
 //   - the branch-and-bound baseline lower-bounds every other mapper's
 //     canonically re-scored embedding on the instances it solves to proven
 //     optimality.
@@ -26,9 +26,7 @@
 #include "mapping/chain_dp_mapper.h"
 #include "mapping/context.h"
 #include "mapping/greedy_mapper.h"
-#include "mapping/list_mapper.h"
 #include "mapping/mapper.h"
-#include "mapping/nsga2_mapper.h"
 #include "util/rng.h"
 
 namespace unify::mapping {
@@ -65,16 +63,6 @@ constexpr std::uint64_t kInstances = 500;
 constexpr std::uint64_t kReplayInstances = 120;
 constexpr std::uint64_t kBoundInstances = 150;
 
-/// NSGA-II sized down for a 500-instance sweep: enough evolution to leave
-/// the warm start, cheap enough to keep the suite in seconds.
-Nsga2Options small_nsga2(std::uint64_t seed) {
-  Nsga2Options options;
-  options.population = 10;
-  options.generations = 6;
-  options.seed = seed;
-  return options;
-}
-
 struct MapperCase {
   const char* label;
   bool stochastic;  ///< output depends on MapperOptions::seed
@@ -110,14 +98,6 @@ const MapperCase kMappers[] = {
        options.iterations = 120;
        options.seed = seed;
        return std::make_unique<AnnealingMapper>(options);
-     }},
-    {"list_heft", false,
-     [](std::uint64_t) -> std::unique_ptr<Mapper> {
-       return std::make_unique<ListMapper>();
-     }},
-    {"nsga2", true,
-     [](std::uint64_t seed) -> std::unique_ptr<Mapper> {
-       return std::make_unique<Nsga2Mapper>(small_nsga2(seed));
      }},
     {"bnb", false,
      [](std::uint64_t) -> std::unique_ptr<Mapper> {

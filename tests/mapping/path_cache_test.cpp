@@ -184,8 +184,8 @@ TEST(PathCacheProperty, CachedDistanceEqualsFreshDijkstra) {
 
     // Collect the substrate node ids once.
     std::vector<std::string> nodes;
-    for (const auto& [id, bb] : ctx.work().bisbis()) nodes.push_back(id);
-    for (const auto& [id, sap] : ctx.work().saps()) nodes.push_back(id);
+    for (const auto& [id, bb] : ctx.base().bisbis()) nodes.push_back(id);
+    for (const auto& [id, sap] : ctx.base().saps()) nodes.push_back(id);
 
     const auto probe_all = [&] {
       for (const std::string& from : nodes) {

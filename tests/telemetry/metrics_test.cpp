@@ -90,18 +90,5 @@ TEST(Registry, SummariesAndReset) {
   EXPECT_EQ(r.counter("rpc.calls"), 0u);
 }
 
-TEST(EventLog, RecordsAndFilters) {
-  EventLog log;
-  log.record(10, "ro", "map start");
-  log.record(20, "adapter.sdn", "flow install");
-  log.record(30, "ro", "map done");
-  EXPECT_EQ(log.events().size(), 3u);
-  const auto ro = log.by_component("ro");
-  ASSERT_EQ(ro.size(), 2u);
-  EXPECT_EQ(ro[1]->what, "map done");
-  log.clear();
-  EXPECT_TRUE(log.events().empty());
-}
-
 }  // namespace
 }  // namespace unify::telemetry

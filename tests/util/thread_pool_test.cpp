@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <thread>
 #include <vector>
 
 namespace unify::util {
@@ -58,7 +60,10 @@ TEST(ThreadPool, ClampWorkers) {
   EXPECT_EQ(ThreadPool::clamp_workers(4, 100), 4u);
   EXPECT_EQ(ThreadPool::clamp_workers(8, 3), 3u);   // capped at jobs
   EXPECT_GE(ThreadPool::clamp_workers(0, 100), 1u); // 0 = hardware
-  EXPECT_EQ(ThreadPool::clamp_workers(0, 0), 1u);   // never zero
+  // 0 = hardware and jobs == 0 = no cap, so the pair yields the core
+  // count — and never zero.
+  EXPECT_EQ(ThreadPool::clamp_workers(0, 0),
+            std::size_t{std::max(1u, std::thread::hardware_concurrency())});
 }
 
 }  // namespace

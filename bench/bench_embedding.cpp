@@ -9,8 +9,6 @@
 
 #include "core/resource_orchestrator.h"
 #include "infra/topologies.h"
-#include "mapping/annealing_mapper.h"
-#include "mapping/backtracking_mapper.h"
 #include "mapping/baseline_mappers.h"
 #include "mapping/bnb_mapper.h"
 #include "mapping/chain_dp_mapper.h"
@@ -26,14 +24,12 @@ std::unique_ptr<mapping::Mapper> make_mapper(int which) {
   switch (which) {
     case 0: return std::make_unique<mapping::GreedyMapper>();
     case 1: return std::make_unique<mapping::ChainDpMapper>();
-    case 2: return std::make_unique<mapping::BacktrackingMapper>();
+    case 2: return std::make_unique<mapping::BnbMapper>();
     case 3: return std::make_unique<mapping::FirstFitMapper>();
-    case 4: return std::make_unique<mapping::RandomMapper>();
-    case 5: return std::make_unique<mapping::AnnealingMapper>();
-    default: return std::make_unique<mapping::BnbMapper>();
+    default: return std::make_unique<mapping::RandomMapper>();
   }
 }
-constexpr int kMapperCount = 7;
+constexpr int kMapperCount = 5;
 
 model::Nffg make_substrate(int which) {
   switch (which) {

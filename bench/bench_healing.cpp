@@ -3,16 +3,11 @@
 // probe the dead domain, fail, and re-embed all K onto the remaining
 // 2/4/8 domains. Measures the time-to-heal the circuit breaker buys —
 // the benchmark argument is the survivor count, so it shows how healing
-// scales with the capacity left to re-embed into.
-//
-// Two variants: make-before-break (the default — replacements are mapped
-// and installed before the stranded placements are released) against the
-// legacy uninstall-then-redeploy baseline. The max_dip_cpu counter is the
-// worst in-flight capacity dip heal() reported: 0 for make-before-break,
-// the full stranded footprint for the baseline.
+// scales with the capacity left to re-embed into. heal() is
+// make-before-break: replacements are mapped and installed before the
+// stranded placements are released.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,20 +77,16 @@ sg::ServiceGraph stranded_chain(std::size_t k, std::size_t from,
   return g;
 }
 
-void BM_HealStrandedServices(benchmark::State& state,
-                             bool make_before_break) {
+void BM_HealStrandedServices(benchmark::State& state) {
   const auto survivors = static_cast<std::size_t>(state.range(0));
   const std::size_t domains = survivors + 1;  // domain 0 is the victim
   std::uint64_t heals = 0;
-  double max_dip_cpu = 0;
 
   for (auto _ : state) {
     state.PauseTiming();
-    core::RoOptions options;
-    options.health.make_before_break = make_before_break;
     core::ResourceOrchestrator ro(
         "ro", std::make_shared<mapping::ChainDpMapper>(),
-        catalog::default_catalog(), options);
+        catalog::default_catalog());
     std::vector<adapters::FaultyAdapter*> faults;
     for (std::size_t i = 0; i < domains; ++i) {
       auto faulty = std::make_unique<adapters::FaultyAdapter>(
@@ -134,21 +125,17 @@ void BM_HealStrandedServices(benchmark::State& state,
       state.SkipWithError("heal did not recover every stranded service");
       return;
     }
-    max_dip_cpu = std::max(max_dip_cpu, healed->max_capacity_dip_cpu);
     ++heals;
   }
   state.counters["survivors"] = static_cast<double>(survivors);
   state.counters["stranded_services"] =
       static_cast<double>(kStrandedServices);
   state.counters["heals"] = static_cast<double>(heals);
-  state.counters["max_dip_cpu"] = max_dip_cpu;
 }
 
 }  // namespace
 
-BENCHMARK_CAPTURE(BM_HealStrandedServices, mbb, true)
-    ->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK_CAPTURE(BM_HealStrandedServices, teardown_first, false)
+BENCHMARK(BM_HealStrandedServices)
     ->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 BENCHMARK_MAIN();

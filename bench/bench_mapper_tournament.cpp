@@ -10,8 +10,6 @@
 #include <vector>
 
 #include "infra/topologies.h"
-#include "mapping/annealing_mapper.h"
-#include "mapping/backtracking_mapper.h"
 #include "mapping/bnb_mapper.h"
 #include "mapping/chain_dp_mapper.h"
 #include "mapping/greedy_mapper.h"
@@ -26,12 +24,10 @@ std::unique_ptr<mapping::Mapper> make_contestant(int which) {
   switch (which) {
     case 0: return std::make_unique<mapping::GreedyMapper>();
     case 1: return std::make_unique<mapping::ChainDpMapper>();
-    case 2: return std::make_unique<mapping::BacktrackingMapper>();
-    case 3: return std::make_unique<mapping::AnnealingMapper>();
     default: return std::make_unique<mapping::BnbMapper>();
   }
 }
-constexpr int kContestants = 5;
+constexpr int kContestants = 3;
 
 model::Nffg make_substrate(int which) {
   Rng rng(0x70D0 + static_cast<std::uint64_t>(which));

@@ -4,7 +4,7 @@
 // ESCAPEv2's point (iv): the framework is extensible "with additional plug
 // and play components/algorithms, like ... network embedding algorithms".
 // This example exercises exactly that seam: the same RO-less mapping call
-// with seven interchangeable algorithms.
+// with five interchangeable algorithms.
 //
 // Run: ./embedding_playground [seed]
 #include <cstdio>
@@ -12,8 +12,6 @@
 #include <memory>
 
 #include "infra/topologies.h"
-#include "mapping/annealing_mapper.h"
-#include "mapping/backtracking_mapper.h"
 #include "mapping/baseline_mappers.h"
 #include "mapping/bnb_mapper.h"
 #include "mapping/chain_dp_mapper.h"
@@ -36,10 +34,8 @@ int main(int argc, char** argv) {
   std::vector<std::unique_ptr<mapping::Mapper>> mappers;
   mappers.push_back(std::make_unique<mapping::GreedyMapper>());
   mappers.push_back(std::make_unique<mapping::ChainDpMapper>());
-  mappers.push_back(std::make_unique<mapping::BacktrackingMapper>());
   mappers.push_back(std::make_unique<mapping::FirstFitMapper>());
   mappers.push_back(std::make_unique<mapping::RandomMapper>());
-  mappers.push_back(std::make_unique<mapping::AnnealingMapper>());
   mappers.push_back(std::make_unique<mapping::BnbMapper>());
 
   std::printf("%-14s | %-9s | %-10s | %-10s | %-8s\n", "mapper", "accepted",

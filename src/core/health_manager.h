@@ -58,12 +58,6 @@ struct HealthPolicy {
   /// Bias while down. Capacity is masked to zero anyway; this is belt and
   /// braces for force-installed placements that survive the mask.
   double down_penalty = 64.0;
-  /// heal() maps each stranded deployment's replacement against the masked
-  /// view *before* releasing the old placement (make-before-break): a heal
-  /// pass never reduces the placed-service count and never dips substrate
-  /// capacity below what the survivors need. Set false for the legacy
-  /// uninstall-then-redeploy behaviour (ablation / bench baseline).
-  bool make_before_break = true;
   /// Exponential probe backoff for heal(): after a failed probe the domain
   /// skips this many heal passes before the next probe; each further
   /// failure multiplies the window (capped); any success resets it. 0

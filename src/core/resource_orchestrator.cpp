@@ -784,18 +784,6 @@ void ResourceOrchestrator::set_deployment_nf_status(
   }
 }
 
-double ResourceOrchestrator::deployment_cpu(const Deployment& deployment) const {
-  double cpu = 0;
-  const model::Nffg& view = view_.read();
-  for (const auto& [nf_id, host] : deployment.mapping.nf_host) {
-    const model::BisBis* bb = view.find_bisbis(host);
-    if (bb == nullptr) continue;
-    const auto it = bb->nfs.find(nf_id);
-    if (it != bb->nfs.end()) cpu += it->second.requirement.cpu;
-  }
-  return cpu;
-}
-
 Result<void> ResourceOrchestrator::heal_swap(const std::string& id,
                                              Deployment replacement) {
   const auto it = deployments_.find(id);
@@ -979,88 +967,61 @@ Result<ResourceOrchestrator::HealReport> ResourceOrchestrator::heal() {
         << error.to_string();
   };
 
-  if (options_.health.make_before_break) {
-    // Make: map every stranded deployment's replacement against the masked
-    // view first, in parallel on the shared pool (map_batch's speculative
-    // machinery — workers read only view_/catalog_ and write disjoint
-    // slots). The old placements are still installed, so each replacement
-    // is planned against exactly the capacity the survivors really have,
-    // and NF-id collisions cannot happen: place_nf() rejects a duplicate id
-    // only on the same BiS-BiS, and the stranded hosts are masked to zero.
-    std::vector<std::optional<Result<Deployment>>> prepared(stranded.size());
-    std::vector<PrepareStats> stats(stranded.size());
-    {
-      // One frozen snapshot of the masked view for all speculative
-      // replacements; released before the sequential swaps mutate.
-      const model::ViewSnapshot snap = view_.snapshot();
-      const mapping::SubstrateView frozen(snap);
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(stranded.size());
-      for (std::size_t k = 0; k < stranded.size(); ++k) {
-        const Deployment& dep = deployments_.at(stranded[k]);
-        tasks.push_back([this, &prepared, &stats, &frozen, &dep, k] {
-          prepared[k] = prepare(dep.original, frozen, stats[k]);
-        });
-      }
-      pool().run_all(std::move(tasks));
-    }
-
-    // Break: strictly sequential swaps in submission order. Earlier swaps
-    // consume survivor capacity, so each speculative mapping is re-verified
-    // against the current view and re-mapped on conflict before the old
-    // placement is released. On any failure the old books stay untouched
-    // and the service goes degraded.
+  // Make: map every stranded deployment's replacement against the masked
+  // view first, in parallel on the shared pool (map_batch's speculative
+  // machinery — workers read only view_/catalog_ and write disjoint
+  // slots). The old placements are still installed, so each replacement
+  // is planned against exactly the capacity the survivors really have,
+  // and NF-id collisions cannot happen: place_nf() rejects a duplicate id
+  // only on the same BiS-BiS, and the stranded hosts are masked to zero.
+  std::vector<std::optional<Result<Deployment>>> prepared(stranded.size());
+  std::vector<PrepareStats> stats(stranded.size());
+  {
+    // One frozen snapshot of the masked view for all speculative
+    // replacements; released before the sequential swaps mutate.
+    const model::ViewSnapshot snap = view_.snapshot();
+    const mapping::SubstrateView frozen(snap);
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(stranded.size());
     for (std::size_t k = 0; k < stranded.size(); ++k) {
-      const std::string& id = stranded[k];
-      Result<Deployment> outcome = std::move(*prepared[k]);
-      if (outcome.ok() &&
-          !mapping::verify_mapping(outcome->expanded, view_.read(), catalog_,
-                                   outcome->mapping)
-               .ok()) {
-        metrics_.add("ro.health.heal_remaps");
-        outcome = prepare_current(deployments_.at(id).original, stats[k]);
-      }
-      if (outcome.ok()) {
-        if (const auto swapped = heal_swap(id, std::move(outcome).value());
-            swapped.ok()) {
-          const auto healed = deployments_.find(id);
-          healed->second.degraded = false;
-          healed->second.degraded_reason.clear();
-          metrics_.add("ro.health.heals");
-          report.healed.push_back(id);
-          continue;
-        } else {
-          outcome = swapped.error();
-        }
-      }
-      mark_degraded(id, outcome.error());
+      const Deployment& dep = deployments_.at(stranded[k]);
+      tasks.push_back([this, &prepared, &stats, &frozen, &dep, k] {
+        prepared[k] = prepare(dep.original, frozen, stats[k]);
+      });
     }
-  } else {
-    // Legacy uninstall-then-redeploy (ablation / bench baseline): between
-    // the uninstall and the re-push the stranded footprint is in flight —
-    // report the worst dip so the make-before-break win stays measurable.
-    for (const std::string& id : stranded) {
-      const std::uint64_t sequence = deployments_.at(id).sequence;
-      report.max_capacity_dip_cpu = std::max(
-          report.max_capacity_dip_cpu, deployment_cpu(deployments_.at(id)));
-      if (const auto redone = redeploy(id); redone.ok()) {
+    pool().run_all(std::move(tasks));
+  }
+
+  // Break: strictly sequential swaps in submission order. Earlier swaps
+  // consume survivor capacity, so each speculative mapping is re-verified
+  // against the current view and re-mapped on conflict before the old
+  // placement is released. On any failure the old books stay untouched
+  // and the service goes degraded.
+  for (std::size_t k = 0; k < stranded.size(); ++k) {
+    const std::string& id = stranded[k];
+    Result<Deployment> outcome = std::move(*prepared[k]);
+    if (outcome.ok() &&
+        !mapping::verify_mapping(outcome->expanded, view_.read(), catalog_,
+                                 outcome->mapping)
+             .ok()) {
+      metrics_.add("ro.health.heal_remaps");
+      outcome = prepare_current(deployments_.at(id).original, stats[k]);
+    }
+    if (outcome.ok()) {
+      if (const auto swapped = heal_swap(id, std::move(outcome).value());
+          swapped.ok()) {
         const auto healed = deployments_.find(id);
-        if (healed != deployments_.end()) {
-          // redeploy() committed a fresh Deployment; healing must not let a
-          // re-embedding reshuffle the submission order of later passes.
-          healed->second.sequence = sequence;
-          healed->second.degraded = false;
-          healed->second.degraded_reason.clear();
-        }
+        healed->second.degraded = false;
+        healed->second.degraded_reason.clear();
         metrics_.add("ro.health.heals");
         report.healed.push_back(id);
+        continue;
       } else {
-        mark_degraded(id, redone.error());
+        outcome = swapped.error();
       }
     }
+    mark_degraded(id, outcome.error());
   }
-  metrics_.set_gauge("ro.health.heal_max_dip_cpu",
-                     report.max_capacity_dip_cpu);
 
   // Phase 3: push readmitted domains back to a byte-consistent slice.
   if (any_readmitted) {

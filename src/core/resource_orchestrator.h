@@ -201,12 +201,6 @@ class ResourceOrchestrator {
     std::vector<std::string> healed;      ///< requests re-embedded onto survivors
     std::vector<std::string> degraded;    ///< requests that could not be re-placed
     std::vector<std::string> recovered;   ///< degraded requests whose domain returned
-    /// Largest CPU footprint that was simultaneously released-but-not-yet-
-    /// re-placed during this pass. Make-before-break keeps this at 0 (the
-    /// replacement is installed before the old placement is released); the
-    /// legacy uninstall-then-redeploy path reports the biggest stranded
-    /// deployment it had in flight.
-    double max_capacity_dip_cpu = 0;
     /// Probes skipped this pass because the domain is still inside its
     /// exponential backoff window (HealthPolicy::probe_backoff_initial).
     std::uint64_t probes_deferred = 0;
@@ -220,16 +214,15 @@ class ResourceOrchestrator {
   /// liveness-probe every degraded one (a pass clears its failure streak
   /// and embedding-cost penalty; a failure feeds the streak), then walk
   /// deployments in submission order and re-embed every one with an NF or
-  /// routed link on a still-down domain. With
-  /// HealthPolicy::make_before_break (the default) the replacement is
-  /// mapped speculatively against the masked view first — in parallel on
-  /// the shared pool, reusing the map_batch machinery — and the old
-  /// placement is released only after its replacement embedding verified,
-  /// so a heal pass never reduces the placed-service count and never dips
-  /// substrate capacity below what the survivors need. Requests that cannot
-  /// be re-placed are marked degraded — kept, not torn down, old books
-  /// untouched — and retried on the next pass. Deterministic for a given
-  /// fault pattern.
+  /// routed link on a still-down domain, make-before-break: the
+  /// replacement is mapped speculatively against the masked view first —
+  /// in parallel on the shared pool, reusing the map_batch machinery — and
+  /// the old placement is released only after its replacement embedding
+  /// verified, so a heal pass never reduces the placed-service count and
+  /// never dips substrate capacity below what the survivors need. Requests
+  /// that cannot be re-placed are marked degraded — kept, not torn down,
+  /// old books untouched — and retried on the next pass. Deterministic for
+  /// a given fault pattern.
   Result<HealReport> heal();
 
   /// Status of one NF by instance id (searches the view).
@@ -360,10 +353,6 @@ class ResourceOrchestrator {
   /// any failure the old placement and books are restored. Preserves the
   /// deployment's submission sequence.
   Result<void> heal_swap(const std::string& id, Deployment replacement);
-
-  /// CPU currently booked in the view for this deployment's NFs (the
-  /// capacity a break-before-make heal would put in flight).
-  [[nodiscard]] double deployment_cpu(const Deployment& deployment) const;
 
   /// Domains whose slice can change when `mapping` is installed or
   /// uninstalled: the domains of every NF host plus both endpoint domains

@@ -30,7 +30,7 @@ Result<Mapping> FirstFitMapper::map(const sg::ServiceGraph& sg,
 Result<Mapping> RandomMapper::map(const sg::ServiceGraph& sg,
                                   const SubstrateView& substrate,
                                   const catalog::NfCatalog& catalog) const {
-  Rng rng(options_.seed);
+  Rng rng(seed_);
   constexpr int kAttempts = 32;
   Error last{ErrorCode::kInfeasible, "no attempt made"};
   for (int attempt = 0; attempt < kAttempts; ++attempt) {

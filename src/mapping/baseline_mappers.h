@@ -4,6 +4,8 @@
 // under test (experiment E3).
 #pragma once
 
+#include <cstdint>
+
 #include "mapping/mapper.h"
 
 namespace unify::mapping {
@@ -11,28 +13,24 @@ namespace unify::mapping {
 /// Places every NF on the first feasible host in id order.
 class FirstFitMapper final : public Mapper {
  public:
-  explicit FirstFitMapper(MapperOptions options = {}) : options_(options) {}
   [[nodiscard]] std::string name() const override { return "first-fit"; }
   [[nodiscard]] Result<Mapping> map(
       const sg::ServiceGraph& sg, const SubstrateView& substrate,
       const catalog::NfCatalog& catalog) const override;
-
- private:
-  MapperOptions options_;
 };
 
 /// Places every NF on a uniformly random feasible host; retries the whole
 /// placement until routing + requirements succeed (bounded attempts).
 class RandomMapper final : public Mapper {
  public:
-  explicit RandomMapper(MapperOptions options = {}) : options_(options) {}
+  explicit RandomMapper(std::uint64_t seed = 1) : seed_(seed) {}
   [[nodiscard]] std::string name() const override { return "random"; }
   [[nodiscard]] Result<Mapping> map(
       const sg::ServiceGraph& sg, const SubstrateView& substrate,
       const catalog::NfCatalog& catalog) const override;
 
  private:
-  MapperOptions options_;
+  std::uint64_t seed_;
 };
 
 }  // namespace unify::mapping

@@ -256,8 +256,7 @@ Result<BnbResult> BnbMapper::map_exact(const sg::ServiceGraph& sg,
   Relaxation relax(ctx.index());
   Search search{&ctx, &relax, &options_, {}, {}, {}, {}, kInf, 0, false};
 
-  // Chain order first (tight delay pruning), then leftovers by id — the
-  // same visit order as the backtracking mapper.
+  // Chain order first (tight delay pruning), then leftovers by id.
   std::set<std::string> seen;
   std::vector<std::string> order_ids;
   for (const sg::E2eRequirement& req : sg.requirements()) {

@@ -16,14 +16,10 @@ namespace unify::mapping {
 
 class ChainDpMapper final : public Mapper {
  public:
-  explicit ChainDpMapper(MapperOptions options = {}) : options_(options) {}
   [[nodiscard]] std::string name() const override { return "chain-dp"; }
   [[nodiscard]] Result<Mapping> map(
       const sg::ServiceGraph& sg, const SubstrateView& substrate,
       const catalog::NfCatalog& catalog) const override;
-
- private:
-  MapperOptions options_;
 };
 
 }  // namespace unify::mapping

@@ -433,11 +433,4 @@ Mapping Context::finish(std::string mapper_name) const {
   return m;
 }
 
-void Context::publish_cache_metrics(telemetry::Registry& registry) const {
-  registry.add("mapping.path_cache.hits", cache_stats_.hits);
-  registry.add("mapping.path_cache.misses", cache_stats_.misses);
-  registry.add("mapping.path_cache.invalidations",
-               cache_stats_.invalidations);
-}
-
 }  // namespace unify::mapping

@@ -19,8 +19,7 @@
 // only unmask a link for queries demanding more than its pre-release
 // residual — and only entries that actually *saw* that link masked
 // (tracked per entry) can improve, so everything else survives the
-// release. Hit/miss/invalidation counters are kept in PathCacheStats and
-// can be published into a telemetry::Registry.
+// release. Hit/miss/invalidation counters are kept in PathCacheStats.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +35,6 @@
 #include "model/nffg.h"
 #include "model/topology_index.h"
 #include "sg/service_graph.h"
-#include "telemetry/metrics.h"
 #include "util/result.h"
 
 namespace unify::mapping {
@@ -157,9 +155,6 @@ class Context {
   [[nodiscard]] const PathCacheStats& path_cache_stats() const noexcept {
     return cache_stats_;
   }
-  /// Adds the cache counters to `registry` under
-  /// "mapping.path_cache.{hits,misses,invalidations}".
-  void publish_cache_metrics(telemetry::Registry& registry) const;
 
  private:
   /// Cap on masked edges remembered per cache entry; past it the entry

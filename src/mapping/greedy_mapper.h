@@ -10,14 +10,10 @@ namespace unify::mapping {
 
 class GreedyMapper final : public Mapper {
  public:
-  explicit GreedyMapper(MapperOptions options = {}) : options_(options) {}
   [[nodiscard]] std::string name() const override { return "greedy"; }
   [[nodiscard]] Result<Mapping> map(
       const sg::ServiceGraph& sg, const SubstrateView& substrate,
       const catalog::NfCatalog& catalog) const override;
-
- private:
-  MapperOptions options_;
 };
 
 }  // namespace unify::mapping

@@ -8,7 +8,7 @@
 // takes the algorithm as a dependency.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
@@ -83,20 +83,10 @@ struct Mapping {
   friend bool operator==(const Mapping& a, const Mapping& b) = default;
 };
 
-struct MapperOptions {
-  /// Paths considered per node pair where an algorithm enumerates
-  /// alternatives.
-  int k_paths = 4;
-  /// Hard cap on search-tree nodes for exhaustive algorithms.
-  std::size_t max_search_steps = 200000;
-  /// Seed for randomized algorithms.
-  std::uint64_t seed = 1;
-};
-
-/// The canonical embedding objective, shared by every mapper that ranks
-/// whole placements (annealing, branch-and-bound): substrate load,
-/// end-to-end delay and health bias as separate axes, collapsed to one
-/// scalar by total(). Lower is better on every axis.
+/// The canonical embedding objective that branch-and-bound ranks whole
+/// placements by: substrate load, end-to-end delay and health bias as
+/// separate axes, collapsed to one scalar by total(). Lower is better on
+/// every axis.
 struct EmbeddingScore {
   double cost = 0;     ///< Σ bandwidth × hops (substrate load)
   double delay = 0;    ///< Σ per-requirement chain delay (ms)

@@ -136,14 +136,12 @@ ChurnRunReport run_churn(ChurnStack& stack,
   SimTime next_pump = pump_period_us;
 
   // Make-before-break SLO: a heal pass must never reduce the placed
-  // deployment count, and never have released-but-not-yet-replaced
-  // capacity in flight.
+  // deployment count.
   const auto heal_checked = [&] {
     const std::size_t placed_before = stack.ro->deployments().size();
     const auto healed = stack.ro->heal();
     if (!healed.ok()) return;
-    if (stack.ro->deployments().size() < placed_before ||
-        healed->max_capacity_dip_cpu > 0.0) {
+    if (stack.ro->deployments().size() < placed_before) {
       report.heal_shrank = true;
     }
   };

@@ -67,8 +67,8 @@ struct ChurnRunReport {
   double adm_latency_p99_ms = 0;
   double shed_rate = 0;           ///< shed / enqueue attempts
   bool overcommit = false;        ///< any domain ever overcommitted
-  /// Set when any heal pass reduced the placed-deployment count or had
-  /// released-but-not-replaced capacity in flight (make-before-break SLO).
+  /// Set when any heal pass reduced the placed-deployment count
+  /// (make-before-break SLO).
   bool heal_shrank = false;
   /// Deterministic fingerprint of the externally observable end state;
   /// equal across runs of the same (spec, seed).

@@ -1,14 +1,32 @@
 #include "util/orchestration_pool.h"
 
+#include <memory>
+
 namespace unify::util {
 
 namespace {
 std::atomic<std::uint64_t> g_constructed{0};
+
+/// `requested` workers, 0 meaning the hardware concurrency; never zero.
+std::size_t clamp_workers(std::size_t requested) {
+  const std::size_t workers =
+      requested != 0 ? requested : std::thread::hardware_concurrency();
+  return workers == 0 ? 1 : workers;
+}
 }  // namespace
 
 OrchestrationPool::OrchestrationPool(std::size_t workers)
-    : workers_(ThreadPool::clamp_workers(workers, 0)) {
+    : workers_(clamp_workers(workers)) {
   g_constructed.fetch_add(1, std::memory_order_relaxed);
+}
+
+OrchestrationPool::~OrchestrationPool() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
+  }
+  wake_.notify_all();
+  for (std::thread& t : helpers_) t.join();
 }
 
 OrchestrationPool& OrchestrationPool::process_pool() {
@@ -21,16 +39,37 @@ std::uint64_t OrchestrationPool::constructed() noexcept {
 }
 
 bool OrchestrationPool::started() const {
-  std::lock_guard<std::mutex> lock(start_mutex_);
-  return pool_ != nullptr;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return !helpers_.empty();
 }
 
-void OrchestrationPool::ensure_started() {
-  std::lock_guard<std::mutex> lock(start_mutex_);
-  if (pool_ == nullptr) {
-    // The calling thread of every batch acts as one runner, so the pool
-    // itself only ever needs workers_ - 1 threads to reach full width.
-    pool_ = std::make_unique<ThreadPool>(workers_ > 1 ? workers_ - 1 : 1);
+void OrchestrationPool::submit(std::function<void()> task) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (helpers_.empty()) {
+      // The calling thread of every batch acts as one runner, so only
+      // workers_ - 1 helpers are needed to reach full width (submit() is
+      // only reached with workers_ > 1).
+      helpers_.reserve(workers_ - 1);
+      for (std::size_t i = 0; i + 1 < workers_; ++i) {
+        helpers_.emplace_back([this] { helper_loop(); });
+      }
+    }
+    queue_.push_back(std::move(task));
+  }
+  wake_.notify_one();
+}
+
+void OrchestrationPool::helper_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    wake_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopping, and nothing left to drain
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    lock.unlock();
+    task();
+    lock.lock();
   }
 }
 
@@ -64,7 +103,6 @@ std::size_t OrchestrationPool::run_all(std::vector<std::function<void()>> tasks,
     return 1;
   }
 
-  ensure_started();
   auto batch = std::make_shared<Batch>();
   batch->tasks = std::move(tasks);
   // Extra runners are best-effort helpers: each drains unclaimed tasks
@@ -72,7 +110,7 @@ std::size_t OrchestrationPool::run_all(std::vector<std::function<void()>> tasks,
   // batch alive for helpers that fire after the caller already returned;
   // they find every task claimed and exit without touching the join.
   for (std::size_t r = 0; r + 1 < runners; ++r) {
-    pool_->submit([batch] { run_batch_tasks(*batch); });
+    submit([batch] { run_batch_tasks(*batch); });
   }
   run_batch_tasks(*batch);  // the caller is a runner too
   std::unique_lock<std::mutex> lock(batch->done_mutex);

@@ -1,32 +1,31 @@
 // Shared, lazily started worker pool for CPU-bound orchestration work.
 //
-// PR 1 gave ResourceOrchestrator::map_batch a private ThreadPool per call:
-// correct, but every batch paid thread spawn/join, and two batch clients
-// (the RO and the batch-aware service layer above it) would each grow their
-// own pool. OrchestrationPool fixes both: one pool, owned at process scope
-// (process_pool()), started lazily on the first parallel batch and shared
-// by every client. Because several clients may run batches concurrently,
-// the pool joins per *batch*, not per queue: run_all() blocks until its own
-// tasks finished, regardless of what other clients have in flight
-// (ThreadPool::wait_idle would over-wait or never return under a steady
-// concurrent load).
+// One pool, owned at process scope (process_pool()), started lazily on the
+// first parallel batch and shared by every client — the RO (map_batch,
+// heal, push fan-out) and the batch-aware service layer above it — so no
+// batch pays thread spawn/join and no client grows a private pool.
+// Because several clients may run batches concurrently, the pool joins per
+// *batch*, not per queue: run_all() blocks until its own tasks finished,
+// regardless of what other clients have in flight (a queue-wide "wait
+// until idle" would over-wait or never return under a steady concurrent
+// load).
 //
-// The calling thread participates as a runner, so a batch always makes
-// progress even when every pool worker is busy with someone else's batch —
-// which also makes nested run_all() calls (service layer batch -> RO batch)
-// deadlock-free.
+// The calling thread participates as a runner, so workers - 1 helper
+// threads serve one FIFO queue of runner tasks (each handed off with
+// notify_one), and a batch always makes progress even when every helper
+// is busy with someone else's batch — which also makes nested run_all()
+// calls (service layer batch -> RO batch) deadlock-free.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
-
-#include "util/thread_pool.h"
 
 namespace unify::util {
 
@@ -35,6 +34,8 @@ class OrchestrationPool {
   /// `workers` = 0 sizes the pool to the hardware concurrency. Threads are
   /// not spawned until the first run_all() that needs them.
   explicit OrchestrationPool(std::size_t workers = 0);
+  /// Joins the helper threads once they drained the queue.
+  ~OrchestrationPool();
 
   OrchestrationPool(const OrchestrationPool&) = delete;
   OrchestrationPool& operator=(const OrchestrationPool&) = delete;
@@ -86,12 +87,17 @@ class OrchestrationPool {
     std::condition_variable done;
   };
 
-  void ensure_started();
+  /// Enqueues a runner task, spawning the helper threads on first use.
+  void submit(std::function<void()> task);
+  void helper_loop();
   static void run_batch_tasks(Batch& batch);
 
   std::size_t workers_;
-  mutable std::mutex start_mutex_;
-  std::unique_ptr<ThreadPool> pool_;  ///< created lazily under start_mutex_
+  mutable std::mutex mutex_;  ///< guards queue_, stop_ and helpers_
+  std::condition_variable wake_;
+  std::deque<std::function<void()>> queue_;
+  bool stop_ = false;
+  std::vector<std::thread> helpers_;  ///< spawned lazily by submit()
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> tasks_{0};
 };

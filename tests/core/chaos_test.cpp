@@ -272,10 +272,8 @@ std::string run_soak(std::uint64_t seed, int steps) {
           return "aborted";
         }
         // Make-before-break: a heal pass never reduces the placed-service
-        // count, and never has released-but-not-yet-replaced capacity in
-        // flight.
+        // count.
         EXPECT_GE(stack.ro->deployments().size(), placed_before);
-        EXPECT_EQ(healed->max_capacity_dip_cpu, 0.0);
         break;
       }
       case 7: {  // status reconciliation up the stack
@@ -306,7 +304,6 @@ std::string run_soak(std::uint64_t seed, int steps) {
       return "aborted";
     }
     EXPECT_GE(stack.ro->deployments().size(), placed_before);
-    EXPECT_EQ(healed->max_capacity_dip_cpu, 0.0);
   }
   EXPECT_FALSE(stack.ro->health().any_open());
   EXPECT_TRUE(stack.layer->sync_health().ok());

@@ -1,13 +1,11 @@
-// Tests for the extension features: the annealing mapper, placement
-// constraints (anti-affinity / pin / forbid) across all algorithms, and
-// the JSON-loadable NF catalog.
+// Tests for the extension features: placement constraints (anti-affinity
+// / pin / forbid) across the ranking mappers, and the JSON-loadable NF
+// catalog.
 #include <gtest/gtest.h>
 
 #include "catalog/catalog_json.h"
 #include "catalog/decomposition.h"
-#include "infra/topologies.h"
-#include "mapping/annealing_mapper.h"
-#include "mapping/backtracking_mapper.h"
+#include "mapping/bnb_mapper.h"
 #include "mapping/chain_dp_mapper.h"
 #include "mapping/greedy_mapper.h"
 #include "model/nffg_builder.h"
@@ -34,60 +32,6 @@ Nffg line_substrate() {
   return g;
 }
 
-// ------------------------------------------------------------- annealing
-
-TEST(Annealing, ProducesVerifiableMappings) {
-  const Nffg substrate = line_substrate();
-  const ServiceGraph sg =
-      sg::make_chain("svc", "sap1", {"nat", "monitor"}, "sap2", 50, 100);
-  const NfCatalog cat = catalog::default_catalog();
-  AnnealingMapper mapper;
-  auto mapping = mapper.map(sg, substrate, cat);
-  ASSERT_TRUE(mapping.ok()) << mapping.error().to_string();
-  EXPECT_EQ(mapping->mapper_name, "annealing");
-  EXPECT_TRUE(verify_mapping(sg, substrate, cat, *mapping).ok());
-}
-
-TEST(Annealing, NeverWorseThanGreedySeed) {
-  Rng rng(31);
-  const NfCatalog cat = catalog::default_catalog();
-  for (int trial = 0; trial < 5; ++trial) {
-    const Nffg substrate = infra::topo::random_connected(10, 3.0, 2, rng);
-    const ServiceGraph sg = sg::make_chain(
-        "svc", "sap1", {"fw-lite", "monitor", "nat"}, "sap2", 50, 1000);
-    const auto greedy = GreedyMapper().map(sg, substrate, cat);
-    AnnealingOptions options;
-    options.seed = 7 + static_cast<std::uint64_t>(trial);
-    const auto annealed = AnnealingMapper(options).map(sg, substrate, cat);
-    if (!greedy.ok()) {
-      EXPECT_FALSE(annealed.ok());  // seeding failed too
-      continue;
-    }
-    ASSERT_TRUE(annealed.ok());
-    const auto cost = [](const Mapping& m) {
-      double delay = 0;
-      for (const auto& [r, d] : m.requirement_delay) delay += d;
-      return m.stats.bandwidth_hops + delay;
-    };
-    EXPECT_LE(cost(*annealed), cost(*greedy) + 1e-9) << "trial " << trial;
-    EXPECT_TRUE(verify_mapping(sg, substrate, cat, *annealed).ok());
-  }
-}
-
-TEST(Annealing, DeterministicPerSeed) {
-  const Nffg substrate = line_substrate();
-  const ServiceGraph sg =
-      sg::make_chain("svc", "sap1", {"nat", "monitor"}, "sap2", 10, 100);
-  const NfCatalog cat = catalog::default_catalog();
-  AnnealingOptions options;
-  options.seed = 99;
-  const auto a = AnnealingMapper(options).map(sg, substrate, cat);
-  const auto b = AnnealingMapper(options).map(sg, substrate, cat);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->nf_host, b->nf_host);
-}
-
 // ------------------------------------------------------------ constraints
 
 class ConstraintMappers : public ::testing::TestWithParam<int> {
@@ -96,8 +40,7 @@ class ConstraintMappers : public ::testing::TestWithParam<int> {
     switch (GetParam()) {
       case 0: return std::make_unique<GreedyMapper>();
       case 1: return std::make_unique<ChainDpMapper>();
-      case 2: return std::make_unique<BacktrackingMapper>();
-      default: return std::make_unique<AnnealingMapper>();
+      default: return std::make_unique<BnbMapper>();
     }
   }
 };
@@ -150,7 +93,7 @@ TEST_P(ConstraintMappers, ContradictoryConstraintsInfeasible) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Mappers, ConstraintMappers,
-                         ::testing::Values(0, 1, 2, 3));
+                         ::testing::Values(0, 1, 2));
 
 TEST(Constraints, VerifierCatchesViolations) {
   const Nffg substrate = line_substrate();

@@ -12,8 +12,7 @@
 #include <vector>
 
 #include "infra/topologies.h"
-#include "mapping/annealing_mapper.h"
-#include "mapping/backtracking_mapper.h"
+#include "mapping/baseline_mappers.h"
 #include "mapping/bnb_mapper.h"
 #include "mapping/chain_dp_mapper.h"
 #include "mapping/greedy_mapper.h"
@@ -45,9 +44,9 @@ TEST(MapperConcurrency, ConcurrentMappersNeverCorruptTheSharedView) {
   std::vector<std::shared_ptr<const Mapper>> field;
   field.push_back(std::make_shared<GreedyMapper>());
   field.push_back(std::make_shared<ChainDpMapper>());
-  field.push_back(std::make_shared<BacktrackingMapper>());
-  field.push_back(std::make_shared<AnnealingMapper>());
   field.push_back(std::make_shared<BnbMapper>());
+  field.push_back(std::make_shared<FirstFitMapper>());
+  field.push_back(std::make_shared<RandomMapper>());
 
   constexpr std::size_t kChains = 24;
   const std::size_t runs = kChains * field.size();

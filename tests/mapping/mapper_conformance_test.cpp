@@ -19,8 +19,6 @@
 #include <vector>
 
 #include "infra/topologies.h"
-#include "mapping/annealing_mapper.h"
-#include "mapping/backtracking_mapper.h"
 #include "mapping/baseline_mappers.h"
 #include "mapping/bnb_mapper.h"
 #include "mapping/chain_dp_mapper.h"
@@ -65,7 +63,7 @@ constexpr std::uint64_t kBoundInstances = 150;
 
 struct MapperCase {
   const char* label;
-  bool stochastic;  ///< output depends on MapperOptions::seed
+  bool stochastic;  ///< output depends on the seed given to make()
   std::unique_ptr<Mapper> (*make)(std::uint64_t seed);
 };
 
@@ -78,9 +76,9 @@ const MapperCase kMappers[] = {
      [](std::uint64_t) -> std::unique_ptr<Mapper> {
        return std::make_unique<ChainDpMapper>();
      }},
-    {"backtracking", false,
+    {"bnb", false,
      [](std::uint64_t) -> std::unique_ptr<Mapper> {
-       return std::make_unique<BacktrackingMapper>();
+       return std::make_unique<BnbMapper>();
      }},
     {"first_fit", false,
      [](std::uint64_t) -> std::unique_ptr<Mapper> {
@@ -88,20 +86,7 @@ const MapperCase kMappers[] = {
      }},
     {"random", true,
      [](std::uint64_t seed) -> std::unique_ptr<Mapper> {
-       MapperOptions options;
-       options.seed = seed;
-       return std::make_unique<RandomMapper>(options);
-     }},
-    {"annealing", true,
-     [](std::uint64_t seed) -> std::unique_ptr<Mapper> {
-       AnnealingOptions options;
-       options.iterations = 120;
-       options.seed = seed;
-       return std::make_unique<AnnealingMapper>(options);
-     }},
-    {"bnb", false,
-     [](std::uint64_t) -> std::unique_ptr<Mapper> {
-       return std::make_unique<BnbMapper>();
+       return std::make_unique<RandomMapper>(seed);
      }},
 };
 

@@ -5,8 +5,8 @@
 
 #include "catalog/decomposition.h"
 #include "infra/topologies.h"
-#include "mapping/backtracking_mapper.h"
 #include "mapping/baseline_mappers.h"
+#include "mapping/bnb_mapper.h"
 #include "mapping/chain_dp_mapper.h"
 #include "mapping/greedy_mapper.h"
 #include "mapping/mapper.h"
@@ -41,7 +41,7 @@ class MapperProperty
     switch (std::get<0>(GetParam())) {
       case 0: return std::make_unique<GreedyMapper>();
       case 1: return std::make_unique<ChainDpMapper>();
-      case 2: return std::make_unique<BacktrackingMapper>();
+      case 2: return std::make_unique<BnbMapper>();
       case 3: return std::make_unique<FirstFitMapper>();
       default: return std::make_unique<RandomMapper>();
     }

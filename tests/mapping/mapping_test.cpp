@@ -3,9 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "catalog/decomposition.h"
-#include "mapping/annealing_mapper.h"
-#include "mapping/backtracking_mapper.h"
 #include "mapping/baseline_mappers.h"
+#include "mapping/bnb_mapper.h"
 #include "mapping/chain_dp_mapper.h"
 #include "mapping/context.h"
 #include "mapping/decomp_aware_mapper.h"
@@ -47,7 +46,7 @@ class AllMappers : public ::testing::TestWithParam<const char*> {
     const std::string which = GetParam();
     if (which == "greedy") return std::make_unique<GreedyMapper>();
     if (which == "chain-dp") return std::make_unique<ChainDpMapper>();
-    if (which == "backtracking") return std::make_unique<BacktrackingMapper>();
+    if (which == "bnb") return std::make_unique<BnbMapper>();
     if (which == "first-fit") return std::make_unique<FirstFitMapper>();
     return std::make_unique<RandomMapper>();
   }
@@ -134,10 +133,27 @@ TEST_P(AllMappers, ResourceOverrideRespected) {
   EXPECT_FALSE(mapping.ok());
 }
 
+TEST_P(AllMappers, CapacityTrapSplitsTheChain) {
+  // Two single-core nodes: each fits exactly one NF of the two-NF chain,
+  // so every mapper must split the chain across them.
+  Nffg g{"trap"};
+  ASSERT_TRUE(g.add_bisbis(model::make_bisbis("bb1", {1, 512, 1}, 4)).ok());
+  ASSERT_TRUE(g.add_bisbis(model::make_bisbis("bb2", {1, 512, 1}, 4)).ok());
+  model::connect(g, "bb1", 1, "bb2", 1, {1000, 1.0});
+  model::attach_sap(g, "sap1", "bb1", 0, {1000, 0.1});
+  model::attach_sap(g, "sap2", "bb2", 0, {1000, 0.1});
+  const ServiceGraph sg =
+      sg::make_chain("svc", "sap1", {"nat", "nat"}, "sap2", 10, 100);
+  const NfCatalog cat = catalog::default_catalog();
+  auto mapping = make()->map(sg, g, cat);
+  ASSERT_TRUE(mapping.ok()) << mapping.error().to_string();
+  EXPECT_TRUE(verify_mapping(sg, g, cat, *mapping).ok());
+  EXPECT_NE(mapping->nf_host.at("nat0"), mapping->nf_host.at("nat1"));
+}
+
 INSTANTIATE_TEST_SUITE_P(Mappers, AllMappers,
-                         ::testing::Values("greedy", "chain-dp",
-                                           "backtracking", "first-fit",
-                                           "random"));
+                         ::testing::Values("greedy", "chain-dp", "bnb",
+                                           "first-fit", "random"));
 
 // ------------------------------------------------------- algorithm traits
 
@@ -166,45 +182,12 @@ TEST(ChainDp, FindsDelayOptimalPlacement) {
   EXPECT_EQ(mapping->nf_host.at("nat0"), "bb-fast");
 }
 
-TEST(Backtracking, SolvesWhereGreedyFails) {
-  // Capacity trap: the nearest node fits only one NF; greedy stacks the
-  // first NF there... Construct: chain of two NFs, bb1 fits exactly one NF
-  // (2 cpu), bb2 fits one. Greedy places both near sap1 -> fails on second,
-  // backtracking distributes.
-  Nffg g{"trap"};
-  ASSERT_TRUE(g.add_bisbis(model::make_bisbis("bb1", {1, 512, 1}, 4)).ok());
-  ASSERT_TRUE(g.add_bisbis(model::make_bisbis("bb2", {1, 512, 1}, 4)).ok());
-  model::connect(g, "bb1", 1, "bb2", 1, {1000, 1.0});
-  model::attach_sap(g, "sap1", "bb1", 0, {1000, 0.1});
-  model::attach_sap(g, "sap2", "bb2", 0, {1000, 0.1});
-  const ServiceGraph sg =
-      sg::make_chain("svc", "sap1", {"nat", "nat"}, "sap2", 10, 100);
-  const NfCatalog cat = catalog::default_catalog();
-  auto mapping = BacktrackingMapper().map(sg, g, cat);
-  ASSERT_TRUE(mapping.ok()) << mapping.error().to_string();
-  EXPECT_TRUE(verify_mapping(sg, g, cat, *mapping).ok());
-  EXPECT_NE(mapping->nf_host.at("nat0"), mapping->nf_host.at("nat1"));
-}
-
-TEST(Backtracking, SearchBudgetReported) {
-  Nffg g = line_substrate();
-  MapperOptions opts;
-  opts.max_search_steps = 0;  // give up immediately
-  const ServiceGraph sg = fw_nat_chain();
-  auto mapping = BacktrackingMapper(opts).map(sg, g,
-                                              catalog::default_catalog());
-  ASSERT_FALSE(mapping.ok());
-  EXPECT_NE(mapping.error().message.find("budget"), std::string::npos);
-}
-
 TEST(Random, DeterministicPerSeed) {
   const Nffg substrate = line_substrate();
   const ServiceGraph sg = fw_nat_chain();
   const NfCatalog cat = catalog::default_catalog();
-  MapperOptions a;
-  a.seed = 42;
-  auto m1 = RandomMapper(a).map(sg, substrate, cat);
-  auto m2 = RandomMapper(a).map(sg, substrate, cat);
+  auto m1 = RandomMapper(42).map(sg, substrate, cat);
+  auto m2 = RandomMapper(42).map(sg, substrate, cat);
   ASSERT_TRUE(m1.ok());
   ASSERT_TRUE(m2.ok());
   EXPECT_EQ(m1->nf_host, m2->nf_host);
@@ -253,8 +236,7 @@ class MapperDrain : public ::testing::TestWithParam<const char*> {
   std::unique_ptr<Mapper> make() const {
     const std::string which = GetParam();
     if (which == "greedy") return std::make_unique<GreedyMapper>();
-    if (which == "backtracking") return std::make_unique<BacktrackingMapper>();
-    if (which == "annealing") return std::make_unique<AnnealingMapper>();
+    if (which == "bnb") return std::make_unique<BnbMapper>();
     return std::make_unique<ChainDpMapper>();
   }
 };
@@ -285,8 +267,7 @@ TEST_P(MapperDrain, FlakyDomainDrainsAndRebalances) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Drain, MapperDrain,
-                         ::testing::Values("greedy", "backtracking",
-                                           "annealing", "chain-dp"));
+                         ::testing::Values("greedy", "bnb", "chain-dp"));
 
 TEST(ChainDp, PenaltyBiasesSelectionButNotDelayBound) {
   // True chain delay through either host is 1.2 ms; with a 4.0 penalty the

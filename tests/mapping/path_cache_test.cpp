@@ -8,7 +8,6 @@
 #include "mapping/context.h"
 #include "model/nffg_builder.h"
 #include "model/topology_index.h"
-#include "telemetry/metrics.h"
 
 namespace unify::mapping {
 namespace {
@@ -159,11 +158,8 @@ TEST(PathCache, PublishesCounters) {
   Context ctx(sg, substrate, cat);
   (void)ctx.distance("sap1", "sap2", 100);
   (void)ctx.distance("sap1", "sap2", 100);
-
-  telemetry::Registry registry;
-  ctx.publish_cache_metrics(registry);
-  EXPECT_EQ(registry.counter("mapping.path_cache.misses"), 1u);
-  EXPECT_EQ(registry.counter("mapping.path_cache.hits"), 1u);
+  EXPECT_EQ(ctx.path_cache_stats().misses, 1u);
+  EXPECT_EQ(ctx.path_cache_stats().hits, 1u);
 }
 
 /// Property: across random topologies and interleaved route/unroute churn,

@@ -1,10 +1,12 @@
-// Unit tests for the shared orchestration pool: per-batch joins, caller
-// participation, nesting, and the one-pool-per-process telemetry. Runs in
+// Unit tests for the shared orchestration pool: worker sizing, per-batch
+// joins, caller participation, nesting, and the one-pool-per-process
+// telemetry. Runs in
 // the concurrency_tests binary (and therefore under TSan when enabled).
 #include "util/orchestration_pool.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -23,6 +25,7 @@ std::vector<std::function<void()>> counting_tasks(std::size_t n,
 }
 
 TEST(OrchestrationPool, RunsEveryTaskExactlyOnce) {
+  // The map_batch() usage pattern: N tasks each writing its own slot.
   OrchestrationPool pool(4);
   std::vector<int> hits(64, 0);
   std::vector<std::function<void()>> tasks;
@@ -37,6 +40,55 @@ TEST(OrchestrationPool, RunsEveryTaskExactlyOnce) {
   }
   EXPECT_EQ(pool.batches(), 1u);
   EXPECT_EQ(pool.tasks_run(), 64u);
+}
+
+TEST(OrchestrationPool, RunsEverySubmittedTask) {
+  OrchestrationPool pool(4);
+  EXPECT_EQ(pool.workers(), 4u);
+  std::atomic<int> counter{0};
+  pool.run_all(counting_tasks(100, counter));
+  EXPECT_EQ(counter.load(), 100);
+}
+
+TEST(OrchestrationPool, ParallelWritesToDisjointSlotsAreSafe) {
+  // Each task writes a distinct value into its own slot; a lost or
+  // misrouted task leaves a slot holding the wrong value.
+  OrchestrationPool pool(4);
+  std::vector<int> slots(64, 0);
+  std::vector<std::function<void()>> tasks;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    tasks.push_back([&slots, i] { slots[i] = static_cast<int>(i) + 1; });
+  }
+  pool.run_all(std::move(tasks));
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    EXPECT_EQ(slots[i], static_cast<int>(i) + 1);
+  }
+}
+
+TEST(OrchestrationPool, RunAllIsReusable) {
+  // Successive batches on one pool each join only once all their tasks ran.
+  OrchestrationPool pool(2);
+  std::atomic<int> counter{0};
+  pool.run_all(counting_tasks(1, counter));
+  EXPECT_EQ(counter.load(), 1);
+  pool.run_all(counting_tasks(2, counter));
+  EXPECT_EQ(counter.load(), 3);
+  EXPECT_EQ(pool.run_all({}), 0u);  // empty batch: returns immediately
+  EXPECT_EQ(pool.batches(), 2u);
+}
+
+TEST(OrchestrationPool, ClampWorkers) {
+  // 0 = hardware concurrency, and never zero.
+  EXPECT_EQ(OrchestrationPool(0).workers(),
+            std::size_t{std::max(1u, std::thread::hardware_concurrency())});
+  EXPECT_EQ(OrchestrationPool(3).workers(), 3u);
+}
+
+TEST(OrchestrationPool, ZeroWorkersStillRuns) {
+  OrchestrationPool pool(0);
+  std::atomic<int> counter{0};
+  EXPECT_GE(pool.run_all(counting_tasks(8, counter)), 1u);
+  EXPECT_EQ(counter.load(), 8);
 }
 
 TEST(OrchestrationPool, EmptyBatchIsANoOp) {
@@ -95,7 +147,7 @@ TEST(OrchestrationPool, NestedBatchesDoNotDeadlock) {
 TEST(OrchestrationPool, ConcurrentClientsJoinOnlyTheirOwnBatch) {
   // Several threads push batches into one small pool at once; each
   // run_all() must return only after ITS tasks completed, never blocking
-  // on another client's queue (the reason wait_idle() wasn't usable).
+  // on another client's queue.
   OrchestrationPool pool(2);
   constexpr int kClients = 4;
   constexpr int kRounds = 20;

@@ -15,6 +15,17 @@
 
 namespace unify::core {
 
+namespace {
+
+/// The error a deployment reports when its commit push failed and it was
+/// rolled back.
+Error rolled_back(const std::string& id, const Error& push_error) {
+  return Error{push_error.code,
+               "deployment " + id + " rolled back: " + push_error.message};
+}
+
+}  // namespace
+
 util::OrchestrationPool& ResourceOrchestrator::pool() const noexcept {
   return options_.pool != nullptr ? *options_.pool
                                   : util::OrchestrationPool::process_pool();
@@ -196,9 +207,10 @@ std::vector<Result<std::string>> ResourceOrchestrator::map_batch(
     pool_size = pool().run_all(std::move(tasks), workers);
   }
 
-  // Commit phase: strictly sequential, in request order. Earlier commits
+  // Install phase: strictly sequential, in request order. Earlier installs
   // change the view, so each speculative mapping is re-validated and
-  // re-mapped on conflict (optimistic concurrency).
+  // re-mapped on conflict (optimistic concurrency). Nothing is pushed until
+  // every survivor is installed.
   telemetry::Registry batch_metrics;
   batch_metrics.add("ro.batch_requests", requests.size());
   batch_metrics.set_gauge("ro.batch_workers",
@@ -208,9 +220,11 @@ std::vector<Result<std::string>> ResourceOrchestrator::map_batch(
   batch_metrics.set_gauge("ro.batch_pools_constructed",
                           static_cast<double>(
                               util::OrchestrationPool::constructed()));
+  std::vector<std::string> installed;
+  std::vector<std::size_t> installed_slots;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     if (!prepared[i].has_value()) continue;  // rejected by admit()
-    // Earlier commits may have taken this request id or its NF ids.
+    // Earlier installs may have taken this request id or its NF ids.
     if (const auto admitted = admit(requests[i]); !admitted.ok()) {
       results[i] = admitted.error();
       continue;
@@ -220,7 +234,7 @@ std::vector<Result<std::string>> ResourceOrchestrator::map_batch(
         !mapping::verify_mapping(outcome->expanded, view_.read(), catalog_,
                                  outcome->mapping)
              .ok()) {
-      // A previous commit consumed resources the speculative mapping
+      // A previous install consumed resources the speculative mapping
       // relies on; re-map against the current view.
       batch_metrics.add("ro.batch_conflicts");
       outcome = prepare_current(requests[i], stats[i]);
@@ -236,9 +250,25 @@ std::vector<Result<std::string>> ResourceOrchestrator::map_batch(
     } else {
       batch_metrics.add("ro.pre_expansions", stats[i].pre_expansions);
     }
-    results[i] = commit(std::move(outcome).value());
+    results[i] = install(std::move(outcome).value());
+    if (results[i].ok()) {
+      installed.push_back(*results[i]);
+      installed_slots.push_back(i);
+    }
   }
   metrics_.merge(batch_metrics);
+
+  // Group commit: one southbound fan-out for the whole batch.
+  if (installed.empty()) return results;
+  if (const auto pushed = push_or_roll_back(installed); !pushed.ok()) {
+    for (std::size_t k = 0; k < installed.size(); ++k) {
+      results[installed_slots[k]] = rolled_back(installed[k], pushed.error());
+    }
+    return results;
+  }
+  for (const std::string& id : installed) {
+    UNIFY_LOG(kInfo, "orch.ro") << name_ << ": deployed " << id;
+  }
   return results;
 }
 
@@ -266,10 +296,9 @@ Result<std::string> ResourceOrchestrator::deploy_pinned(
   return commit(std::move(deployment));
 }
 
-Result<std::string> ResourceOrchestrator::commit(Deployment deployment) {
-  // Materialize into the global view (stamping the shards the mapping
-  // touches so push_slices() can skip the clean ones), then push
-  // per-domain slices.
+Result<std::string> ResourceOrchestrator::install(Deployment deployment) {
+  // Materialize into the global view, stamping the shards the mapping
+  // touches so push_slices() can skip the clean ones.
   UNIFY_RETURN_IF_ERROR(mapping::install_mapping(
       view_.mut(), deployment.expanded, catalog_, deployment.mapping));
   view_.bump(touched_domains(deployment.mapping));
@@ -277,40 +306,73 @@ Result<std::string> ResourceOrchestrator::commit(Deployment deployment) {
   metrics_.add("ro.deployments");
   metrics_.summary("ro.nfs_per_request")
       .observe(static_cast<double>(deployment.mapping.stats.nfs_placed));
-  const std::string id = deployment.request_id;
-  const auto it = deployments_.emplace(id, std::move(deployment)).first;
-  if (const auto pushed = push_slices(); !pushed.ok()) {
-    // Roll the whole deployment back: release the view's resources, then
-    // re-push so domains that already accepted their slice converge back.
+  std::string id = deployment.request_id;
+  deployments_.emplace(id, std::move(deployment));
+  return id;
+}
+
+Result<void> ResourceOrchestrator::push_or_roll_back(
+    const std::vector<std::string>& installed) {
+  const auto pushed = push_slices();
+  if (pushed.ok()) return pushed;
+  // Roll the installs back, newest first: release the view's resources,
+  // then re-push so domains that already accepted their slice converge
+  // back.
+  for (auto id = installed.rbegin(); id != installed.rend(); ++id) {
+    const auto it = deployments_.find(*id);
     (void)mapping::uninstall_mapping(view_.mut(), it->second.expanded,
                                      it->second.mapping);
     view_.bump(touched_domains(it->second.mapping));
     deployments_.erase(it);
-    if (const auto repush = push_slices(); !repush.ok()) {
-      UNIFY_LOG(kError, "orch.ro")
-          << name_ << ": rollback push failed: "
-          << repush.error().to_string();
-    }
-    return Error{pushed.error().code,
-                 "deployment " + id + " rolled back: " +
-                     pushed.error().message};
+  }
+  if (const auto repush = push_slices(); !repush.ok()) {
+    UNIFY_LOG(kError, "orch.ro")
+        << name_ << ": rollback push failed: " << repush.error().to_string();
+  }
+  return pushed;
+}
+
+Result<std::string> ResourceOrchestrator::commit(Deployment deployment) {
+  UNIFY_ASSIGN_OR_RETURN(std::string id, install(std::move(deployment)));
+  if (const auto pushed = push_or_roll_back({id}); !pushed.ok()) {
+    return rolled_back(id, pushed.error());
   }
   UNIFY_LOG(kInfo, "orch.ro") << name_ << ": deployed " << id;
   return id;
 }
 
 Result<void> ResourceOrchestrator::remove(const std::string& request_id) {
-  const auto it = deployments_.find(request_id);
-  if (it == deployments_.end()) {
-    return Error{ErrorCode::kNotFound, "request " + request_id};
+  return remove_batch({request_id})[0];
+}
+
+std::vector<Result<void>> ResourceOrchestrator::remove_batch(
+    const std::vector<std::string>& request_ids) {
+  std::vector<Result<void>> results(request_ids.size(),
+                                    Result<void>::success());
+  std::vector<std::size_t> removed;
+  for (std::size_t i = 0; i < request_ids.size(); ++i) {
+    const auto it = deployments_.find(request_ids[i]);
+    if (it == deployments_.end()) {
+      results[i] = Error{ErrorCode::kNotFound, "request " + request_ids[i]};
+      continue;
+    }
+    if (const auto released = mapping::uninstall_mapping(
+            view_.mut(), it->second.expanded, it->second.mapping);
+        !released.ok()) {
+      results[i] = released;
+      continue;
+    }
+    view_.bump(touched_domains(it->second.mapping));
+    deployments_.erase(it);
+    removed.push_back(i);
   }
-  UNIFY_RETURN_IF_ERROR(mapping::uninstall_mapping(
-      view_.mut(), it->second.expanded, it->second.mapping));
-  view_.bump(touched_domains(it->second.mapping));
-  deployments_.erase(it);
-  UNIFY_RETURN_IF_ERROR(push_slices());
-  metrics_.add("ro.removals");
-  return Result<void>::success();
+  if (removed.empty()) return results;
+  if (const auto pushed = push_slices(); !pushed.ok()) {
+    for (const std::size_t i : removed) results[i] = pushed;
+    return results;
+  }
+  metrics_.add("ro.removals", removed.size());
+  return results;
 }
 
 Result<void> ResourceOrchestrator::redeploy(const std::string& request_id) {

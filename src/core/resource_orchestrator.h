@@ -119,20 +119,25 @@ class ResourceOrchestrator {
   /// domains that succeeded.
   Result<std::string> deploy(const sg::ServiceGraph& request);
 
-  /// Maps a batch of service graphs concurrently, then deploys them.
+  /// Maps a batch of service graphs concurrently, then deploys them as one
+  /// transaction with one southbound fan-out.
   ///
   /// Embedding is the expensive phase and reads only the (unchanging)
   /// global view, so every request is mapped speculatively in parallel on
   /// the shared OrchestrationPool (`workers` caps this batch's parallelism;
   /// 0 = the pool's full width; 1 runs inline), each worker running the
-  /// mapper on its own substrate copy. Commits then happen strictly
+  /// mapper on its own substrate copy. Installs then happen strictly
   /// sequentially in request order: each speculative mapping is
-  /// re-validated against the view as left by the earlier commits, and
+  /// re-validated against the view as left by the earlier installs, and
   /// re-mapped on the spot when the validation detects a resource
-  /// conflict. The outcome is deterministic (independent of thread
-  /// scheduling) and matches the equivalent sequential deploy() loop
-  /// whenever the requests do not contend for the same substrate
-  /// resources.
+  /// conflict. The survivors are pushed south together, once. When that
+  /// push fails, every request installed by this batch is rolled back (in
+  /// reverse order, then re-pushed) and each of their slots carries the
+  /// push error as "deployment <id> rolled back: ...". The mappings and
+  /// the final view are deterministic (independent of thread scheduling)
+  /// and match the equivalent sequential deploy() loop whenever the
+  /// requests do not contend for the same substrate resources; the
+  /// sequence of pushes does not (one fan-out instead of one per request).
   ///
   /// Returns one Result per request, index-aligned with `requests`.
   std::vector<Result<std::string>> map_batch(
@@ -149,8 +154,19 @@ class ResourceOrchestrator {
       const sg::ServiceGraph& request,
       const std::map<std::string, std::string>& pins);
 
-  /// Tears a deployment down everywhere and releases its resources.
+  /// Tears a deployment down everywhere and releases its resources:
+  /// remove_batch({request_id})[0].
   Result<void> remove(const std::string& request_id);
+
+  /// Tears several deployments down with one southbound fan-out: releases
+  /// every id's resources in order, then pushes once. Returns one Result
+  /// per id, index-aligned with `request_ids`: kNotFound for an unknown id;
+  /// a failed release leaves that deployment in place with its error; a
+  /// failed push is reported on every released id, whose removal still
+  /// stays committed in the books (the next fan-out re-pushes the full
+  /// slice, and a persistently failing domain trips its circuit breaker).
+  std::vector<Result<void>> remove_batch(
+      const std::vector<std::string>& request_ids);
 
   /// Re-maps a live deployment onto the current view (break-before-make
   /// migration, the paper's "migration between technologies"): useful
@@ -266,7 +282,16 @@ class ResourceOrchestrator {
   /// in place instead of triggering a copy-on-write clone.
   Result<Deployment> prepare_current(const sg::ServiceGraph& request,
                                      PrepareStats& stats) const;
+  /// Materializes a mapped deployment into the view (stamping the shards
+  /// it touches) and the books, without pushing. Returns the request id.
+  Result<std::string> install(Deployment deployment);
+  /// install() plus push_or_roll_back() for a single deployment.
   Result<std::string> commit(Deployment deployment);
+  /// The push half of a commit: one push_slices() fan-out. When it fails,
+  /// uninstalls every deployment of `installed` (in reverse order), re-pushes
+  /// so domains that already accepted their slice converge back, and
+  /// returns the push error.
+  Result<void> push_or_roll_back(const std::vector<std::string>& installed);
 
   /// Last acknowledged push per domain (index-aligned with adapters_).
   /// Two-tier dirty tracking, cheapest test first:

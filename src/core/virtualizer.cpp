@@ -104,20 +104,33 @@ Result<void> Virtualizer::ensure_skeleton() {
   return Result<void>::success();
 }
 
-model::NfStatus Virtualizer::rolled_up_status(const std::string& nf_id) const {
+model::NfStatus Virtualizer::rolled_up_status(const std::string& nf_id,
+                                              const StatusIndex& index) {
   // The RO may have decomposed this NF into components named
-  // "<nf_id>.<suffix>...". Aggregate across all of them.
+  // "<nf_id>.<suffix>...". Aggregate over the exact id plus the "<nf_id>."
+  // range of the sorted index (ids such as "<nf_id>-x" or "<nf_id>x" sort
+  // outside it).
   bool any = false, all_running = true, any_failed = false,
        any_deploying = false;
-  for (const auto& [bb_id, bb] : ro_->global_view().bisbis()) {
-    for (const auto& [id, nf] : bb.nfs) {
-      if (id != nf_id && !strings::starts_with(id, nf_id + ".")) continue;
-      any = true;
-      all_running &= nf.status == model::NfStatus::kRunning;
-      any_failed |= nf.status == model::NfStatus::kFailed;
-      any_deploying |= nf.status == model::NfStatus::kDeploying ||
-                       nf.status == model::NfStatus::kRequested;
-    }
+  const auto fold = [&](model::NfStatus status) {
+    any = true;
+    all_running &= status == model::NfStatus::kRunning;
+    any_failed |= status == model::NfStatus::kFailed;
+    any_deploying |= status == model::NfStatus::kDeploying ||
+                     status == model::NfStatus::kRequested;
+  };
+  const auto by_id = [](const StatusIndex::value_type& entry,
+                        std::string_view id) { return entry.first < id; };
+  for (auto it = std::lower_bound(index.begin(), index.end(),
+                                  std::string_view{nf_id}, by_id);
+       it != index.end() && it->first == nf_id; ++it) {
+    fold(it->second);
+  }
+  const std::string prefix = nf_id + ".";
+  for (auto it = std::lower_bound(index.begin(), index.end(),
+                                  std::string_view{prefix}, by_id);
+       it != index.end() && strings::starts_with(it->first, prefix); ++it) {
+    fold(it->second);
   }
   if (!any) return model::NfStatus::kRequested;
   if (any_failed) return model::NfStatus::kFailed;
@@ -127,10 +140,18 @@ model::NfStatus Virtualizer::rolled_up_status(const std::string& nf_id) const {
 
 Result<model::Nffg> Virtualizer::get_config() {
   UNIFY_RETURN_IF_ERROR(ensure_skeleton());
+  // One sorted id -> status index of the RO view per call, so each client
+  // NF rolls up with two binary searches instead of a full view scan.
+  StatusIndex index;
+  for (const auto& [bb_id, bb] : ro_->global_view().bisbis()) {
+    for (const auto& [id, nf] : bb.nfs) index.emplace_back(id, nf.status);
+  }
+  std::sort(index.begin(), index.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   model::Nffg out = accepted_;
   for (auto& [bb_id, bb] : out.bisbis()) {
     for (auto& [nf_id, nf] : bb.nfs) {
-      nf.status = rolled_up_status(nf_id);
+      nf.status = rolled_up_status(nf_id, index);
     }
   }
   return out;
@@ -149,8 +170,8 @@ Result<void> Virtualizer::edit_config(const model::Nffg& desired) {
   // Declarative no-op: a desired config hashing identically to the last
   // accepted one changes nothing — skip the translate/diff entirely (a
   // polling client would otherwise pay a full config diff per poll).
-  if (accepted_hash_.has_value() &&
-      model::content_hash(desired) == *accepted_hash_) {
+  const std::uint64_t desired_hash = model::content_hash(desired);
+  if (accepted_hash_ == desired_hash) {
     ro_->metrics().add("virt.edit.noop_skips");
     return Result<void>::success();
   }
@@ -199,51 +220,50 @@ Result<void> Virtualizer::edit_config(const model::Nffg& desired) {
   }
   std::set<std::string> dirty_reqs;
   for (const sg::E2eRequirement& req : old_sg.requirements()) {
-    const auto now = std::find_if(
-        new_sg.requirements().begin(), new_sg.requirements().end(),
-        [&](const sg::E2eRequirement& r) { return r.id == req.id; });
-    if (now == new_sg.requirements().end() || !(*now == req)) {
-      dirty_reqs.insert(req.id);
-    }
+    const sg::E2eRequirement* now = new_sg.find_requirement(req.id);
+    if (now == nullptr || !(*now == req)) dirty_reqs.insert(req.id);
   }
 
-  // --- 2. remove affected services from the RO.
-  std::set<std::string> freed_elements;
-  for (auto it = services_.begin(); it != services_.end();) {
-    ClientService& service = it->second;
-    const bool affected =
-        std::any_of(service.nf_ids.begin(), service.nf_ids.end(),
-                    [&](const std::string& id) {
-                      return dirty_nfs.count(id) != 0;
-                    }) ||
-        std::any_of(service.link_ids.begin(), service.link_ids.end(),
-                    [&](const std::string& id) {
-                      return dirty_links.count(id) != 0;
-                    }) ||
-        std::any_of(service.req_ids.begin(), service.req_ids.end(),
-                    [&](const std::string& id) {
-                      return dirty_reqs.count(id) != 0;
-                    });
-    if (!affected) {
-      ++it;
-      continue;
+  // --- 2. remove affected services from the RO, with one southbound
+  // fan-out for all of them.
+  std::vector<std::map<std::string, ClientService>::iterator> affected;
+  std::vector<std::string> affected_requests;
+  const auto any_dirty = [](const std::set<std::string>& ids,
+                            const std::set<std::string>& dirty) {
+    return std::any_of(ids.begin(), ids.end(), [&](const std::string& id) {
+      return dirty.count(id) != 0;
+    });
+  };
+  for (auto it = services_.begin(); it != services_.end(); ++it) {
+    const ClientService& service = it->second;
+    if (any_dirty(service.nf_ids, dirty_nfs) ||
+        any_dirty(service.link_ids, dirty_links) ||
+        any_dirty(service.req_ids, dirty_reqs)) {
+      affected.push_back(it);
+      affected_requests.push_back(service.ro_request);
     }
-    if (const auto removed = ro_->remove(service.ro_request);
-        !removed.ok() &&
-        ro_->deployments().count(service.ro_request) != 0) {
-      // The deployment survived (removal really did not happen): bail out
-      // with books intact so the whole edit can be retried.
-      return removed.error();
+  }
+  if (!affected.empty()) {
+    const std::vector<Result<void>> removed =
+        ro_->remove_batch(affected_requests);
+    std::optional<Error> survivor_error;
+    for (std::size_t k = 0; k < affected.size(); ++k) {
+      if (!removed[k].ok() &&
+          ro_->deployments().count(affected_requests[k]) != 0) {
+        // The deployment survived (removal really did not happen): keep
+        // its books so the whole edit can be retried.
+        if (!survivor_error.has_value()) survivor_error = removed[k].error();
+        continue;
+      }
+      // Removal is committed in the RO's books even when its southbound
+      // push failed (the RO re-pushes the full slice on the next fan-out,
+      // and a persistently failing domain trips the circuit breaker) — and
+      // a kNotFound means it was already gone. Treating either as removed
+      // keeps this virtualizer's books aligned with the RO instead of
+      // wedging every future edit on a phantom service.
+      services_.erase(affected[k]);
     }
-    // Removal is committed in the RO's books even when its southbound push
-    // failed (the RO re-pushes the full slice on the next fan-out, and a
-    // persistently failing domain trips the circuit breaker) — and a
-    // kNotFound means it was already gone. Treating either as removed
-    // keeps this virtualizer's books aligned with the RO instead of
-    // wedging every future edit on a phantom service.
-    freed_elements.insert(service.nf_ids.begin(), service.nf_ids.end());
-    freed_elements.insert(service.link_ids.begin(), service.link_ids.end());
-    it = services_.erase(it);
+    if (survivor_error.has_value()) return *survivor_error;
   }
 
   // --- 3. pool of elements needing (re)deployment: everything in the new
@@ -403,9 +423,11 @@ Result<void> Virtualizer::edit_config(const model::Nffg& desired) {
     if (first_failure.has_value()) {
       // edit-config is all-or-nothing over its wave of new services: undo
       // the components that did deploy, then report the first failure.
-      for (std::size_t i = 0; i < deployed.size(); ++i) {
-        if (deployed[i].ok()) (void)ro_->remove(*deployed[i]);
+      std::vector<std::string> undo;
+      for (const Result<std::string>& result : deployed) {
+        if (result.ok()) undo.push_back(*result);
       }
+      if (!undo.empty()) (void)ro_->remove_batch(undo);
       next_request_ = first_request;
       return *first_failure;
     }
@@ -416,7 +438,7 @@ Result<void> Virtualizer::edit_config(const model::Nffg& desired) {
   }
 
   accepted_ = desired;
-  accepted_hash_ = model::content_hash(accepted_);
+  accepted_hash_ = desired_hash;
   accepted_translated_ = std::move(incoming);
   UNIFY_LOG(kInfo, "orch.virt")
       << ro_->name() << ": edit-config accepted (" << services_.size()

@@ -20,6 +20,9 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "core/config_translate.h"
 #include "core/resource_orchestrator.h"
@@ -57,9 +60,12 @@ class Virtualizer {
  private:
   Result<void> ensure_skeleton();
   [[nodiscard]] Result<model::Nffg> render_single_bisbis() const;
+  /// (RO-level NF id, status) for every NF of the RO view, sorted by id.
+  /// The ids point into the RO view, so an index lives within one call.
+  using StatusIndex = std::vector<std::pair<std::string_view, model::NfStatus>>;
   /// Status of a client-level NF, aggregated over its expansion below.
-  [[nodiscard]] model::NfStatus rolled_up_status(
-      const std::string& nf_id) const;
+  [[nodiscard]] static model::NfStatus rolled_up_status(
+      const std::string& nf_id, const StatusIndex& index);
 
   struct ClientService {
     std::string ro_request;

@@ -1,10 +1,47 @@
 #include "sg/service_graph.h"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
 #include <set>
 
 namespace unify::sg {
+
+template <typename Items>
+std::size_t ServiceGraph::IdIndex::find(const Items& items,
+                                        std::string_view id) const noexcept {
+  if (slots_.empty()) return kNone;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = std::hash<std::string_view>{}(id) & mask;;
+       i = (i + 1) & mask) {
+    if (slots_[i] == 0) return kNone;
+    if (items[slots_[i] - 1].id == id) return slots_[i] - 1;
+  }
+}
+
+template <typename Items>
+void ServiceGraph::IdIndex::add_last(const Items& items) {
+  if (2 * items.size() > slots_.size()) {
+    rebuild(items);  // keeps the load factor at or below 1/2
+  } else {
+    place(items.back().id, items.size() - 1);
+  }
+}
+
+template <typename Items>
+void ServiceGraph::IdIndex::rebuild(const Items& items) {
+  std::size_t capacity = items.empty() ? 0 : 8;
+  while (capacity < 2 * items.size()) capacity *= 2;
+  slots_.assign(capacity, 0);
+  for (std::size_t i = 0; i < items.size(); ++i) place(items[i].id, i);
+}
+
+void ServiceGraph::IdIndex::place(std::string_view id, std::size_t position) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = std::hash<std::string_view>{}(id) & mask;
+  while (slots_[i] != 0) i = (i + 1) & mask;
+  slots_[i] = static_cast<std::uint32_t>(position + 1);
+}
 
 Result<void> ServiceGraph::add_sap(std::string id, std::string name) {
   if (id.empty()) {
@@ -43,7 +80,7 @@ Result<void> ServiceGraph::add_link(SgLink link) {
   if (link.id.empty()) {
     return Error{ErrorCode::kInvalidArgument, "link id must not be empty"};
   }
-  if (find_link(link.id) != nullptr) {
+  if (link_index_.find(links_, link.id) != IdIndex::kNone) {
     return Error{ErrorCode::kAlreadyExists, "link " + link.id};
   }
   if (link.bandwidth < 0) {
@@ -57,6 +94,7 @@ Result<void> ServiceGraph::add_link(SgLink link) {
     }
   }
   links_.push_back(std::move(link));
+  link_index_.add_last(links_);
   return Result<void>::success();
 }
 
@@ -65,10 +103,7 @@ Result<void> ServiceGraph::add_requirement(E2eRequirement req) {
     return Error{ErrorCode::kInvalidArgument,
                  "requirement id must not be empty"};
   }
-  const auto exists = std::any_of(
-      requirements_.begin(), requirements_.end(),
-      [&](const E2eRequirement& r) { return r.id == req.id; });
-  if (exists) {
+  if (requirement_index_.find(requirements_, req.id) != IdIndex::kNone) {
     return Error{ErrorCode::kAlreadyExists, "requirement " + req.id};
   }
   for (const std::string* sap : {&req.from_sap, &req.to_sap}) {
@@ -81,6 +116,7 @@ Result<void> ServiceGraph::add_requirement(E2eRequirement req) {
                  "requirement " + req.id + " has non-positive constraints"};
   }
   requirements_.push_back(std::move(req));
+  requirement_index_.add_last(requirements_);
   return Result<void>::success();
 }
 
@@ -113,6 +149,7 @@ Result<void> ServiceGraph::remove_nf(const std::string& id) {
                                 return l.from.node == id || l.to.node == id;
                               }),
                links_.end());
+  link_index_.rebuild(links_);
   return Result<void>::success();
 }
 
@@ -122,10 +159,14 @@ const SgNf* ServiceGraph::find_nf(const std::string& id) const noexcept {
 }
 
 const SgLink* ServiceGraph::find_link(const std::string& id) const noexcept {
-  for (const SgLink& l : links_) {
-    if (l.id == id) return &l;
-  }
-  return nullptr;
+  const std::size_t at = link_index_.find(links_, id);
+  return at == IdIndex::kNone ? nullptr : &links_[at];
+}
+
+const E2eRequirement* ServiceGraph::find_requirement(
+    const std::string& id) const noexcept {
+  const std::size_t at = requirement_index_.find(requirements_, id);
+  return at == IdIndex::kNone ? nullptr : &requirements_[at];
 }
 
 std::vector<std::string> ServiceGraph::validate() const {

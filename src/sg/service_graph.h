@@ -8,9 +8,11 @@
 // between arbitrary elements in the service graph".
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/nffg.h"  // PortRef, Resources
@@ -103,6 +105,8 @@ class ServiceGraph {
   }
   [[nodiscard]] const SgNf* find_nf(const std::string& id) const noexcept;
   [[nodiscard]] const SgLink* find_link(const std::string& id) const noexcept;
+  [[nodiscard]] const E2eRequirement* find_requirement(
+      const std::string& id) const noexcept;
 
   [[nodiscard]] const std::map<std::string, std::string>& saps()
       const noexcept {
@@ -146,6 +150,28 @@ class ServiceGraph {
  private:
   [[nodiscard]] bool endpoint_ok(const PortRef& ref) const noexcept;
 
+  /// Open-addressing hash index from element id to position in a vector of
+  /// elements with an `id` field. Slots hold positions only (no id copies,
+  /// 4 bytes each at load <= 1/2), so a graph copy stays cheap.
+  class IdIndex {
+   public:
+    static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    /// Position of the element with `id`, or kNone.
+    template <typename Items>
+    [[nodiscard]] std::size_t find(const Items& items,
+                                   std::string_view id) const noexcept;
+    /// Indexes items.back(), which the caller just appended.
+    template <typename Items>
+    void add_last(const Items& items);
+    /// Re-indexes every element (after elements left the vector).
+    template <typename Items>
+    void rebuild(const Items& items);
+
+   private:
+    void place(std::string_view id, std::size_t position);
+    std::vector<std::uint32_t> slots_;  ///< position + 1; 0 = empty
+  };
+
   std::string id_;
   std::string name_;
   std::map<std::string, std::string> saps_;  // id -> display name
@@ -153,6 +179,10 @@ class ServiceGraph {
   std::vector<SgLink> links_;
   std::vector<E2eRequirement> requirements_;
   std::vector<PlacementConstraint> constraints_;
+  /// O(1) duplicate checks and lookups by id while links_/requirements_
+  /// keep insertion order. Derived state, so operator== ignores them.
+  IdIndex link_index_;
+  IdIndex requirement_index_;
 };
 
 /// Builds the classic linear chain: sap_in -> nf1 -> ... -> nfN -> sap_out,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/config_translate.h"
 #include "mapping/chain_dp_mapper.h"
 #include "model/nffg_builder.h"
@@ -290,6 +292,164 @@ TEST(VirtualizerSingle, DisconnectedSapsStillRender) {
   EXPECT_EQ(view->saps().size(), 2u);
   // No finite cross-SAP transit: internal delay collapses to zero.
   EXPECT_EQ(view->bisbis().begin()->second.internal_delay, 0.0);
+}
+
+/// `count` independent one-NF chains sap1 -> n<i> -> sap2 in one graph:
+/// each becomes its own RO service (no requirements, so no chain is tied
+/// to another through a shared SAP pair).
+sg::ServiceGraph parallel_chains(int count) {
+  sg::ServiceGraph graph{"chains"};
+  EXPECT_TRUE(graph.add_sap("sap1").ok());
+  EXPECT_TRUE(graph.add_sap("sap2").ok());
+  for (int i = 0; i < count; ++i) {
+    const std::string n = "n" + std::to_string(i);
+    EXPECT_TRUE(graph.add_nf(sg::SgNf{n, "nat", 2, {}}).ok());
+    EXPECT_TRUE(
+        graph.add_link(sg::SgLink{"in" + n, {"sap1", 0}, {n, 0}, 10}).ok());
+    EXPECT_TRUE(
+        graph.add_link(sg::SgLink{"out" + n, {n, 1}, {"sap2", 0}, 10}).ok());
+  }
+  return graph;
+}
+
+TEST(VirtualizerSingle, DroppingServicesIsOneFanOut) {
+  RoFixture fx;
+  Virtualizer virt(*fx.ro, ViewPolicy::kSingleBisBis);
+  auto view = virt.get_config();
+  ASSERT_TRUE(view.ok());
+  auto four = service_graph_to_config(parallel_chains(4), *view, "ro.big");
+  ASSERT_TRUE(four.ok());
+  ASSERT_TRUE(virt.edit_config(*four).ok());
+  ASSERT_EQ(fx.ro->deployments().size(), 4u);
+
+  // Keep n0, drop the other three: one removal fan-out, at most one push
+  // per domain.
+  auto one = service_graph_to_config(parallel_chains(1), *view, "ro.big");
+  ASSERT_TRUE(one.ok());
+  const auto fanout = fx.ro->metrics().counter("ro.push.fanout");
+  ASSERT_TRUE(virt.edit_config(*one).ok());
+  EXPECT_LE(fx.ro->metrics().counter("ro.push.fanout") - fanout,
+            fx.ro->domain_names().size());
+  EXPECT_EQ(fx.ro->deployments().size(), 1u);
+  EXPECT_EQ(virt.active_requests().size(), 1u);
+  EXPECT_TRUE(fx.ro->global_view().find_nf("n0").has_value());
+  EXPECT_FALSE(fx.ro->global_view().find_nf("n1").has_value());
+}
+
+/// Accepts every slice and reports its NFs back with the statuses in
+/// `statuses` (unlisted NFs run), so sync_statuses() can set them.
+class StatusAdapter final : public adapters::DomainAdapter {
+ public:
+  StatusAdapter(std::string name, model::Nffg view,
+                const std::map<std::string, model::NfStatus>& statuses)
+      : name_(std::move(name)), view_(std::move(view)), statuses_(&statuses) {}
+  [[nodiscard]] const std::string& domain() const noexcept override {
+    return name_;
+  }
+  [[nodiscard]] Result<model::Nffg> fetch_view() override {
+    model::Nffg out = view_;
+    for (auto& [bb_id, bb] : out.bisbis()) {
+      for (auto& [nf_id, nf] : bb.nfs) {
+        const auto it = statuses_->find(nf_id);
+        nf.status =
+            it == statuses_->end() ? model::NfStatus::kRunning : it->second;
+      }
+    }
+    return out;
+  }
+  Result<void> apply(const model::Nffg& desired) override {
+    view_ = desired;
+    return Result<void>::success();
+  }
+  [[nodiscard]] std::uint64_t native_operations() const noexcept override {
+    return 0;
+  }
+
+ private:
+  std::string name_;
+  model::Nffg view_;
+  const std::map<std::string, model::NfStatus>* statuses_;
+};
+
+TEST(VirtualizerSingle, StatusRollupMatchesExactIdAndDotPrefixOnly) {
+  // "combo" never fits a BiS-BiS whole, so NF "a" always decomposes into
+  // a.x and a.y. "a-b" sorts between "a" and "a.x"; "ab" merely shares the
+  // prefix. Neither may leak into a's roll-up, nor a's components into
+  // theirs.
+  catalog::NfCatalog catalog = catalog::default_catalog();
+  ASSERT_TRUE(catalog
+                  .register_type(catalog::NfType{
+                      "combo", {1000, 512, 1}, 2, "decompose-only"})
+                  .ok());
+  catalog::Decomposition split;
+  split.id = "combo-split";
+  split.target_type = "combo";
+  split.components = {{"x", "nat", 2}, {"y", "nat", 2}};
+  split.internal_links = {{model::PortRef{"x", 1}, model::PortRef{"y", 0}, 1}};
+  split.port_map = {{0, model::PortRef{"x", 0}}, {1, model::PortRef{"y", 1}}};
+  ASSERT_TRUE(catalog.register_decomposition(std::move(split)).ok());
+
+  std::map<std::string, model::NfStatus> statuses;
+  ResourceOrchestrator ro("ro", std::make_shared<mapping::ChainDpMapper>(),
+                          std::move(catalog));
+  ASSERT_TRUE(ro.add_domain(std::make_unique<StatusAdapter>(
+                                "d1", domain_view("bb1", "sap1", "xp"),
+                                statuses))
+                  .ok());
+  ASSERT_TRUE(ro.add_domain(std::make_unique<StatusAdapter>(
+                                "d2", domain_view("bb2", "sap2", "xp"),
+                                statuses))
+                  .ok());
+  ASSERT_TRUE(ro.initialize().ok());
+  Virtualizer virt(ro, ViewPolicy::kSingleBisBis);
+  auto view = virt.get_config();
+  ASSERT_TRUE(view.ok());
+
+  sg::ServiceGraph graph{"svc"};
+  ASSERT_TRUE(graph.add_sap("sap1").ok());
+  ASSERT_TRUE(graph.add_sap("sap2").ok());
+  ASSERT_TRUE(graph.add_nf(sg::SgNf{"a", "combo", 2, {}}).ok());
+  ASSERT_TRUE(graph.add_nf(sg::SgNf{"a-b", "nat", 2, {}}).ok());
+  ASSERT_TRUE(graph.add_nf(sg::SgNf{"ab", "nat", 2, {}}).ok());
+  for (const sg::SgLink& link :
+       {sg::SgLink{"l0", {"sap1", 0}, {"a", 0}, 10},
+        sg::SgLink{"l1", {"a", 1}, {"a-b", 0}, 10},
+        sg::SgLink{"l2", {"a-b", 1}, {"ab", 0}, 10},
+        sg::SgLink{"l3", {"ab", 1}, {"sap2", 0}, 10}}) {
+    ASSERT_TRUE(graph.add_link(link).ok()) << link.id;
+  }
+  auto desired = service_graph_to_config(graph, *view, "ro.big");
+  ASSERT_TRUE(desired.ok()) << desired.error().to_string();
+  ASSERT_TRUE(virt.edit_config(*desired).ok());
+  ASSERT_TRUE(ro.global_view().find_nf("a.x").has_value());
+  ASSERT_TRUE(ro.global_view().find_nf("a.y").has_value());
+
+  const auto rolled_up = [&]() -> std::map<std::string, model::NfStatus> {
+    EXPECT_TRUE(ro.sync_statuses().ok());
+    auto config = virt.get_config();
+    EXPECT_TRUE(config.ok());
+    std::map<std::string, model::NfStatus> out;
+    for (const auto& [nf_id, nf] : config->find_bisbis("ro.big")->nfs) {
+      out[nf_id] = nf.status;
+    }
+    return out;
+  };
+  using model::NfStatus;
+  statuses = {{"a-b", NfStatus::kFailed}, {"ab", NfStatus::kDeploying}};
+  EXPECT_EQ(rolled_up(),
+            (std::map<std::string, NfStatus>{{"a", NfStatus::kRunning},
+                                             {"a-b", NfStatus::kFailed},
+                                             {"ab", NfStatus::kDeploying}}));
+  statuses = {{"a.y", NfStatus::kFailed}, {"ab", NfStatus::kStopped}};
+  EXPECT_EQ(rolled_up(),
+            (std::map<std::string, NfStatus>{{"a", NfStatus::kFailed},
+                                             {"a-b", NfStatus::kRunning},
+                                             {"ab", NfStatus::kStopped}}));
+  statuses = {{"a.x", NfStatus::kStopped}};
+  EXPECT_EQ(rolled_up(),
+            (std::map<std::string, NfStatus>{{"a", NfStatus::kStopped},
+                                             {"a-b", NfStatus::kRunning},
+                                             {"ab", NfStatus::kRunning}}));
 }
 
 TEST(Virtualizer, RequiresInitializedRo) {

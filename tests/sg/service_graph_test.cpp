@@ -163,6 +163,69 @@ TEST(ServiceGraph, ReplaceNfRequiresCompleteRedirect) {
   EXPECT_TRUE(sg.validate().empty());
 }
 
+TEST(ServiceGraph, IdIndexTracksRemoveAndReplace) {
+  ServiceGraph sg = fw_nat_chain();  // links cl0 sap1->fw, cl1 fw->nat, cl2
+  ASSERT_TRUE(sg.remove_nf("nat1").ok());  // drops cl1 and cl2
+  // The survivor is still a duplicate; the removed ids are free again.
+  EXPECT_EQ(sg.add_link(SgLink{"cl0", {"sap1", 0}, {"firewall0", 0}, 1})
+                .error()
+                .code,
+            ErrorCode::kAlreadyExists);
+  ASSERT_NE(sg.find_link("cl0"), nullptr);
+  EXPECT_EQ(sg.find_link("cl1"), nullptr);
+  ASSERT_TRUE(sg.add_nf(SgNf{"nat1", "nat", 2, {}}).ok());
+  ASSERT_TRUE(
+      sg.add_link(SgLink{"cl2", {"nat1", 1}, {"sap2", 0}, 100}).ok());
+  ASSERT_TRUE(
+      sg.add_link(SgLink{"cl1", {"firewall0", 1}, {"nat1", 0}, 100}).ok());
+  // Insertion order is kept, and lookups resolve to the right element.
+  ASSERT_EQ(sg.links().size(), 3u);
+  EXPECT_EQ(sg.links()[1].id, "cl2");
+  EXPECT_EQ(sg.find_link("cl1")->to.node, "nat1");
+  EXPECT_EQ(sg.find_link("cl2")->from.node, "nat1");
+
+  // replace_nf keeps the re-pointed external ids and adds the internal one.
+  std::vector<SgNf> comps{{"firewall0.a", "fw-lite", 2, {}},
+                          {"firewall0.b", "fw-stateful", 2, {}}};
+  std::vector<SgLink> internal{
+      {"firewall0.l0", {"firewall0.a", 1}, {"firewall0.b", 0}, 100}};
+  std::map<int, model::PortRef> redirect{
+      {0, {"firewall0.a", 0}}, {1, {"firewall0.b", 1}}};
+  ASSERT_TRUE(sg.replace_nf("firewall0", comps, internal, redirect).ok());
+  for (const char* id : {"cl0", "cl1", "firewall0.l0"}) {
+    EXPECT_EQ(sg.add_link(SgLink{id, {"sap1", 0}, {"nat1", 0}, 1})
+                  .error()
+                  .code,
+              ErrorCode::kAlreadyExists)
+        << id;
+  }
+  EXPECT_EQ(sg.find_link("cl0")->to.node, "firewall0.a");
+  EXPECT_EQ(sg.find_link("firewall0.l0")->from.node, "firewall0.a");
+
+  // Requirements survive both and stay unique.
+  EXPECT_EQ(sg.add_requirement(E2eRequirement{"e2e", "sap1", "sap2", 5, 0})
+                .error()
+                .code,
+            ErrorCode::kAlreadyExists);
+  ASSERT_NE(sg.find_requirement("e2e"), nullptr);
+  EXPECT_EQ(sg.find_requirement("e2e")->max_delay, 20);
+  EXPECT_EQ(sg.find_requirement("other"), nullptr);
+}
+
+TEST(ServiceGraph, EqualityIgnoresHowTheGraphWasBuilt) {
+  // Same vectors, different histories: one graph lost and re-gained a link.
+  ServiceGraph direct = fw_nat_chain();
+  ServiceGraph rebuilt = fw_nat_chain();
+  ASSERT_TRUE(rebuilt.remove_nf("nat1").ok());
+  ASSERT_TRUE(rebuilt.add_nf(SgNf{"nat1", "nat", 2, {}}).ok());
+  ASSERT_TRUE(
+      rebuilt.add_link(SgLink{"cl1", {"firewall0", 1}, {"nat1", 0}, 100})
+          .ok());
+  ASSERT_TRUE(
+      rebuilt.add_link(SgLink{"cl2", {"nat1", 1}, {"sap2", 0}, 100}).ok());
+  EXPECT_EQ(rebuilt, direct);
+}
+
 // Property sweep: chains of any length validate and extract correctly.
 class ChainLength : public ::testing::TestWithParam<int> {};
 

@@ -1,15 +1,13 @@
 // Fault-injecting decorator around any DomainAdapter: fails the next N
 // operations, every n-th operation, or every operation with a seeded
-// probability, and can charge a host-time latency per operation. Used to
-// test the orchestration stack's behaviour under domain failures (rejected
-// configs, unreachable controllers) and to make retry/backoff and
-// parallel-push paths measurable deterministically, without
-// special-casing the simulators.
+// probability. Used to test the orchestration stack's behaviour under
+// domain failures (rejected configs, unreachable controllers) and its
+// retry/backoff paths deterministically, without special-casing the
+// simulators.
 #pragma once
 
-#include <chrono>
 #include <memory>
-#include <thread>
+#include <string>
 
 #include "adapters/domain_adapter.h"
 #include "util/rng.h"
@@ -36,10 +34,6 @@ class FaultyAdapter final : public DomainAdapter {
     flaky_every_ = n;
     code_ = code;
   }
-  /// Host-time latency charged to every operation, failing or not
-  /// (simulates slow southbound control channels; makes sequential vs
-  /// parallel push wall-time measurable). 0 disables.
-  void set_latency_us(std::int64_t us) { latency_us_ = us; }
 
   [[nodiscard]] const std::string& domain() const noexcept override {
     return inner_->domain();
@@ -49,7 +43,7 @@ class FaultyAdapter final : public DomainAdapter {
     return inner_->fetch_view();
   }
   // Transactional path forwarded natively so fault injection exercises the
-  // exact code path real adapters use (latency + fault checks charge on
+  // exact code path real adapters use (fault checks charge on
   // begin_apply — the "issue" side — await only collects).
   Result<PushTicket> begin_apply(const model::Nffg& desired) override {
     UNIFY_RETURN_IF_ERROR(maybe_fail("begin_apply"));
@@ -90,9 +84,6 @@ class FaultyAdapter final : public DomainAdapter {
  private:
   Result<void> maybe_fail(const char* op) {
     ++operations_;
-    if (latency_us_ > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(latency_us_));
-    }
     if (fail_next_ > 0) {
       --fail_next_;
       ++injected_;
@@ -119,7 +110,6 @@ class FaultyAdapter final : public DomainAdapter {
   int fail_next_ = 0;
   int flaky_every_ = 0;
   double failure_rate_ = 0;
-  std::int64_t latency_us_ = 0;
   ErrorCode code_ = ErrorCode::kUnavailable;
   std::uint64_t injected_ = 0;
   std::uint64_t operations_ = 0;

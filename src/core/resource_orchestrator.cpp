@@ -535,8 +535,7 @@ Result<void> ResourceOrchestrator::push_slices() {
     const std::uint64_t stamp = view_.shard_stamp(domain_names_[i]);
     const std::uint64_t adapter_epoch = adapters_[i]->view_epoch();
     const bool epoch_clean =
-        options_.push.skip_clean && state.valid &&
-        state.acked_epoch == adapter_epoch;
+        state.valid && state.acked_epoch == adapter_epoch;
     if (epoch_clean && state.acked_stamp == stamp) {
       ++skipped;
       continue;
@@ -574,7 +573,7 @@ Result<void> ResourceOrchestrator::push_slices() {
         }
       });
     }
-    pool().run_all(std::move(tasks), options_.push.parallelism);
+    pool().run_all(std::move(tasks));
 
     MultiError failures;
     std::uint64_t retries = 0;
@@ -641,7 +640,7 @@ std::vector<Result<model::Nffg>> ResourceOrchestrator::fetch_views_parallel() {
       }
     });
   }
-  pool().run_all(std::move(tasks), options_.push.parallelism);
+  pool().run_all(std::move(tasks));
   return results;
 }
 

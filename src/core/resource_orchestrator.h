@@ -35,9 +35,10 @@ class OrchestrationPool;
 
 namespace unify::core {
 
-/// Southbound push behaviour (per-domain retry, fan-out width, dirty
-/// tracking). All knobs are per-RO; the defaults reproduce a plain
-/// attempt-once push with clean-domain skipping.
+/// Southbound per-domain retry policy. The knobs are per-RO; the defaults
+/// reproduce a plain attempt-once push. The fan-out is as wide as the
+/// RO's pool, and a domain whose slice is byte-identical to its last
+/// acknowledged push at an unchanged adapter view_epoch() is skipped.
 struct PushPolicy {
   /// Total tries per domain per fan-out. Retries happen only on
   /// kUnavailable/kTimeout (transient transport faults); rejections and
@@ -47,12 +48,6 @@ struct PushPolicy {
   /// backoff_multiplier) on each further one.
   std::int64_t backoff_initial_us = 200;
   double backoff_multiplier = 2.0;
-  /// Caps concurrently pushed exclusion groups (0 = pool width, 1 =
-  /// strictly sequential in domain order).
-  std::size_t parallelism = 0;
-  /// Skip domains whose slice is byte-identical to the last acknowledged
-  /// push at an unchanged adapter view_epoch(). Disable for ablation.
-  bool skip_clean = true;
 };
 
 struct RoOptions {
@@ -63,7 +58,8 @@ struct RoOptions {
   /// nullptr selects the shared process-scoped pool
   /// (util::OrchestrationPool::process_pool()). One pool serves every RO
   /// and service layer in the process — inject a private instance only
-  /// for isolation in tests.
+  /// for isolation in tests (a one-worker pool pushes strictly
+  /// sequentially in domain order).
   util::OrchestrationPool* pool = nullptr;
   PushPolicy push;
   /// Per-domain circuit breaking (DESIGN.md §10).

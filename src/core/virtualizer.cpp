@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "graph/algorithms.h"
+#include "graph/path_kernel.h"
 #include "model/nffg_hash.h"
 #include "model/topology_index.h"
 #include "util/log.h"
@@ -44,10 +44,12 @@ Result<model::Nffg> Virtualizer::render_single_bisbis() const {
     }
   }
   double worst_transit = 0;
+  graph::PathWorkspace workspace;
   for (const std::string& a : sap_ids) {
-    const auto tree = graph::shortest_path_tree(
-        index.graph().node_capacity(), index.node_of(a),
-        index.scan_by_delay(0));
+    graph::shortest_path_tree(workspace, index.graph().node_capacity(),
+                              index.node_of(a), index.delay_scan(0));
+    const auto tree = graph::export_shortest_path_tree(
+        workspace, index.graph().node_capacity());
     for (const std::string& b : sap_ids) {
       if (a == b) continue;
       const double dist = tree.dist[index.node_of(b)];
@@ -291,10 +293,6 @@ Result<void> Virtualizer::edit_config(const model::Nffg& desired) {
   for (const std::string& nf : pool_nfs) {
     component_of[nf] = next_component++;
   }
-  const auto find_root = [&](int c) {
-    return c;  // components merged eagerly below; no union-find needed
-  };
-  (void)find_root;
   // Merge components via links (simple iterate-to-fixpoint; pools are
   // small).
   bool changed = true;
@@ -337,9 +335,10 @@ Result<void> Virtualizer::edit_config(const model::Nffg& desired) {
 
   // --- 5. deploy every component as one service. Components are built
   // first and then handed to the RO as one wave: map_batch embeds them in
-  // parallel on the shared pool and commits sequentially in component
-  // order, so the result is identical to the old per-component deploy loop
-  // while the expensive mapping phase overlaps.
+  // parallel on the shared pool (a one-component wave runs inline on the
+  // caller) and commits sequentially in component order, so the result is
+  // identical to a per-component deploy loop while the expensive mapping
+  // phase overlaps.
   std::set<int> components;
   for (const auto& [c, links] : links_by_component) components.insert(c);
   for (const auto& [c, nfs] : nfs_by_component) components.insert(c);
@@ -405,13 +404,6 @@ Result<void> Virtualizer::edit_config(const model::Nffg& desired) {
       services_.emplace(sub_services[i].ro_request,
                         std::move(sub_services[i]));
     }
-  } else if (subs.size() == 1) {
-    const auto deployed = ro_->deploy(subs[0]);
-    if (!deployed.ok()) {
-      next_request_ = first_request;
-      return deployed.error();
-    }
-    services_.emplace(sub_services[0].ro_request, std::move(sub_services[0]));
   } else if (!subs.empty()) {
     const std::vector<Result<std::string>> deployed = ro_->map_batch(subs);
     std::optional<Error> first_failure;

@@ -3,30 +3,7 @@
 #include <algorithm>
 #include <queue>
 
-#include "graph/path_kernel.h"
-
 namespace unify::graph {
-
-namespace {
-
-/// Workspace reused by every EdgeScanFn-based query on this thread; callers
-/// that want a private workspace (or a devirtualized scan) use the kernel
-/// in path_kernel.h directly.
-PathWorkspace& scratch_workspace() {
-  thread_local PathWorkspace workspace;
-  return workspace;
-}
-
-}  // namespace
-
-ShortestPathTree shortest_path_tree(std::size_t node_capacity, NodeId source,
-                                    const EdgeScanFn& scan) {
-  // Compatibility shim: full Dijkstra on the reusable kernel workspace,
-  // exported into the legacy dense representation.
-  PathWorkspace& workspace = scratch_workspace();
-  shortest_path_tree(workspace, node_capacity, source, scan);
-  return export_shortest_path_tree(workspace, node_capacity);
-}
 
 std::optional<Path> ShortestPathTree::path_to(NodeId source,
                                               NodeId target) const {
@@ -43,22 +20,6 @@ std::optional<Path> ShortestPathTree::path_to(NodeId source,
   std::reverse(path.nodes.begin(), path.nodes.end());
   std::reverse(path.edges.begin(), path.edges.end());
   return path;
-}
-
-std::optional<Path> shortest_path(std::size_t node_capacity, NodeId source,
-                                  NodeId target, const EdgeScanFn& scan) {
-  // Compatibility shim: same early-exit Dijkstra, run on the reusable
-  // kernel workspace.
-  return shortest_path(scratch_workspace(), node_capacity, source, target,
-                       scan);
-}
-
-std::vector<Path> k_shortest_paths(std::size_t node_capacity, NodeId source,
-                                   NodeId target, std::size_t k,
-                                   const EdgeScanFn& scan) {
-  // Compatibility shim over the kernel-templated Yen in path_kernel.h.
-  return k_shortest_paths(scratch_workspace(), node_capacity, source, target,
-                          k, scan);
 }
 
 std::vector<bool> reachable_from(std::size_t node_capacity, NodeId source,
@@ -78,34 +39,6 @@ std::vector<bool> reachable_from(std::size_t node_capacity, NodeId source,
     });
   }
   return seen;
-}
-
-std::vector<int> weak_components(std::size_t node_capacity,
-                                 const std::vector<NodeId>& nodes,
-                                 const EdgeScanFn& scan_out,
-                                 const EdgeScanFn& scan_in) {
-  std::vector<int> component(node_capacity, -1);
-  int next = 0;
-  for (const NodeId root : nodes) {
-    if (root >= node_capacity || component[root] != -1) continue;
-    const int label = next++;
-    std::queue<NodeId> frontier;
-    component[root] = label;
-    frontier.push(root);
-    while (!frontier.empty()) {
-      const NodeId node = frontier.front();
-      frontier.pop();
-      const auto visit = [&](EdgeId, NodeId other, double) {
-        if (other < node_capacity && component[other] == -1) {
-          component[other] = label;
-          frontier.push(other);
-        }
-      };
-      scan_out(node, visit);
-      scan_in(node, visit);
-    }
-  }
-  return component;
 }
 
 }  // namespace unify::graph

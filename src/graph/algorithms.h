@@ -1,4 +1,4 @@
-// Path and reachability algorithms over Digraph-shaped data.
+// Path types and reachability over Digraph-shaped data.
 //
 // The algorithms are decoupled from Digraph<N,E> through a tiny adapter
 // (EdgeScanFn) so callers can weight edges by delay, by hop count, or by a
@@ -6,11 +6,9 @@
 // with a negative weight are treated as unusable (filtered out), which is
 // how mappers mask links without residual bandwidth.
 //
-// shortest_path, shortest_path_tree and k_shortest_paths here are
-// compatibility shims over the allocation-free template kernel in
-// path_kernel.h; hot callers (the mapping layer, batch workers) use the
-// kernel directly with a concrete scan functor and a reusable
-// PathWorkspace.
+// The shortest-path searches (shortest_path, shortest_path_tree,
+// k_shortest_paths) live in path_kernel.h as templates over the scan
+// functor, run on a caller-owned PathWorkspace.
 #pragma once
 
 #include <functional>
@@ -56,13 +54,8 @@ EdgeScanFn scan_digraph(const Digraph<NodeData, EdgeData>& g,
   };
 }
 
-/// Dijkstra from `source` to `target`. `node_capacity` bounds node ids
-/// (Digraph::node_capacity()). Returns nullopt when unreachable.
-[[nodiscard]] std::optional<Path> shortest_path(std::size_t node_capacity,
-                                                NodeId source, NodeId target,
-                                                const EdgeScanFn& scan);
-
-/// Single-source Dijkstra; dist[target] is +inf when unreachable.
+/// Dense single-source shortest-path tree (export_shortest_path_tree in
+/// path_kernel.h); dist[target] is +inf when unreachable.
 struct ShortestPathTree {
   std::vector<double> dist;        // indexed by node id
   std::vector<EdgeId> parent_edge; // kInvalidId at source / unreachable
@@ -72,26 +65,12 @@ struct ShortestPathTree {
   [[nodiscard]] std::optional<Path> path_to(NodeId source,
                                             NodeId target) const;
 };
-[[nodiscard]] ShortestPathTree shortest_path_tree(std::size_t node_capacity,
-                                                  NodeId source,
-                                                  const EdgeScanFn& scan);
-
-/// Yen's algorithm: up to k loopless shortest paths, ascending cost.
-[[nodiscard]] std::vector<Path> k_shortest_paths(std::size_t node_capacity,
-                                                 NodeId source, NodeId target,
-                                                 std::size_t k,
-                                                 const EdgeScanFn& scan);
 
 /// BFS reachability (edge weights ignored; masked edges still skipped).
+/// `node_capacity` bounds node ids (Digraph::node_capacity()).
 [[nodiscard]] std::vector<bool> reachable_from(std::size_t node_capacity,
                                                NodeId source,
                                                const EdgeScanFn& scan);
-
-/// Weakly-connected components over the union of both edge directions.
-/// Returns component index per node id (-1 for ids not in `nodes`).
-[[nodiscard]] std::vector<int> weak_components(
-    std::size_t node_capacity, const std::vector<NodeId>& nodes,
-    const EdgeScanFn& scan_out, const EdgeScanFn& scan_in);
 
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
 

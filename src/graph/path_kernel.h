@@ -1,16 +1,11 @@
 // Allocation-free shortest-path kernel.
 //
-// The EdgeScanFn-based engine in algorithms.h pays twice on the embedding
-// hot path: every Dijkstra run allocates fresh distance/parent/heap arrays,
-// and every edge relaxation goes through two std::function indirections.
-// This header provides the fast variant used by the mappers: a template
-// over the scan functor (fully inlinable, no virtual dispatch) driving a
-// PathWorkspace whose arrays are sized once per substrate and logically
-// reset by bumping an epoch counter instead of refilling.
-//
-// Semantics are identical to graph::shortest_path (same deterministic
-// (dist, node) tie-break, same negative-weight edge masking); the
-// EdgeScanFn overloads in algorithms.h are thin shims over this kernel.
+// The searches are templates over the scan functor (fully inlinable, no
+// virtual dispatch when the caller passes a concrete functor such as
+// TopologyIndex::DelayScan) driving a PathWorkspace whose arrays are sized
+// once per substrate and logically reset by bumping an epoch counter
+// instead of refilling. Every search breaks (dist, node) ties the same
+// deterministic way and masks negative-weight edges.
 #pragma once
 
 #include <algorithm>
@@ -136,11 +131,9 @@ template <typename ScanFn>
 
 /// Single-source Dijkstra (no early exit) into the workspace: after the
 /// call, ws.nodes_[v] holds dist/parents for every reachable v (stamped
-/// with the current epoch; unstamped nodes are unreachable). Same
-/// deterministic (dist, node) tie-break and negative-weight masking as the
-/// EdgeScanFn engine it replaces. Use export_shortest_path_tree() to
-/// materialize the legacy dense ShortestPathTree, or read the workspace
-/// directly on hot paths.
+/// with the current epoch; unstamped nodes are unreachable). Use
+/// export_shortest_path_tree() to materialize the dense ShortestPathTree,
+/// or read the workspace directly on hot paths.
 template <typename ScanFn>
 void shortest_path_tree(PathWorkspace& ws, std::size_t node_capacity,
                         NodeId source, ScanFn&& scan) {
@@ -181,7 +174,7 @@ void shortest_path_tree(PathWorkspace& ws, std::size_t node_capacity,
 }
 
 /// Copies the current-epoch search state of `ws` (filled by
-/// shortest_path_tree above) into the legacy dense representation.
+/// shortest_path_tree above) into the dense ShortestPathTree.
 [[nodiscard]] inline ShortestPathTree export_shortest_path_tree(
     const PathWorkspace& ws, std::size_t node_capacity) {
   ShortestPathTree tree;
@@ -200,10 +193,9 @@ void shortest_path_tree(PathWorkspace& ws, std::size_t node_capacity,
 }
 
 /// Yen's algorithm on the kernel: up to k loopless shortest paths in
-/// ascending cost, byte-identical to the legacy EdgeScanFn
-/// k_shortest_paths (same deviation order, candidate dedup and
-/// deterministic cost/edge-sequence tie-breaks). Every spur search runs on
-/// `ws` with the scan functor fully inlined, so repeated calls inside
+/// ascending cost, with deterministic cost/edge-sequence tie-breaks
+/// (KernelPinProperty pins it to a reference Yen). Every spur search runs
+/// on `ws` with the scan functor fully inlined, so repeated calls inside
 /// batch workers reuse one warm workspace.
 template <typename ScanFn>
 [[nodiscard]] std::vector<Path> k_shortest_paths(PathWorkspace& ws,

@@ -34,24 +34,6 @@ graph::NodeId TopologyIndex::node_of(const std::string& id) const noexcept {
   return it == index_.end() ? graph::kInvalidId : it->second;
 }
 
-graph::EdgeScanFn TopologyIndex::scan_by_delay(double min_bw) const {
-  return [scan = delay_scan(min_bw)](graph::NodeId node,
-                                     const graph::EdgeVisitFn& visit) {
-    scan(node, visit);
-  };
-}
-
-graph::EdgeScanFn TopologyIndex::scan_by_hops(double min_bw) const {
-  return [this, min_bw](graph::NodeId node,
-                        const graph::EdgeVisitFn& visit) {
-    for (const graph::EdgeId e : graph_.out_edges(node)) {
-      const auto& edge = graph_.edge(e);
-      if (edge.data.link->residual_bandwidth() < min_bw) continue;
-      visit(e, edge.to, 1.0);
-    }
-  };
-}
-
 double path_delay(const TopologyIndex& index, const graph::Path& path) {
   double total = 0;
   for (const graph::EdgeId e : path.edges) {

@@ -1,15 +1,14 @@
 // Graph index over an NFFG for path computation.
 //
 // Mapping algorithms need shortest paths over the BiS-BiS/SAP topology with
-// varying edge weights (delay, hops, residual-bandwidth masking). The index
-// translates the string-keyed NFFG into a graph::Digraph once, then offers
-// weight adapters on top. Each edge caches a pointer to its Link and its
-// static delay weight (link delay + head-node internal delay) so a scan
-// touches no string maps.
+// delay weights and residual-bandwidth masking. The index translates the
+// string-keyed NFFG into a graph::Digraph once, then offers a delay scan on
+// top. Each edge caches a pointer to its Link and its static delay weight
+// (link delay + head-node internal delay) so a scan touches no string maps.
 //
 // Lifetime: the index borrows the Nffg. It stays valid while the topology
 // (nodes, links) and the static attributes (link delay, internal delay) are
-// unchanged; link *reservations* may change freely — the scan adapters read
+// unchanged; link *reservations* may change freely — the delay scan reads
 // residual bandwidth through the cached Link pointers, which stay valid
 // because Nffg stores links in a node-based std::map.
 #pragma once
@@ -86,14 +85,6 @@ class TopologyIndex {
   [[nodiscard]] DelayScan delay_scan(double min_bw) const noexcept {
     return DelayScan{&graph_, min_bw};
   }
-
-  /// Edge scan weighting each link by its delay plus the head node's
-  /// internal delay, masking links whose residual bandwidth < `min_bw`.
-  /// Type-erased shim over delay_scan() for the EdgeScanFn algorithms.
-  [[nodiscard]] graph::EdgeScanFn scan_by_delay(double min_bw) const;
-
-  /// Edge scan with unit weight per hop, same bandwidth masking.
-  [[nodiscard]] graph::EdgeScanFn scan_by_hops(double min_bw) const;
 
  private:
   const Nffg* nffg_;

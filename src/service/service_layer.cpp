@@ -31,6 +31,14 @@ namespace {
 bool is_active(RequestState state) noexcept {
   return state == RequestState::kDeployed || state == RequestState::kDegraded;
 }
+
+/// A request that still owns its id against a new submit(): active, or
+/// waiting for dispatch. kAdmitted is not among them: pump() marks its wave
+/// kAdmitted and then hands the ids to submit_batch().
+bool holds_id(RequestState state) noexcept {
+  return is_active(state) || state == RequestState::kQueued ||
+         state == RequestState::kPostponed;
+}
 }  // namespace
 
 sg::ServiceGraph prefix_elements(const sg::ServiceGraph& graph,
@@ -177,6 +185,16 @@ std::optional<Error> ServiceLayer::validate_request(
   return std::nullopt;
 }
 
+std::optional<Error> ServiceLayer::reuse_id(const std::string& id) {
+  const auto it = requests_.find(id);
+  if (it == requests_.end()) return std::nullopt;
+  if (holds_id(it->second.state)) {
+    return Error{ErrorCode::kAlreadyExists, "request " + id};
+  }
+  requests_.erase(it);  // terminal and admitted ids may be reused
+  return std::nullopt;
+}
+
 Result<std::string> ServiceLayer::commit_one(const sg::ServiceGraph& request) {
   requests_.emplace(request.id(), ServiceRequest{request.id(), request,
                                                  RequestState::kDeployed, ""});
@@ -201,12 +219,8 @@ Result<std::string> ServiceLayer::submit(const sg::ServiceGraph& request) {
   if (request.id().empty()) {
     return Error{ErrorCode::kInvalidArgument, "service graph needs an id"};
   }
-  if (const auto it = requests_.find(request.id());
-      it != requests_.end()) {
-    if (it->second.state == RequestState::kDeployed) {
-      return Error{ErrorCode::kAlreadyExists, "request " + request.id()};
-    }
-    requests_.erase(it);  // failed/removed ids may be reused
+  if (auto taken = reuse_id(request.id()); taken.has_value()) {
+    return *std::move(taken);
   }
   if (auto invalid = validate_request(request); invalid.has_value()) {
     return *std::move(invalid);
@@ -250,12 +264,9 @@ std::vector<Result<std::string>> ServiceLayer::submit_batch(
                              " duplicated within the batch"};
       continue;
     }
-    if (const auto it = requests_.find(request.id()); it != requests_.end()) {
-      if (it->second.state == RequestState::kDeployed) {
-        results[i] = Error{ErrorCode::kAlreadyExists, "request " + request.id()};
-        continue;
-      }
-      requests_.erase(it);  // failed/removed ids may be reused
+    if (auto taken = reuse_id(request.id()); taken.has_value()) {
+      results[i] = *std::move(taken);
+      continue;
     }
     admitted[i] = true;
     checks.push_back([this, &requests, &invalid, i] {
@@ -663,14 +674,8 @@ Result<void> ServiceLayer::update(const sg::ServiceGraph& request) {
       it->second.state != RequestState::kDeployed) {
     return Error{ErrorCode::kNotFound, "active request " + request.id()};
   }
-  if (const auto problems = request.validate(); !problems.empty()) {
-    return Error{ErrorCode::kInvalidArgument, problems.front()};
-  }
-  for (const auto& [sap_id, name] : request.saps()) {
-    if (view_->find_sap(sap_id) == nullptr) {
-      return Error{ErrorCode::kNotFound,
-                   "SAP " + sap_id + " unknown to the orchestration layer"};
-    }
+  if (auto invalid = validate_request(request); invalid.has_value()) {
+    return *std::move(invalid);
   }
   const sg::ServiceGraph previous = it->second.graph;
   it->second.graph = request;
@@ -688,33 +693,7 @@ Result<void> ServiceLayer::update(const sg::ServiceGraph& request) {
 }
 
 Result<void> ServiceLayer::remove(const std::string& request_id) {
-  const auto it = requests_.find(request_id);
-  if (it != requests_.end() &&
-      (it->second.state == RequestState::kQueued ||
-       it->second.state == RequestState::kPostponed)) {
-    // Cancel: the request never reached the substrate, no push needed.
-    (void)queue_.erase(request_id);
-    for (auto p = parked_.begin(); p != parked_.end(); ++p) {
-      if (p->entry.graph.id() == request_id) {
-        parked_.erase(p);
-        break;
-      }
-    }
-    it->second.state = RequestState::kRemoved;
-    it->second.error.clear();
-    metrics_.add("service.admission.cancelled");
-    return Result<void>::success();
-  }
-  if (it == requests_.end() || !is_active(it->second.state)) {
-    return Error{ErrorCode::kNotFound, "active request " + request_id};
-  }
-  const RequestState before = it->second.state;
-  it->second.state = RequestState::kRemoved;
-  if (const auto pushed = push_config(); !pushed.ok()) {
-    it->second.state = before;  // keep books consistent
-    return pushed;
-  }
-  return Result<void>::success();
+  return remove_batch({request_id}).front();
 }
 
 Result<std::vector<std::string>> ServiceLayer::sync_health() {

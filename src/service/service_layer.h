@@ -114,8 +114,9 @@ class ServiceLayer {
                         util::OrchestrationPool* pool = nullptr);
 
   /// Validates and deploys a service request. The request id is the
-  /// service graph id. On failure the previous configuration is restored
-  /// and the request is recorded as kFailed.
+  /// service graph id; kAlreadyExists while that id is queued, parked,
+  /// deployed or degraded. On failure the previous configuration is
+  /// restored and the request is recorded as kFailed.
   Result<std::string> submit(const sg::ServiceGraph& request);
 
   /// Admits, validates and deploys a whole wave of service requests.
@@ -164,7 +165,9 @@ class ServiceLayer {
   /// dispatched requests).
   PumpReport pump(SimTime now);
 
-  /// Tears the service down (pushes the remaining services' config).
+  /// Tears the service down (pushes the remaining services' config), or
+  /// cancels it without a push while it is queued or parked:
+  /// remove_batch() of one id.
   Result<void> remove(const std::string& request_id);
 
   /// Batch removal with ONE reconciliation push for every active id in
@@ -274,6 +277,10 @@ class ServiceLayer {
   /// fetched view). Thread-safe; submit_batch runs these on the pool.
   [[nodiscard]] std::optional<Error> validate_request(
       const sg::ServiceGraph& request) const;
+  /// Frees `id` for an inline submission: kAlreadyExists while a request
+  /// with that id is queued, parked, deployed or degraded; otherwise drops
+  /// the old record (terminal, or kAdmitted by pump()).
+  [[nodiscard]] std::optional<Error> reuse_id(const std::string& id);
   /// Records `request` as deployed and pushes; on failure marks it
   /// kFailed and restores the previous configuration. Assumes admission
   /// and validation already passed.

@@ -122,8 +122,9 @@ TEST(PushPipeline, ParallelPushMatchesSequential) {
   util::OrchestrationPool pool(4);
   RoOptions parallel;
   parallel.pool = &pool;
+  util::OrchestrationPool inline_pool(1);  // runs every fan-out inline
   RoOptions sequential;
-  sequential.push.parallelism = 1;
+  sequential.pool = &inline_pool;
 
   LineStack par = make_line_ro(4, parallel);
   LineStack seq = make_line_ro(4, sequential);
@@ -167,15 +168,6 @@ TEST(PushPipeline, CleanDomainsAreSkipped) {
   ASSERT_TRUE(stack.ro->resync_domains().ok());
   EXPECT_EQ(stack.domains[0]->applies(), 2u);
   EXPECT_EQ(stack.ro->metrics().counter("ro.push.skipped_clean"), 4u);
-
-  // Disabling the skip pushes everything again.
-  RoOptions eager;
-  eager.push.skip_clean = false;
-  LineStack always = make_line_ro(3, eager);
-  ASSERT_TRUE(always.ro->deploy(span_chain("a", 0, 1)).ok());
-  ASSERT_TRUE(always.ro->resync_domains().ok());
-  EXPECT_EQ(always.domains[2]->applies(), 2u);
-  EXPECT_EQ(always.ro->metrics().counter("ro.push.skipped_clean"), 0u);
 }
 
 // --------------------------------------------------------- retry / backoff
@@ -291,8 +283,9 @@ TEST(PushPipeline, InitializeAndSyncStatusesMatchSequential) {
   util::OrchestrationPool pool(4);
   RoOptions parallel;
   parallel.pool = &pool;
+  util::OrchestrationPool inline_pool(1);  // runs every fan-out inline
   RoOptions sequential;
-  sequential.push.parallelism = 1;
+  sequential.pool = &inline_pool;
 
   LineStack par = make_line_ro(4, parallel);
   LineStack seq = make_line_ro(4, sequential);

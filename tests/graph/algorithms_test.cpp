@@ -18,6 +18,25 @@ EdgeScanFn weight_scan(const G& g) {
   return scan_digraph(g, [](EdgeId, const G::Edge& e) { return e.data.w; });
 }
 
+// One-off kernel queries, each on a fresh workspace.
+std::optional<Path> shortest(const G& g, NodeId source, NodeId target) {
+  PathWorkspace ws;
+  return shortest_path(ws, g.node_capacity(), source, target, weight_scan(g));
+}
+
+ShortestPathTree tree_from(const G& g, NodeId source) {
+  PathWorkspace ws;
+  shortest_path_tree(ws, g.node_capacity(), source, weight_scan(g));
+  return export_shortest_path_tree(ws, g.node_capacity());
+}
+
+std::vector<Path> k_shortest(const G& g, NodeId source, NodeId target,
+                             std::size_t k) {
+  PathWorkspace ws;
+  return k_shortest_paths(ws, g.node_capacity(), source, target, k,
+                          weight_scan(g));
+}
+
 // Small diamond: 0 -> 1 -> 3 (cost 1+1), 0 -> 2 -> 3 (cost 2+2).
 G diamond() {
   G g;
@@ -31,7 +50,7 @@ G diamond() {
 
 TEST(ShortestPath, PicksCheaperBranch) {
   G g = diamond();
-  auto p = shortest_path(g.node_capacity(), 0, 3, weight_scan(g));
+  auto p = shortest(g, 0, 3);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->cost, 2.0);
   EXPECT_EQ(p->nodes, (std::vector<NodeId>{0, 1, 3}));
@@ -40,7 +59,7 @@ TEST(ShortestPath, PicksCheaperBranch) {
 
 TEST(ShortestPath, SourceEqualsTarget) {
   G g = diamond();
-  auto p = shortest_path(g.node_capacity(), 2, 2, weight_scan(g));
+  auto p = shortest(g, 2, 2);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->cost, 0.0);
   EXPECT_EQ(p->nodes, (std::vector<NodeId>{2}));
@@ -51,7 +70,7 @@ TEST(ShortestPath, UnreachableReturnsNullopt) {
   G g;
   g.add_node();
   g.add_node();
-  EXPECT_FALSE(shortest_path(g.node_capacity(), 0, 1, weight_scan(g)));
+  EXPECT_FALSE(shortest(g, 0, 1));
 }
 
 TEST(ShortestPath, NegativeWeightMasksEdge) {
@@ -59,7 +78,7 @@ TEST(ShortestPath, NegativeWeightMasksEdge) {
   g.add_node();
   g.add_node();
   g.add_edge(0, 1, {-1});  // masked: e.g. no residual bandwidth
-  EXPECT_FALSE(shortest_path(g.node_capacity(), 0, 1, weight_scan(g)));
+  EXPECT_FALSE(shortest(g, 0, 1));
 }
 
 TEST(ShortestPath, PrefersParallelEdgeWithLowerWeight) {
@@ -68,7 +87,7 @@ TEST(ShortestPath, PrefersParallelEdgeWithLowerWeight) {
   g.add_node();
   g.add_edge(0, 1, {7});
   const auto cheap = g.add_edge(0, 1, {3});
-  auto p = shortest_path(g.node_capacity(), 0, 1, weight_scan(g));
+  auto p = shortest(g, 0, 1);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->cost, 3.0);
   ASSERT_EQ(p->edges.size(), 1u);
@@ -80,7 +99,7 @@ TEST(ShortestPath, ZeroWeightEdgesUsable) {
   for (int i = 0; i < 3; ++i) g.add_node();
   g.add_edge(0, 1, {0});
   g.add_edge(1, 2, {0});
-  auto p = shortest_path(g.node_capacity(), 0, 2, weight_scan(g));
+  auto p = shortest(g, 0, 2);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->cost, 0.0);
   EXPECT_EQ(p->hop_count(), 2u);
@@ -88,7 +107,7 @@ TEST(ShortestPath, ZeroWeightEdgesUsable) {
 
 TEST(ShortestPathTree, DistancesAndReconstruction) {
   G g = diamond();
-  auto tree = shortest_path_tree(g.node_capacity(), 0, weight_scan(g));
+  auto tree = tree_from(g, 0);
   EXPECT_EQ(tree.dist[0], 0.0);
   EXPECT_EQ(tree.dist[1], 1.0);
   EXPECT_EQ(tree.dist[2], 2.0);
@@ -102,15 +121,14 @@ TEST(ShortestPathTree, UnreachableIsInf) {
   G g;
   g.add_node();
   g.add_node();
-  auto tree = shortest_path_tree(g.node_capacity(), 0, weight_scan(g));
+  auto tree = tree_from(g, 0);
   EXPECT_EQ(tree.dist[1], kInf);
   EXPECT_FALSE(tree.path_to(0, 1).has_value());
 }
 
 TEST(KShortest, EnumeratesInCostOrder) {
   G g = diamond();
-  auto paths =
-      k_shortest_paths(g.node_capacity(), 0, 3, 5, weight_scan(g));
+  auto paths = k_shortest(g, 0, 3, 5);
   ASSERT_EQ(paths.size(), 2u);  // only two loopless paths exist
   EXPECT_EQ(paths[0].cost, 2.0);
   EXPECT_EQ(paths[1].cost, 4.0);
@@ -119,11 +137,9 @@ TEST(KShortest, EnumeratesInCostOrder) {
 
 TEST(KShortest, KLimitsCount) {
   G g = diamond();
-  auto paths =
-      k_shortest_paths(g.node_capacity(), 0, 3, 1, weight_scan(g));
+  auto paths = k_shortest(g, 0, 3, 1);
   EXPECT_EQ(paths.size(), 1u);
-  EXPECT_TRUE(
-      k_shortest_paths(g.node_capacity(), 0, 3, 0, weight_scan(g)).empty());
+  EXPECT_TRUE(k_shortest(g, 0, 3, 0).empty());
 }
 
 TEST(KShortest, ParallelEdgesAreDistinctPaths) {
@@ -132,8 +148,7 @@ TEST(KShortest, ParallelEdgesAreDistinctPaths) {
   g.add_node();
   g.add_edge(0, 1, {1});
   g.add_edge(0, 1, {2});
-  auto paths =
-      k_shortest_paths(g.node_capacity(), 0, 1, 5, weight_scan(g));
+  auto paths = k_shortest(g, 0, 1, 5);
   ASSERT_EQ(paths.size(), 2u);
   EXPECT_EQ(paths[0].cost, 1.0);
   EXPECT_EQ(paths[1].cost, 2.0);
@@ -150,9 +165,7 @@ TEST(KShortest, GridHasManyPaths) {
       if (r + 1 < 3) g.add_edge(id(r, c), id(r + 1, c), {1});
     }
   }
-  auto paths =
-      k_shortest_paths(g.node_capacity(), id(0, 0), id(2, 2), 6,
-                       weight_scan(g));
+  auto paths = k_shortest(g, id(0, 0), id(2, 2), 6);
   ASSERT_EQ(paths.size(), 6u);  // C(4,2) = 6 monotone lattice paths
   for (const auto& p : paths) EXPECT_EQ(p.cost, 4.0);
   // All paths distinct.
@@ -167,8 +180,7 @@ TEST(KShortest, UnreachableGivesEmpty) {
   G g;
   g.add_node();
   g.add_node();
-  EXPECT_TRUE(
-      k_shortest_paths(g.node_capacity(), 0, 1, 3, weight_scan(g)).empty());
+  EXPECT_TRUE(k_shortest(g, 0, 1, 3).empty());
 }
 
 TEST(Reachability, ForwardOnly) {
@@ -193,26 +205,6 @@ TEST(Reachability, MaskedEdgesBlock) {
   EXPECT_FALSE(seen[1]);
 }
 
-TEST(WeakComponents, GroupsUndirectedly) {
-  G g;
-  for (int i = 0; i < 5; ++i) g.add_node();
-  g.add_edge(0, 1, {1});
-  g.add_edge(2, 1, {1});  // 0,1,2 weakly connected
-  g.add_edge(3, 4, {1});  // 3,4 another component
-  auto scan_out = weight_scan(g);
-  auto scan_in = [&g](NodeId node, const EdgeVisitFn& visit) {
-    for (const EdgeId e : g.in_edges(node)) {
-      visit(e, g.edge(e).from, g.edge(e).data.w);
-    }
-  };
-  auto comp =
-      weak_components(g.node_capacity(), g.node_ids(), scan_out, scan_in);
-  EXPECT_EQ(comp[0], comp[1]);
-  EXPECT_EQ(comp[1], comp[2]);
-  EXPECT_EQ(comp[3], comp[4]);
-  EXPECT_NE(comp[0], comp[3]);
-}
-
 // Property sweep: on a ring of n nodes with unit weights, the distance from
 // 0 to m is min(m, n-m) when edges go both directions.
 class RingShortest : public ::testing::TestWithParam<int> {};
@@ -225,7 +217,7 @@ TEST_P(RingShortest, DistanceMatchesFormula) {
     g.add_edge(static_cast<NodeId>(i), static_cast<NodeId>((i + 1) % n), {1});
     g.add_edge(static_cast<NodeId>((i + 1) % n), static_cast<NodeId>(i), {1});
   }
-  auto tree = shortest_path_tree(g.node_capacity(), 0, weight_scan(g));
+  auto tree = tree_from(g, 0);
   for (int m = 0; m < n; ++m) {
     EXPECT_EQ(tree.dist[m], std::min(m, n - m)) << "n=" << n << " m=" << m;
   }
@@ -234,21 +226,26 @@ TEST_P(RingShortest, DistanceMatchesFormula) {
 INSTANTIATE_TEST_SUITE_P(Sizes, RingShortest,
                          ::testing::Values(2, 3, 4, 5, 8, 13, 32));
 
-// --- kernel-direct coverage: the templates in path_kernel.h that the
-// EdgeScanFn functions above shim onto.
+// --- workspace reuse: one PathWorkspace across queries.
 
-TEST(PathKernel, TreeExportMatchesShim) {
+TEST(PathKernel, TreeExportMatchesEarlyExitSearch) {
+  // The exported tree and the early-exit search must agree on every
+  // target, even when both run on one warm workspace.
   G g = diamond();
   PathWorkspace ws;
   shortest_path_tree(ws, g.node_capacity(), 0, weight_scan(g));
-  const ShortestPathTree exported =
+  const ShortestPathTree tree =
       export_shortest_path_tree(ws, g.node_capacity());
-  const ShortestPathTree shim =
-      shortest_path_tree(g.node_capacity(), 0, weight_scan(g));
-  EXPECT_EQ(exported.dist, shim.dist);
-  EXPECT_EQ(exported.parent_edge, shim.parent_edge);
-  EXPECT_EQ(exported.parent_node, shim.parent_node);
-  auto p = exported.path_to(0, 3);
+  for (NodeId target = 0; target < g.node_capacity(); ++target) {
+    const auto direct =
+        shortest_path(ws, g.node_capacity(), 0, target, weight_scan(g));
+    const auto from_tree = tree.path_to(0, target);
+    ASSERT_EQ(direct.has_value(), from_tree.has_value()) << target;
+    if (!direct) continue;
+    EXPECT_EQ(direct->cost, from_tree->cost) << target;
+    EXPECT_EQ(*direct, *from_tree) << target;
+  }
+  auto p = tree.path_to(0, 3);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->nodes, (std::vector<NodeId>{0, 1, 3}));
 }

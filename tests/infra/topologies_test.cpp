@@ -13,7 +13,7 @@ bool fully_reachable(const model::Nffg& g) {
   const auto ids = index.graph().node_ids();
   if (ids.empty()) return true;
   const auto seen = graph::reachable_from(index.graph().node_capacity(),
-                                          ids[0], index.scan_by_hops(0));
+                                          ids[0], index.delay_scan(0));
   for (const auto id : ids) {
     if (!seen[id]) return false;
   }

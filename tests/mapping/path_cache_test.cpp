@@ -3,7 +3,7 @@
 // Dijkstra over the live residuals.
 #include <gtest/gtest.h>
 
-#include "graph/algorithms.h"
+#include "graph/path_kernel.h"
 #include "infra/topologies.h"
 #include "mapping/context.h"
 #include "model/nffg_builder.h"
@@ -37,7 +37,7 @@ ServiceGraph chain(double bw, double delay = 1000) {
 
 /// Reference distance computed from scratch over the context's live
 /// residuals (base minus overlay reservations): same masking and weights
-/// the Context's own scan uses, but through the type-erased engine with no
+/// the Context's own scan uses, but through a type-erased scan with no
 /// cache in the loop.
 double fresh_distance(const Context& ctx, const std::string& from,
                       const std::string& to, double min_bw) {
@@ -56,8 +56,9 @@ double fresh_distance(const Context& ctx, const std::string& from,
       visit(e, edge.to, model::TopologyIndex::edge_weight(edge.data));
     }
   };
-  const auto path = graph::shortest_path(index.graph().node_capacity(),
-                                         from_id, to_id, scan);
+  graph::PathWorkspace workspace;
+  const auto path = graph::shortest_path(
+      workspace, index.graph().node_capacity(), from_id, to_id, scan);
   return path.has_value() ? path->cost : graph::kInf;
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
+#include "graph/path_kernel.h"
 #include "model/nffg_builder.h"
 
 namespace unify::model {
@@ -22,6 +26,16 @@ Nffg chain_graph() {
   attach_sap(g, "sap1", "bb1", 0, {1000, 0.1});
   attach_sap(g, "sap2", "bb2", 0, {1000, 0.1});
   return g;
+}
+
+/// Delay-weighted shortest path between two named nodes.
+std::optional<graph::Path> delay_path(const TopologyIndex& index,
+                                      const std::string& from,
+                                      const std::string& to, double min_bw) {
+  graph::PathWorkspace ws;
+  return graph::shortest_path(ws, index.graph().node_capacity(),
+                              index.node_of(from), index.node_of(to),
+                              index.delay_scan(min_bw));
 }
 
 TEST(TopologyIndex, IndexesAllNodes) {
@@ -45,9 +59,7 @@ TEST(TopologyIndex, SapFlagSet) {
 TEST(TopologyIndex, ShortestPathByDelayPrefersDirect) {
   Nffg g = chain_graph();
   TopologyIndex index(g);
-  auto path = graph::shortest_path(
-      index.graph().node_capacity(), index.node_of("sap1"),
-      index.node_of("sap2"), index.scan_by_delay(0));
+  auto path = delay_path(index, "sap1", "sap2", 0);
   ASSERT_TRUE(path.has_value());
   // sap1 -> bb1 -> bb2 -> sap2 (direct, cheapest).
   ASSERT_EQ(path->nodes.size(), 4u);
@@ -60,9 +72,7 @@ TEST(TopologyIndex, BandwidthMaskingForcesDetour) {
   // Exhaust the direct bb1->bb2 link.
   g.find_link("l-bb1-bb2")->reserved = 1000;
   TopologyIndex index(g);
-  auto path = graph::shortest_path(
-      index.graph().node_capacity(), index.node_of("sap1"),
-      index.node_of("sap2"), index.scan_by_delay(100));
+  auto path = delay_path(index, "sap1", "sap2", 100);
   ASSERT_TRUE(path.has_value());
   // Must detour through bb3 now.
   ASSERT_EQ(path->nodes.size(), 5u);
@@ -72,40 +82,20 @@ TEST(TopologyIndex, BandwidthMaskingForcesDetour) {
 TEST(TopologyIndex, ReservationChangesVisibleWithoutReindex) {
   Nffg g = chain_graph();
   TopologyIndex index(g);
-  auto before = graph::shortest_path(
-      index.graph().node_capacity(), index.node_of("sap1"),
-      index.node_of("sap2"), index.scan_by_delay(500));
+  auto before = delay_path(index, "sap1", "sap2", 500);
   ASSERT_TRUE(before.has_value());
   EXPECT_EQ(before->nodes.size(), 4u);
   // Reserve after the index was built; the scan reads live state.
   g.find_link("l-bb1-bb2")->reserved = 600;
-  auto after = graph::shortest_path(
-      index.graph().node_capacity(), index.node_of("sap1"),
-      index.node_of("sap2"), index.scan_by_delay(500));
+  auto after = delay_path(index, "sap1", "sap2", 500);
   ASSERT_TRUE(after.has_value());
   EXPECT_EQ(after->nodes.size(), 5u);  // detour
-}
-
-TEST(TopologyIndex, HopScanIgnoresDelay) {
-  Nffg g = chain_graph();
-  // Make the direct link slow; hop-count routing should still use it.
-  g.find_link("l-bb1-bb2")->attrs.delay = 99;
-  g.find_link("l-bb1-bb2-back")->attrs.delay = 99;
-  TopologyIndex index(g);
-  auto path = graph::shortest_path(
-      index.graph().node_capacity(), index.node_of("sap1"),
-      index.node_of("sap2"), index.scan_by_hops(0));
-  ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(path->hop_count(), 3u);
-  EXPECT_EQ(path->cost, 3.0);
 }
 
 TEST(TopologyIndex, PathDelayAddsInternalDelays) {
   Nffg g = chain_graph();
   TopologyIndex index(g);
-  auto path = graph::shortest_path(
-      index.graph().node_capacity(), index.node_of("sap1"),
-      index.node_of("sap2"), index.scan_by_delay(0));
+  auto path = delay_path(index, "sap1", "sap2", 0);
   ASSERT_TRUE(path.has_value());
   // Links: 0.1 + 1.0 + 0.1 = 1.2; transit nodes bb1, bb2: +0.2.
   EXPECT_NEAR(path_delay(index, *path), 1.4, 1e-9);
@@ -117,9 +107,10 @@ TEST(TopologyIndex, DelayScanChargesInternalDelayInCost) {
   // Force the detour and check it ranks above direct due to bb3 internal
   // delay: direct cost = 0.1+0.1(bb1) +1.0+0.1(bb2) +0.1 = 1.4; detour cost
   // = 0.1+0.1 +1.0+0.5(bb3) +1.0+0.1(bb2) +0.1 = 2.9.
+  graph::PathWorkspace ws;
   auto paths = graph::k_shortest_paths(
-      index.graph().node_capacity(), index.node_of("sap1"),
-      index.node_of("sap2"), 2, index.scan_by_delay(0));
+      ws, index.graph().node_capacity(), index.node_of("sap1"),
+      index.node_of("sap2"), 2, index.delay_scan(0));
   ASSERT_EQ(paths.size(), 2u);
   EXPECT_NEAR(paths[0].cost, 1.4, 1e-9);
   EXPECT_NEAR(paths[1].cost, 2.9, 1e-9);

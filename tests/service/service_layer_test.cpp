@@ -208,6 +208,31 @@ TEST(ServiceLayer, FailedDeploymentRollsBack) {
                   .ok());
 }
 
+TEST(ServiceLayer, SubmitRejectsIdWaitingInAdmissionQueue) {
+  Stack stack;
+  const sg::ServiceGraph graph =
+      sg::make_chain("svc", "sap1", {"nat"}, "sap2", 10, 100);
+  ASSERT_TRUE(stack.layer->enqueue(graph, 0).ok());
+
+  // The queued request owns its id: neither inline path may replace it.
+  const auto submitted = stack.layer->submit(graph);
+  ASSERT_FALSE(submitted.ok());
+  EXPECT_EQ(submitted.error().code, ErrorCode::kAlreadyExists);
+  const auto batched = stack.layer->submit_batch({graph});
+  ASSERT_FALSE(batched[0].ok());
+  EXPECT_EQ(batched[0].error().code, ErrorCode::kAlreadyExists);
+  EXPECT_EQ(stack.layer->requests().at("svc").state, RequestState::kQueued);
+  EXPECT_FALSE(stack.ro->global_view().find_nf("svc.nat0").has_value());
+
+  // The next pump deploys the queued copy exactly once.
+  const PumpReport report = stack.layer->pump(1000);
+  EXPECT_EQ(report.deployed, 1u);
+  EXPECT_EQ(report.failed, 0u);
+  EXPECT_EQ(stack.layer->requests().at("svc").state,
+            RequestState::kDeployed);
+  EXPECT_EQ(stack.ro->deployments().size(), 1u);
+}
+
 TEST(ServiceLayer, RemoveUnknownFails) {
   Stack stack;
   EXPECT_EQ(stack.layer->remove("nope").error().code, ErrorCode::kNotFound);
@@ -406,6 +431,44 @@ TEST(ServiceLayer, SyncHealthDegradesAndRestoresWithoutTeardown) {
   EXPECT_EQ(layer.requests().at("svc").state, RequestState::kDeployed);
   EXPECT_EQ(layer.metrics().counter("service.health.degraded"), 1u);
   EXPECT_EQ(layer.metrics().counter("service.health.restored"), 1u);
+}
+
+TEST(ServiceLayer, SubmitRejectsIdOfDegradedService) {
+  model::Nffg view{"client-view"};
+  ASSERT_TRUE(
+      view.add_bisbis(model::make_bisbis("big", {64, 65536, 500}, 4)).ok());
+  model::attach_sap(view, "sap1", "big", 0, {1000, 0.1});
+  model::attach_sap(view, "sap2", "big", 1, {1000, 0.1});
+  auto client = std::make_unique<StatusClient>(std::move(view));
+  StatusClient* handle = client.get();
+  ServiceLayer layer(std::move(client));
+
+  ASSERT_TRUE(
+      layer.submit(sg::make_chain("svc", "sap1", {"nat"}, "sap2", 10, 100))
+          .ok());
+  handle->fail_nf("svc.nat0");
+  ASSERT_TRUE(layer.sync_health().ok());
+  ASSERT_EQ(layer.requests().at("svc").state, RequestState::kDegraded);
+
+  // A degraded service still runs below: a resubmit of its id must not
+  // replace its books, on either inline path.
+  const sg::ServiceGraph replacement =
+      sg::make_chain("svc", "sap1", {"dpi"}, "sap2", 10, 100);
+  const auto submitted = layer.submit(replacement);
+  ASSERT_FALSE(submitted.ok());
+  EXPECT_EQ(submitted.error().code, ErrorCode::kAlreadyExists);
+  const auto batched = layer.submit_batch({replacement});
+  ASSERT_FALSE(batched[0].ok());
+  EXPECT_EQ(batched[0].error().code, ErrorCode::kAlreadyExists);
+  EXPECT_EQ(layer.requests().at("svc").state, RequestState::kDegraded);
+  EXPECT_NE(layer.requests().at("svc").graph.find_nf("nat0"), nullptr);
+
+  // The next push still carries the original service.
+  ASSERT_TRUE(
+      layer.submit(sg::make_chain("b", "sap1", {"fw-lite"}, "sap2", 10, 100))
+          .ok());
+  EXPECT_TRUE(handle->last_config().find_nf("svc.nat0").has_value());
+  EXPECT_FALSE(handle->last_config().find_nf("svc.dpi0").has_value());
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 // policy as the variable.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "core/resource_orchestrator.h"
 #include "infra/topologies.h"
 #include "mapping/baseline_mappers.h"
@@ -15,6 +17,7 @@
 #include "mapping/greedy_mapper.h"
 #include "mapping/mapper.h"
 #include "service/service_layer.h"
+#include "util/orchestration_pool.h"
 
 namespace {
 
@@ -156,10 +159,13 @@ class StaticAdapter final : public adapters::DomainAdapter {
   model::Nffg view_;
 };
 
-std::unique_ptr<core::ResourceOrchestrator> batch_ro() {
+std::unique_ptr<core::ResourceOrchestrator> batch_ro(
+    util::OrchestrationPool* pool) {
+  core::RoOptions options;
+  options.pool = pool;
   auto ro = std::make_unique<core::ResourceOrchestrator>(
       "ro", std::make_shared<mapping::ChainDpMapper>(),
-      catalog::default_catalog());
+      catalog::default_catalog(), options);
   (void)ro->add_domain(std::make_unique<StaticAdapter>(
       "d1", infra::topo::leaf_spine(2, 8, 2)));
   (void)ro->initialize();
@@ -167,8 +173,9 @@ std::unique_ptr<core::ResourceOrchestrator> batch_ro() {
 }
 
 /// Batch throughput: the same `requests` independent chains deployed
-/// through a sequential deploy() loop (workers == 0) or through
-/// map_batch() on a worker pool. Args: {requests, workers}.
+/// through a sequential deploy() loop (workers == 0) or through one
+/// map_batch() on an injected OrchestrationPool of `workers` threads.
+/// Args: {requests, workers}.
 void BM_BatchDeploy(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int workers = static_cast<int>(state.range(1));
@@ -182,18 +189,20 @@ void BM_BatchDeploy(benchmark::State& state) {
         id));
   }
 
+  std::optional<util::OrchestrationPool> pool;
+  if (workers > 0) pool.emplace(static_cast<std::size_t>(workers));
   std::size_t failures = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    auto ro = batch_ro();  // fresh view per lap; setup excluded
+    // Fresh view per lap; setup excluded.
+    auto ro = batch_ro(pool.has_value() ? &*pool : nullptr);
     state.ResumeTiming();
     if (workers == 0) {
       for (const sg::ServiceGraph& request : requests) {
         if (!ro->deploy(request).ok()) ++failures;
       }
     } else {
-      for (const auto& result :
-           ro->map_batch(requests, static_cast<std::size_t>(workers))) {
+      for (const auto& result : ro->map_batch(requests)) {
         if (!result.ok()) ++failures;
       }
     }

@@ -56,7 +56,6 @@ bool HealthManager::record_failure(std::size_t index, const Error& error) {
     return false;
   }
   rec.consecutive_failures += 1;
-  escalate_backoff(rec);
   if (!policy_.enabled) return false;
   if (rec.consecutive_failures >= policy_.failure_threshold) {
     return open_circuit(index, error.to_string());
@@ -78,8 +77,6 @@ void HealthManager::record_success(std::size_t index) {
   }
   rec.consecutive_failures = 0;
   rec.health = DomainHealth::kHealthy;
-  rec.probe_cooldown = 0;
-  rec.probe_backoff = 0;
 }
 
 bool HealthManager::open_circuit(std::size_t index, const std::string& reason) {
@@ -115,7 +112,6 @@ void HealthManager::probe_failed(std::size_t index, const Error& error) {
   rec.probe_failures += 1;
   rec.failures_total += 1;
   rec.last_error = error.to_string();
-  escalate_backoff(rec);
 }
 
 void HealthManager::close_circuit(std::size_t index) {
@@ -124,32 +120,8 @@ void HealthManager::close_circuit(std::size_t index) {
   rec.generation += 1;
   rec.health = DomainHealth::kHealthy;
   rec.consecutive_failures = 0;
-  rec.probe_cooldown = 0;
-  rec.probe_backoff = 0;
   UNIFY_LOG(kInfo, "core.health")
       << "circuit closed for domain '" << rec.domain << "'";
-}
-
-bool HealthManager::should_probe(std::size_t index) {
-  if (index >= records_.size()) return true;
-  if (policy_.probe_backoff_initial <= 0) return true;
-  auto& rec = records_[index];
-  if (rec.probe_cooldown > 0) {
-    rec.probe_cooldown -= 1;
-    return false;
-  }
-  return true;
-}
-
-void HealthManager::escalate_backoff(DomainRecord& rec) {
-  if (policy_.probe_backoff_initial <= 0) return;
-  rec.probe_backoff =
-      rec.probe_backoff == 0
-          ? policy_.probe_backoff_initial
-          : std::min(policy_.probe_backoff_cap,
-                     static_cast<int>(static_cast<double>(rec.probe_backoff) *
-                                      policy_.probe_backoff_multiplier));
-  rec.probe_cooldown = rec.probe_backoff;
 }
 
 bool HealthManager::admits(std::size_t index) const noexcept {

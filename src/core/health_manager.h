@@ -37,7 +37,8 @@ namespace unify::core {
 enum class DomainHealth { kHealthy, kDegraded, kDown, kProbing };
 [[nodiscard]] const char* to_string(DomainHealth health) noexcept;
 
-/// Circuit-breaker knobs, per RO (RoOptions::health).
+/// Circuit-breaker knobs. The RO runs the defaults; tests arm a bare
+/// HealthManager with others.
 struct HealthPolicy {
   /// Passive circuit breaking on/off. Forced opens (open_circuit) and the
   /// healing machinery keep working when disabled.
@@ -58,13 +59,6 @@ struct HealthPolicy {
   /// Bias while down. Capacity is masked to zero anyway; this is belt and
   /// braces for force-installed placements that survive the mask.
   double down_penalty = 64.0;
-  /// Exponential probe backoff for heal(): after a failed probe the domain
-  /// skips this many heal passes before the next probe; each further
-  /// failure multiplies the window (capped); any success resets it. 0
-  /// disables backoff (probe on every pass, the historical behaviour).
-  int probe_backoff_initial = 0;
-  double probe_backoff_multiplier = 2.0;
-  int probe_backoff_cap = 8;
 };
 
 class HealthManager {
@@ -81,14 +75,6 @@ class HealthManager {
     /// Bumps on every observation and transition (never regresses); lets
     /// callers detect "anything happened since I last looked" cheaply.
     std::uint64_t generation = 0;
-    /// Heal passes left to skip before the next probe (exponential probe
-    /// backoff, HealthPolicy::probe_backoff_initial). Counted down by
-    /// should_probe(); escalated on probe/transport failures; reset by any
-    /// success.
-    int probe_cooldown = 0;
-    /// The backoff window the last failure set (what the next failure
-    /// multiplies from).
-    int probe_backoff = 0;
     std::string last_error;  ///< most recent failure, for reports/logs
   };
 
@@ -120,11 +106,6 @@ class HealthManager {
   /// probing/down -> healthy: the domain is readmitted (the caller unmasks
   /// capacity and resyncs the slice). Resets the failure streak.
   void close_circuit(std::size_t index);
-  /// Exponential probe backoff gate for heal(): true when the domain is
-  /// due for a probe this pass. While a cooldown is pending, one call
-  /// consumes one heal pass and returns false. Always true when backoff is
-  /// disabled (probe_backoff_initial == 0).
-  [[nodiscard]] bool should_probe(std::size_t index);
 
   // -- queries -----------------------------------------------------------
 
@@ -157,10 +138,6 @@ class HealthManager {
   [[nodiscard]] const HealthPolicy& policy() const noexcept { return policy_; }
 
  private:
-  /// Grows (or starts) the record's backoff window and arms the cooldown.
-  /// No-op while backoff is disabled.
-  void escalate_backoff(DomainRecord& rec);
-
   HealthPolicy policy_;
   std::vector<DomainRecord> records_;
 };

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <numeric>
 #include <optional>
 #include <set>
-#include <thread>
 #include <utility>
 
 #include "model/nffg_hash.h"
@@ -16,6 +14,9 @@
 namespace unify::core {
 
 namespace {
+
+/// Bound on the decomposition choices prepare() enumerates per request.
+constexpr std::size_t kMaxDecompositionCombinations = 32;
 
 /// The error a deployment reports when its commit push failed and it was
 /// rolled back.
@@ -83,7 +84,7 @@ Result<void> ResourceOrchestrator::initialize() {
   merged.set_id(name_ + "-global-view");
   view_.reset(std::move(merged));
   push_state_.assign(adapters_.size(), DomainPushState{});
-  health_.reset(options_.health, domain_names_);
+  health_.reset(HealthPolicy{}, domain_names_);
   mask_ = ViewMask{};
   refresh_health_penalties();
   metrics_.set_gauge("ro.health.down_domains", 0);
@@ -123,140 +124,130 @@ Result<void> ResourceOrchestrator::admit(
 
 Result<ResourceOrchestrator::Deployment> ResourceOrchestrator::prepare(
     const sg::ServiceGraph& request, const mapping::SubstrateView& view,
-    PrepareStats& stats) const {
-  // Map (with decomposition when enabled).
+    const PinnedMapper* pinned, PrepareStats& stats) const {
   Deployment deployment;
   deployment.request_id = request.id();
   deployment.original = request;
-  if (options_.use_decomposition) {
-    mapping::DecompAwareMapper decomp(mapper_,
-                                      options_.max_decomposition_combinations);
-    UNIFY_ASSIGN_OR_RETURN(mapping::DecompResult result,
-                           decomp.map_with_decomposition(request, view,
-                                                         catalog_));
-    deployment.expanded = std::move(result.expanded);
-    deployment.mapping = std::move(result.mapping);
-    stats.decomposition_combinations = result.combinations_tried;
-  } else {
-    sg::ServiceGraph expanded = request;
-    UNIFY_ASSIGN_OR_RETURN(const std::size_t applied,
-                           catalog::expand_all(expanded, catalog_));
-    stats.pre_expansions = applied;
-    UNIFY_ASSIGN_OR_RETURN(mapping::Mapping mapping,
-                           mapper_->map(expanded, view, catalog_));
-    deployment.expanded = std::move(expanded);
-    deployment.mapping = std::move(mapping);
+  if (pinned != nullptr) {
+    deployment.expanded = request;
+    UNIFY_ASSIGN_OR_RETURN(deployment.mapping,
+                           pinned->map(request, view, catalog_));
+    return deployment;
   }
+  const mapping::DecompAwareMapper decomp(mapper_,
+                                          kMaxDecompositionCombinations);
+  UNIFY_ASSIGN_OR_RETURN(mapping::DecompResult result,
+                         decomp.map_with_decomposition(request, view,
+                                                       catalog_));
+  deployment.expanded = std::move(result.expanded);
+  deployment.mapping = std::move(result.mapping);
+  stats.decomposition_combinations = result.combinations_tried;
   return deployment;
 }
 
 Result<ResourceOrchestrator::Deployment> ResourceOrchestrator::prepare_current(
-    const sg::ServiceGraph& request, PrepareStats& stats) const {
+    const sg::ServiceGraph& request, const PinnedMapper* pinned,
+    PrepareStats& stats) const {
   const model::ViewSnapshot snap = view_.snapshot();
-  return prepare(request, snap, stats);
+  return prepare(request, snap, pinned, stats);
 }
 
 Result<std::string> ResourceOrchestrator::deploy(
     const sg::ServiceGraph& request) {
-  UNIFY_RETURN_IF_ERROR(admit(request));
-  PrepareStats stats;
-  UNIFY_ASSIGN_OR_RETURN(Deployment deployment,
-                         prepare_current(request, stats));
-  if (options_.use_decomposition) {
-    metrics_.add("ro.decomposition_combinations",
-                 stats.decomposition_combinations);
-  } else {
-    metrics_.add("ro.pre_expansions", stats.pre_expansions);
-  }
-  return commit(std::move(deployment));
+  return map_batch({request}).front();
 }
 
-std::vector<Result<std::string>> ResourceOrchestrator::map_batch(
-    const std::vector<sg::ServiceGraph>& requests, std::size_t workers) {
-  std::vector<Result<std::string>> results;
-  results.reserve(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    results.emplace_back(Error{ErrorCode::kInternal, "request not processed"});
-  }
-  if (requests.empty()) return results;
-
-  // Speculative phase: map every admissible request against one frozen
-  // snapshot of the current view in parallel on the shared pool. The
-  // snapshot pins the epoch and shares a single topology index across all
-  // workers (no per-request substrate copies); workers write disjoint
-  // slots, so the only synchronization needed is the batch join. The
-  // snapshot scope ends before the commit loop, so the strictly-sequential
-  // commits mutate the view in place instead of cloning it.
+void ResourceOrchestrator::speculate(
+    const std::vector<const sg::ServiceGraph*>& requests,
+    const PinnedMapper* pinned, const char* conflict_metric,
+    const std::function<Result<void>(std::size_t)>& gate,
+    const std::function<void(std::size_t, Result<Deployment>&&)>& settle) {
+  // Speculative phase: map every request against one frozen snapshot of
+  // the current view in parallel on the pool. The snapshot pins the epoch
+  // and shares a single topology index across all workers (no per-request
+  // substrate copies); workers write disjoint slots, so the only
+  // synchronization needed is the batch join. The snapshot scope ends
+  // before the settle loop, so the strictly-sequential settles mutate the
+  // view in place instead of cloning it.
   std::vector<std::optional<Result<Deployment>>> prepared(requests.size());
   std::vector<PrepareStats> stats(requests.size());
-  std::size_t pool_size = 0;
   {
     const model::ViewSnapshot snap = view_.snapshot();
     const mapping::SubstrateView frozen(snap);
     std::vector<std::function<void()>> tasks;
     tasks.reserve(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      if (const auto admitted = admit(requests[i]); !admitted.ok()) {
-        results[i] = admitted.error();
-        continue;
-      }
-      tasks.push_back([this, &requests, &prepared, &stats, &frozen, i] {
-        prepared[i] = prepare(requests[i], frozen, stats[i]);
+      if (requests[i] == nullptr) continue;
+      tasks.push_back([this, &requests, &prepared, &stats, &frozen, pinned, i] {
+        prepared[i] = prepare(*requests[i], frozen, pinned, stats[i]);
       });
     }
-    pool_size = pool().run_all(std::move(tasks), workers);
+    pool().run_all(std::move(tasks));
   }
 
-  // Install phase: strictly sequential, in request order. Earlier installs
+  // Settle phase: strictly sequential, in request order. Earlier settles
   // change the view, so each speculative mapping is re-validated and
-  // re-mapped on conflict (optimistic concurrency). Nothing is pushed until
-  // every survivor is installed.
-  telemetry::Registry batch_metrics;
-  batch_metrics.add("ro.batch_requests", requests.size());
-  batch_metrics.set_gauge("ro.batch_workers",
-                          static_cast<double>(pool_size));
-  batch_metrics.set_gauge("ro.batch_pool_workers",
-                          static_cast<double>(pool().workers()));
-  batch_metrics.set_gauge("ro.batch_pools_constructed",
-                          static_cast<double>(
-                              util::OrchestrationPool::constructed()));
-  std::vector<std::string> installed;
-  std::vector<std::size_t> installed_slots;
+  // re-mapped on conflict (optimistic concurrency).
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (!prepared[i].has_value()) continue;  // rejected by admit()
-    // Earlier installs may have taken this request id or its NF ids.
-    if (const auto admitted = admit(requests[i]); !admitted.ok()) {
-      results[i] = admitted.error();
-      continue;
+    if (requests[i] == nullptr) continue;
+    if (gate) {
+      if (auto admitted = gate(i); !admitted.ok()) {
+        settle(i, admitted.error());
+        continue;
+      }
     }
     Result<Deployment> outcome = std::move(*prepared[i]);
     if (outcome.ok() &&
         !mapping::verify_mapping(outcome->expanded, view_.read(), catalog_,
                                  outcome->mapping)
              .ok()) {
-      // A previous install consumed resources the speculative mapping
+      // An earlier settle consumed resources the speculative mapping
       // relies on; re-map against the current view.
-      batch_metrics.add("ro.batch_conflicts");
-      outcome = prepare_current(requests[i], stats[i]);
-      if (outcome.ok()) batch_metrics.add("ro.batch_remaps");
+      metrics_.add(conflict_metric);
+      outcome = prepare_current(*requests[i], pinned, stats[i]);
     }
-    if (!outcome.ok()) {
-      results[i] = outcome.error();
-      continue;
+    if (outcome.ok()) {
+      metrics_.add("ro.decomposition_combinations",
+                   stats[i].decomposition_combinations);
     }
-    if (options_.use_decomposition) {
-      batch_metrics.add("ro.decomposition_combinations",
-                        stats[i].decomposition_combinations);
+    settle(i, std::move(outcome));
+  }
+}
+
+std::vector<Result<std::string>> ResourceOrchestrator::map_batch(
+    const std::vector<sg::ServiceGraph>& requests, const Pins* pins) {
+  std::vector<Result<std::string>> results;
+  results.reserve(requests.size());
+  std::vector<const sg::ServiceGraph*> admitted(requests.size(), nullptr);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    results.emplace_back(Error{ErrorCode::kInternal, "request not processed"});
+    if (auto checked = admit(requests[i]); !checked.ok()) {
+      results[i] = checked.error();
     } else {
-      batch_metrics.add("ro.pre_expansions", stats[i].pre_expansions);
-    }
-    results[i] = install(std::move(outcome).value());
-    if (results[i].ok()) {
-      installed.push_back(*results[i]);
-      installed_slots.push_back(i);
+      admitted[i] = &requests[i];
     }
   }
-  metrics_.merge(batch_metrics);
+  if (requests.empty()) return results;
+  metrics_.add("ro.batch_requests", requests.size());
+
+  // Install every survivor; nothing is pushed until all of them are in.
+  std::optional<PinnedMapper> pinned;
+  if (pins != nullptr) pinned.emplace(*pins);
+  std::vector<std::string> installed;
+  std::vector<std::size_t> installed_slots;
+  speculate(
+      admitted, pinned.has_value() ? &*pinned : nullptr, "ro.batch_conflicts",
+      // Earlier installs may have taken this request id or its NF ids.
+      [&](std::size_t i) { return admit(requests[i]); },
+      [&](std::size_t i, Result<Deployment>&& outcome) {
+        results[i] = outcome.ok()
+                         ? install(std::move(outcome).value())
+                         : Result<std::string>(outcome.error());
+        if (results[i].ok()) {
+          installed.push_back(*results[i]);
+          installed_slots.push_back(i);
+        }
+      });
 
   // Group commit: one southbound fan-out for the whole batch.
   if (installed.empty()) return results;
@@ -270,30 +261,6 @@ std::vector<Result<std::string>> ResourceOrchestrator::map_batch(
     UNIFY_LOG(kInfo, "orch.ro") << name_ << ": deployed " << id;
   }
   return results;
-}
-
-Result<std::string> ResourceOrchestrator::deploy_pinned(
-    const sg::ServiceGraph& request,
-    const std::map<std::string, std::string>& pins) {
-  if (!initialized_) {
-    return Error{ErrorCode::kUnavailable, "RO not initialized"};
-  }
-  if (request.id().empty() || deployments_.count(request.id()) != 0) {
-    return Error{ErrorCode::kInvalidArgument,
-                 "bad or duplicate request id " + request.id()};
-  }
-  Deployment deployment;
-  deployment.request_id = request.id();
-  deployment.original = request;
-  deployment.expanded = request;
-  const PinnedMapper pinned(pins);
-  {
-    // Snapshot released before commit() so the install mutates in place.
-    const model::ViewSnapshot snap = view_.snapshot();
-    UNIFY_ASSIGN_OR_RETURN(deployment.mapping,
-                           pinned.map(request, snap, catalog_));
-  }
-  return commit(std::move(deployment));
 }
 
 Result<std::string> ResourceOrchestrator::install(Deployment deployment) {
@@ -330,15 +297,6 @@ Result<void> ResourceOrchestrator::push_or_roll_back(
         << name_ << ": rollback push failed: " << repush.error().to_string();
   }
   return pushed;
-}
-
-Result<std::string> ResourceOrchestrator::commit(Deployment deployment) {
-  UNIFY_ASSIGN_OR_RETURN(std::string id, install(std::move(deployment)));
-  if (const auto pushed = push_or_roll_back({id}); !pushed.ok()) {
-    return rolled_back(id, pushed.error());
-  }
-  UNIFY_LOG(kInfo, "orch.ro") << name_ << ": deployed " << id;
-  return id;
 }
 
 Result<void> ResourceOrchestrator::remove(const std::string& request_id) {
@@ -380,38 +338,38 @@ Result<void> ResourceOrchestrator::redeploy(const std::string& request_id) {
   if (it == deployments_.end()) {
     return Error{ErrorCode::kNotFound, "request " + request_id};
   }
-  const Deployment previous = it->second;
-  // Free the old placement, remap the original request on what remains.
+  const Deployment& current = it->second;
+  // Break before make: plan the new mapping on the view with the old
+  // placement released...
   UNIFY_RETURN_IF_ERROR(mapping::uninstall_mapping(
-      view_.mut(), previous.expanded, previous.mapping));
-  view_.bump(touched_domains(previous.mapping));
-  deployments_.erase(it);
-  auto redone = deploy(previous.original);
-  if (!redone.ok()) {
-    // No slice has been pushed (the failure was in mapping), so the old
-    // placement is still physically running; re-record it in the view.
-    // Forced install: the advertised capacity may have shrunk below what
-    // the running NFs consume, which is exactly the situation migration
-    // exists to resolve.
-    if (const auto back = mapping::install_mapping(
-            view_.mut(), previous.expanded, catalog_, previous.mapping,
-            /*force_placement=*/true);
-        !back.ok()) {
-      return Error{ErrorCode::kInternal,
-                   "redeploy failed AND restore failed: " +
-                       back.error().to_string() +
-                       " (original failure: " + redone.error().to_string() +
-                       ")"};
-    }
-    view_.bump(touched_domains(previous.mapping));
-    deployments_.emplace(request_id, previous);
-    return Error{redone.error().code,
+      view_.mut(), current.expanded, current.mapping));
+  view_.bump(touched_domains(current.mapping));
+  PrepareStats stats;
+  Result<Deployment> redone =
+      prepare_current(current.original, /*pinned=*/nullptr, stats);
+  // ...then put it back, so the swap starts from books that describe what
+  // runs. Forced: the advertised capacity may have shrunk below what the
+  // running NFs consume, which is exactly the situation migration exists
+  // to resolve.
+  if (const auto back = mapping::install_mapping(
+          view_.mut(), current.expanded, catalog_, current.mapping,
+          /*force_placement=*/true);
+      !back.ok()) {
+    return Error{ErrorCode::kInternal,
+                 "redeploy failed AND restore failed: " +
+                     back.error().to_string()};
+  }
+  Result<void> swapped = redone.ok()
+                             ? swap(request_id, std::move(redone).value())
+                             : Result<void>(redone.error());
+  if (!swapped.ok()) {
+    return Error{swapped.error().code,
                  "redeploy of " + request_id +
                      " failed, previous placement restored: " +
-                     redone.error().message};
+                     swapped.error().message};
   }
   metrics_.add("ro.redeploys");
-  return push_slices();
+  return swapped;
 }
 
 Result<void> ResourceOrchestrator::refresh_domain(const std::string& domain) {
@@ -468,36 +426,12 @@ std::vector<std::vector<std::size_t>> ResourceOrchestrator::exclusion_groups(
   return groups;
 }
 
-void ResourceOrchestrator::push_one(std::size_t index,
-                                    const model::Nffg& slice,
-                                    PushOutcome& outcome) const {
+Result<void> ResourceOrchestrator::push_one(std::size_t index,
+                                            const model::Nffg& slice) const {
   adapters::DomainAdapter& adapter = *adapters_[index];
-  const int max_attempts = std::max(1, options_.push.max_attempts);
-  std::int64_t backoff_us = options_.push.backoff_initial_us;
-  for (int attempt = 1;; ++attempt) {
-    outcome.attempts = attempt;
-    auto applied = [&]() -> Result<void> {
-      UNIFY_ASSIGN_OR_RETURN(const adapters::PushTicket ticket,
-                             adapter.begin_apply(slice));
-      return adapter.await(ticket);
-    }();
-    if (applied.ok()) {
-      outcome.result = Result<void>::success();
-      return;
-    }
-    const ErrorCode code = applied.error().code;
-    const bool transient =
-        code == ErrorCode::kUnavailable || code == ErrorCode::kTimeout;
-    if (!transient || attempt >= max_attempts) {
-      outcome.result = std::move(applied);
-      return;
-    }
-    if (backoff_us > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-    }
-    backoff_us = static_cast<std::int64_t>(
-        static_cast<double>(backoff_us) * options_.push.backoff_multiplier);
-  }
+  UNIFY_ASSIGN_OR_RETURN(const adapters::PushTicket ticket,
+                         adapter.begin_apply(slice));
+  return adapter.await(ticket);
 }
 
 Result<void> ResourceOrchestrator::push_slices() {
@@ -557,32 +491,29 @@ Result<void> ResourceOrchestrator::push_slices() {
   if (!dirty.empty()) {
     // Fan out: one pool task per exclusion group (adapters sharing
     // simulated machinery stay sequential within their group). Workers
-    // write only their own PushOutcome slot; everything else is folded on
+    // write only their own outcome slot; everything else is folded on
     // the caller thread after the join. The join is tasks-completed, so a
     // child RO reached through a UnifyClientAdapter can fan its own pushes
     // out on the same pool without deadlocking the parent.
     metrics_.add("ro.push.fanout", dirty.size());
     const auto groups = exclusion_groups(dirty);
-    std::vector<PushOutcome> outcomes(adapters_.size());
+    std::vector<Result<void>> outcomes(adapters_.size(),
+                                       Result<void>::success());
     std::vector<std::function<void()>> tasks;
     tasks.reserve(groups.size());
     for (std::size_t g = 0; g < groups.size(); ++g) {
       tasks.push_back([this, &groups, &slices, &outcomes, g] {
         for (const std::size_t index : groups[g]) {
-          push_one(index, *slices[index], outcomes[index]);
+          outcomes[index] = push_one(index, *slices[index]);
         }
       });
     }
     pool().run_all(std::move(tasks));
 
     MultiError failures;
-    std::uint64_t retries = 0;
     for (const std::size_t i : dirty) {
-      const PushOutcome& outcome = outcomes[i];
-      if (outcome.attempts > 1) {
-        retries += static_cast<std::uint64_t>(outcome.attempts - 1);
-      }
-      if (outcome.result.ok()) {
+      const Result<void>& outcome = outcomes[i];
+      if (outcome.ok()) {
         push_state_[i] = DomainPushState{slice_hash[i], slice_stamp[i],
                                          adapters_[i]->view_epoch(), true};
         metrics_.add("ro.slice_pushes");
@@ -590,11 +521,10 @@ Result<void> ResourceOrchestrator::push_slices() {
         // Unknown domain state (a failed apply may have landed partially):
         // never consider it clean until a push succeeds.
         push_state_[i].valid = false;
-        failures.add(adapters_[i]->domain(), outcome.result.error());
+        failures.add(adapters_[i]->domain(), outcome.error());
       }
-      note_southbound_outcome(i, outcome.result);
+      note_southbound_outcome(i, outcome);
     }
-    if (retries > 0) metrics_.add("ro.push.retries", retries);
     const auto wall = std::chrono::steady_clock::now() - wall_start;
     metrics_.summary("ro.push.wall_ms")
         .observe(std::chrono::duration<double, std::milli>(wall).count());
@@ -845,17 +775,17 @@ void ResourceOrchestrator::set_deployment_nf_status(
   }
 }
 
-Result<void> ResourceOrchestrator::heal_swap(const std::string& id,
-                                             Deployment replacement) {
+Result<void> ResourceOrchestrator::swap(const std::string& id,
+                                        Deployment replacement) {
   const auto it = deployments_.find(id);
   if (it == deployments_.end()) {
     return Error{ErrorCode::kNotFound, "request " + id};
   }
   const Deployment previous = it->second;
   replacement.sequence = previous.sequence;
-  // Break: the replacement embedding was verified against the view with the
-  // old placement still installed, so releasing the old books now and
-  // installing the replacement can only fail on internal inconsistency.
+  // Break: the replacement embedding fits the view once the old placement
+  // is released, so releasing the old books now and installing the
+  // replacement can only fail on internal inconsistency.
   UNIFY_RETURN_IF_ERROR(mapping::uninstall_mapping(
       view_.mut(), previous.expanded, previous.mapping));
   view_.bump(touched_domains(previous.mapping));
@@ -883,7 +813,7 @@ Result<void> ResourceOrchestrator::heal_swap(const std::string& id,
     it->second = previous;
     if (const auto repush = push_slices(); !repush.ok()) {
       UNIFY_LOG(kError, "orch.ro")
-          << name_ << ": heal swap rollback push failed: "
+          << name_ << ": swap rollback push failed: "
           << repush.error().to_string();
     }
     return pushed.error();
@@ -935,14 +865,6 @@ Result<ResourceOrchestrator::HealReport> ResourceOrchestrator::heal() {
   // push state — so the re-embedding below can already use its capacity.
   bool any_readmitted = false;
   for (const std::size_t i : health_.open_circuits()) {
-    if (!health_.should_probe(i)) {
-      // Still inside the exponential backoff window after earlier failed
-      // probes: skip this pass (the domain stays down and masked).
-      ++report.probes_deferred;
-      metrics_.add("ro.health.probes_deferred");
-      report.still_down.push_back(domain_names_[i]);
-      continue;
-    }
     health_.begin_probe(i);
     metrics_.add("ro.health.probes");
     if (const auto probed = adapters_[i]->probe(); probed.ok()) {
@@ -965,11 +887,6 @@ Result<ResourceOrchestrator::HealReport> ResourceOrchestrator::heal() {
   // next real push.
   for (std::size_t i = 0; i < adapters_.size(); ++i) {
     if (health_.health(i) != DomainHealth::kDegraded) continue;
-    if (!health_.should_probe(i)) {
-      ++report.probes_deferred;
-      metrics_.add("ro.health.probes_deferred");
-      continue;
-    }
     metrics_.add("ro.health.probes");
     const auto probed = adapters_[i]->probe();
     if (!probed.ok()) metrics_.add("ro.health.probe_failures");
@@ -1029,60 +946,41 @@ Result<ResourceOrchestrator::HealReport> ResourceOrchestrator::heal() {
   };
 
   // Make: map every stranded deployment's replacement against the masked
-  // view first, in parallel on the shared pool (map_batch's speculative
-  // machinery — workers read only view_/catalog_ and write disjoint
-  // slots). The old placements are still installed, so each replacement
-  // is planned against exactly the capacity the survivors really have,
-  // and NF-id collisions cannot happen: place_nf() rejects a duplicate id
-  // only on the same BiS-BiS, and the stranded hosts are masked to zero.
-  std::vector<std::optional<Result<Deployment>>> prepared(stranded.size());
-  std::vector<PrepareStats> stats(stranded.size());
-  {
-    // One frozen snapshot of the masked view for all speculative
-    // replacements; released before the sequential swaps mutate.
-    const model::ViewSnapshot snap = view_.snapshot();
-    const mapping::SubstrateView frozen(snap);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(stranded.size());
-    for (std::size_t k = 0; k < stranded.size(); ++k) {
-      const Deployment& dep = deployments_.at(stranded[k]);
-      tasks.push_back([this, &prepared, &stats, &frozen, &dep, k] {
-        prepared[k] = prepare(dep.original, frozen, stats[k]);
-      });
-    }
-    pool().run_all(std::move(tasks));
-  }
-
+  // view first, in parallel on the pool. The old placements are still
+  // installed, so each replacement is planned against exactly the capacity
+  // the survivors really have, and NF-id collisions cannot happen:
+  // place_nf() rejects a duplicate id only on the same BiS-BiS, and the
+  // stranded hosts are masked to zero.
   // Break: strictly sequential swaps in submission order. Earlier swaps
   // consume survivor capacity, so each speculative mapping is re-verified
   // against the current view and re-mapped on conflict before the old
   // placement is released. On any failure the old books stay untouched
   // and the service goes degraded.
-  for (std::size_t k = 0; k < stranded.size(); ++k) {
-    const std::string& id = stranded[k];
-    Result<Deployment> outcome = std::move(*prepared[k]);
-    if (outcome.ok() &&
-        !mapping::verify_mapping(outcome->expanded, view_.read(), catalog_,
-                                 outcome->mapping)
-             .ok()) {
-      metrics_.add("ro.health.heal_remaps");
-      outcome = prepare_current(deployments_.at(id).original, stats[k]);
-    }
-    if (outcome.ok()) {
-      if (const auto swapped = heal_swap(id, std::move(outcome).value());
-          swapped.ok()) {
+  std::vector<const sg::ServiceGraph*> originals;
+  originals.reserve(stranded.size());
+  for (const std::string& id : stranded) {
+    originals.push_back(&deployments_.at(id).original);
+  }
+  speculate(
+      originals, /*pinned=*/nullptr, "ro.health.heal_remaps", /*gate=*/{},
+      [&](std::size_t k, Result<Deployment>&& outcome) {
+        const std::string& id = stranded[k];
+        if (outcome.ok()) {
+          if (auto swapped = swap(id, std::move(outcome).value());
+              !swapped.ok()) {
+            outcome = swapped.error();
+          }
+        }
+        if (!outcome.ok()) {
+          mark_degraded(id, outcome.error());
+          return;
+        }
         const auto healed = deployments_.find(id);
         healed->second.degraded = false;
         healed->second.degraded_reason.clear();
         metrics_.add("ro.health.heals");
         report.healed.push_back(id);
-        continue;
-      } else {
-        outcome = swapped.error();
-      }
-    }
-    mark_degraded(id, outcome.error());
-  }
+      });
 
   // Phase 3: push readmitted domains back to a byte-consistent slice.
   if (any_readmitted) {

@@ -4,11 +4,14 @@
 // (native technology domains or child UNIFY domains via the Unify RPC
 // client — it cannot tell the difference, which is the point), maintains
 // the merged multi-domain resource view, maps service graphs onto it with a
-// pluggable embedding algorithm (optionally decomposition-aware), splits
-// the resulting configuration per domain and pushes each slice south.
+// pluggable embedding algorithm (decomposition-aware), splits the resulting
+// configuration per domain and pushes each slice south. Every embedding is
+// committed through map_batch() and every replacement of a live deployment
+// through one swap.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -35,35 +38,14 @@ class OrchestrationPool;
 
 namespace unify::core {
 
-/// Southbound per-domain retry policy. The knobs are per-RO; the defaults
-/// reproduce a plain attempt-once push. The fan-out is as wide as the
-/// RO's pool, and a domain whose slice is byte-identical to its last
-/// acknowledged push at an unchanged adapter view_epoch() is skipped.
-struct PushPolicy {
-  /// Total tries per domain per fan-out. Retries happen only on
-  /// kUnavailable/kTimeout (transient transport faults); rejections and
-  /// semantic errors surface immediately.
-  int max_attempts = 1;
-  /// Host-time sleep before the first retry; doubles (times
-  /// backoff_multiplier) on each further one.
-  std::int64_t backoff_initial_us = 200;
-  double backoff_multiplier = 2.0;
-};
-
 struct RoOptions {
-  /// Enumerate NF decompositions during mapping (paper showcase iii).
-  bool use_decomposition = true;
-  std::size_t max_decomposition_combinations = 32;
   /// Worker pool for batch mapping and the southbound push fan-out;
   /// nullptr selects the shared process-scoped pool
   /// (util::OrchestrationPool::process_pool()). One pool serves every RO
   /// and service layer in the process — inject a private instance only
-  /// for isolation in tests (a one-worker pool pushes strictly
-  /// sequentially in domain order).
+  /// for isolation in tests (a one-worker pool maps and pushes strictly
+  /// sequentially, in request and domain order, on the caller thread).
   util::OrchestrationPool* pool = nullptr;
-  PushPolicy push;
-  /// Per-domain circuit breaking (DESIGN.md §10).
-  HealthPolicy health;
 };
 
 class ResourceOrchestrator {
@@ -107,48 +89,48 @@ class ResourceOrchestrator {
     std::string degraded_reason;
   };
 
-  /// Maps and deploys a service graph. On success the placement is pushed
-  /// to every affected domain and recorded under the returned request id
-  /// (the service graph's id). Fails without side effects when mapping is
-  /// infeasible; a domain-push failure after successful mapping is
-  /// reported and the global view keeps the accepted state of the
-  /// domains that succeeded.
+  /// Maps and deploys one service graph: map_batch({request}).front().
+  /// On success the placement is pushed to every affected domain and
+  /// recorded under the returned request id (the service graph's id).
+  /// Fails without side effects when admission or mapping fails; a failed
+  /// push rolls the deployment back ("deployment <id> rolled back: ...").
   Result<std::string> deploy(const sg::ServiceGraph& request);
 
-  /// Maps a batch of service graphs concurrently, then deploys them as one
-  /// transaction with one southbound fan-out.
+  /// NF id -> BiS-BiS id placements decided above this RO (a full-view
+  /// client did the embedding).
+  using Pins = std::map<std::string, std::string>;
+
+  /// The RO's one embed-and-commit path: maps a batch of service graphs
+  /// concurrently, then deploys them as one transaction with one
+  /// southbound fan-out.
   ///
   /// Embedding is the expensive phase and reads only the (unchanging)
-  /// global view, so every request is mapped speculatively in parallel on
-  /// the shared OrchestrationPool (`workers` caps this batch's parallelism;
-  /// 0 = the pool's full width; 1 runs inline), each worker running the
-  /// mapper on its own substrate copy. Installs then happen strictly
-  /// sequentially in request order: each speculative mapping is
-  /// re-validated against the view as left by the earlier installs, and
-  /// re-mapped on the spot when the validation detects a resource
-  /// conflict. The survivors are pushed south together, once. When that
-  /// push fails, every request installed by this batch is rolled back (in
-  /// reverse order, then re-pushed) and each of their slots carries the
-  /// push error as "deployment <id> rolled back: ...". The mappings and
-  /// the final view are deterministic (independent of thread scheduling)
-  /// and match the equivalent sequential deploy() loop whenever the
-  /// requests do not contend for the same substrate resources; the
-  /// sequence of pushes does not (one fan-out instead of one per request).
+  /// global view, so every admitted request is mapped speculatively in
+  /// parallel on the RO's pool against one frozen snapshot. Installs then
+  /// happen strictly sequentially in request order: each speculative
+  /// mapping is re-validated against the view as left by the earlier
+  /// installs, and re-mapped on the spot when the validation detects a
+  /// resource conflict. The survivors are pushed south together, once.
+  /// When that push fails, every request installed by this batch is rolled
+  /// back (in reverse order, then re-pushed) and each of their slots
+  /// carries the push error as "deployment <id> rolled back: ...". The
+  /// mappings and the final view are deterministic (independent of thread
+  /// scheduling) and match the equivalent sequential deploy() loop
+  /// whenever the requests do not contend for the same substrate
+  /// resources; the sequence of pushes does not (one fan-out instead of
+  /// one per request).
+  ///
+  /// With `pins`, every request is mapped by PinnedMapper: NF hosts come
+  /// from the map, only links are routed, no decomposition is applied.
   ///
   /// Returns one Result per request, index-aligned with `requests`.
   std::vector<Result<std::string>> map_batch(
-      const std::vector<sg::ServiceGraph>& requests, std::size_t workers = 0);
+      const std::vector<sg::ServiceGraph>& requests,
+      const Pins* pins = nullptr);
 
   /// The worker pool batch mapping runs on (shared process pool unless one
   /// was injected through RoOptions).
   [[nodiscard]] util::OrchestrationPool& pool() const noexcept;
-
-  /// Deploys with placements fixed by the caller (full-view client did the
-  /// embedding): NF hosts come from `pins`, only links are routed, no
-  /// decomposition is applied.
-  Result<std::string> deploy_pinned(
-      const sg::ServiceGraph& request,
-      const std::map<std::string, std::string>& pins);
 
   /// Tears a deployment down everywhere and releases its resources:
   /// remove_batch({request_id})[0].
@@ -166,8 +148,11 @@ class ResourceOrchestrator {
 
   /// Re-maps a live deployment onto the current view (break-before-make
   /// migration, the paper's "migration between technologies"): useful
-  /// after capacities changed or other services freed resources. Restores
-  /// the previous placement when the new mapping fails.
+  /// after capacities changed or other services freed resources. The new
+  /// mapping is planned with the old placement released, then committed
+  /// through the same swap heal() uses. When mapping or the push fails,
+  /// the previous placement is restored in the view, the books and the
+  /// domains.
   Result<void> redeploy(const std::string& request_id);
 
   /// Re-fetches one domain's view and refreshes the capacities and
@@ -213,9 +198,6 @@ class ResourceOrchestrator {
     std::vector<std::string> healed;      ///< requests re-embedded onto survivors
     std::vector<std::string> degraded;    ///< requests that could not be re-placed
     std::vector<std::string> recovered;   ///< degraded requests whose domain returned
-    /// Probes skipped this pass because the domain is still inside its
-    /// exponential backoff window (HealthPolicy::probe_backoff_initial).
-    std::uint64_t probes_deferred = 0;
     /// Failure of the final readmission resync, if any (the heal itself
     /// still counts: placements and health state are already updated).
     std::optional<Error> resync_error;
@@ -228,8 +210,8 @@ class ResourceOrchestrator {
   /// deployments in submission order and re-embed every one with an NF or
   /// routed link on a still-down domain, make-before-break: the
   /// replacement is mapped speculatively against the masked view first —
-  /// in parallel on the shared pool, reusing the map_batch machinery — and
-  /// the old placement is released only after its replacement embedding
+  /// in parallel on the pool, through the same speculate() map_batch uses —
+  /// and the old placement is released only after its replacement embedding
   /// verified, so a heal pass never reduces the placed-service count and
   /// never dips substrate capacity below what the survivors need. Requests
   /// that cannot be re-placed are marked degraded — kept, not torn down,
@@ -259,30 +241,41 @@ class ResourceOrchestrator {
   /// the (single-threaded) caller so prepare() can run on worker threads.
   struct PrepareStats {
     std::uint64_t decomposition_combinations = 0;
-    std::uint64_t pre_expansions = 0;
   };
 
   /// Admission checks with no side effects: id set and unused, graph
   /// structurally valid, NF ids free in `view`.
   Result<void> admit(const sg::ServiceGraph& request) const;
-  /// The pure mapping phase of deploy(): expansion/decomposition plus
-  /// embedding against `view` (an Nffg or an epoch-frozen ViewSnapshot —
-  /// speculative batch workers pass the latter so every worker shares one
-  /// immutable view and topology index). Thread-safe (const, touches no
-  /// RO state).
+  /// The pure mapping phase: decomposition-aware embedding against `view`
+  /// (an Nffg or an epoch-frozen ViewSnapshot — speculative workers pass
+  /// the latter so every worker shares one immutable view and topology
+  /// index), or, with `pinned`, the pinned placement of the request as
+  /// written. Thread-safe (const, touches no RO state).
   Result<Deployment> prepare(const sg::ServiceGraph& request,
                              const mapping::SubstrateView& view,
+                             const PinnedMapper* pinned,
                              PrepareStats& stats) const;
   /// prepare() against a snapshot of the current view; the snapshot is
-  /// released before returning, so a commit right after mutates the view
-  /// in place instead of triggering a copy-on-write clone.
+  /// released before returning, so an install right after mutates the
+  /// view in place instead of triggering a copy-on-write clone.
   Result<Deployment> prepare_current(const sg::ServiceGraph& request,
+                                     const PinnedMapper* pinned,
                                      PrepareStats& stats) const;
+  /// The speculative half of map_batch() and heal(). Maps every non-null
+  /// requests[i] against one frozen snapshot of the current view in
+  /// parallel on the pool. Then, strictly in index order, it re-checks the
+  /// request with `gate` (when set), verifies the speculative mapping
+  /// against the view as earlier settles left it (re-mapping on conflict,
+  /// counted under `conflict_metric`) and hands the outcome to
+  /// `settle(i, outcome)` before it looks at the next request.
+  void speculate(
+      const std::vector<const sg::ServiceGraph*>& requests,
+      const PinnedMapper* pinned, const char* conflict_metric,
+      const std::function<Result<void>(std::size_t)>& gate,
+      const std::function<void(std::size_t, Result<Deployment>&&)>& settle);
   /// Materializes a mapped deployment into the view (stamping the shards
   /// it touches) and the books, without pushing. Returns the request id.
   Result<std::string> install(Deployment deployment);
-  /// install() plus push_or_roll_back() for a single deployment.
-  Result<std::string> commit(Deployment deployment);
   /// The push half of a commit: one push_slices() fan-out. When it fails,
   /// uninstalls every deployment of `installed` (in reverse order), re-pushes
   /// so domains that already accepted their slice converge back, and
@@ -305,18 +298,10 @@ class ResourceOrchestrator {
     bool valid = false;
   };
 
-  /// Outcome of one domain's push task, filled in by a pool worker.
-  /// Workers write only their own slot; the caller folds after the join.
-  struct PushOutcome {
-    Result<void> result = Result<void>::success();
-    int attempts = 0;
-  };
-
-  /// Pushes `slice` to adapters_[index] with the configured retry policy
-  /// (transient kUnavailable/kTimeout errors only). Runs on pool workers:
-  /// touches the adapter and `outcome`, nothing else on the RO.
-  void push_one(std::size_t index, const model::Nffg& slice,
-                PushOutcome& outcome) const;
+  /// Pushes `slice` to adapters_[index], once (wire-level retry belongs
+  /// to the transport's resilient session). Runs on pool workers: touches
+  /// the adapter, nothing on the RO.
+  Result<void> push_one(std::size_t index, const model::Nffg& slice) const;
 
   /// The southbound fan-out: splits the view per domain, skips clean
   /// domains, groups the rest by adapters' exclusion_key() (adapters
@@ -367,13 +352,14 @@ class ResourceOrchestrator {
   /// from flaky domains. Called after every health observation/transition.
   void refresh_health_penalties();
 
-  /// Make-before-break swap: atomically (w.r.t. the books) replaces the
-  /// deployment `id` with `replacement`, whose mapping was already verified
-  /// against the current view with the old placement still installed. The
-  /// old placement is uninstalled, the replacement installed and pushed; on
-  /// any failure the old placement and books are restored. Preserves the
-  /// deployment's submission sequence.
-  Result<void> heal_swap(const std::string& id, Deployment replacement);
+  /// The RO's one replace path (heal() and redeploy()): atomically (w.r.t.
+  /// the books) replaces the deployment `id` with `replacement`, whose
+  /// mapping fits the current view once the old placement is released.
+  /// The old placement is uninstalled, the replacement installed and
+  /// pushed; on any failure the old placement and books are restored (and
+  /// re-pushed after a failed push). Preserves the deployment's submission
+  /// sequence.
+  Result<void> swap(const std::string& id, Deployment replacement);
 
   /// Domains whose slice can change when `mapping` is installed or
   /// uninstalled: the domains of every NF host plus both endpoint domains

@@ -335,10 +335,10 @@ Result<void> Virtualizer::edit_config(const model::Nffg& desired) {
 
   // --- 5. deploy every component as one service. Components are built
   // first and then handed to the RO as one wave: map_batch embeds them in
-  // parallel on the shared pool (a one-component wave runs inline on the
-  // caller) and commits sequentially in component order, so the result is
-  // identical to a per-component deploy loop while the expensive mapping
-  // phase overlaps.
+  // parallel on the pool (a one-component wave runs inline on the caller),
+  // installs them sequentially in component order and pushes the wave
+  // south once. A full-view client already did the embedding, so its
+  // components carry the client's placements as pins.
   std::set<int> components;
   for (const auto& [c, links] : links_by_component) components.insert(c);
   for (const auto& [c, nfs] : nfs_by_component) components.insert(c);
@@ -392,20 +392,10 @@ Result<void> Virtualizer::edit_config(const model::Nffg& desired) {
     sub_services.push_back(std::move(service));
   }
 
-  if (policy_ == ViewPolicy::kFull) {
-    // Pinned deployments carry the client's placements; no batch API (the
-    // client already did the expensive embedding), deploy sequentially.
-    for (std::size_t i = 0; i < subs.size(); ++i) {
-      const auto pinned = ro_->deploy_pinned(subs[i], incoming.pinned_hosts);
-      if (!pinned.ok()) {
-        next_request_ = first_request + static_cast<int>(i);
-        return pinned.error();
-      }
-      services_.emplace(sub_services[i].ro_request,
-                        std::move(sub_services[i]));
-    }
-  } else if (!subs.empty()) {
-    const std::vector<Result<std::string>> deployed = ro_->map_batch(subs);
+  if (!subs.empty()) {
+    const std::vector<Result<std::string>> deployed = ro_->map_batch(
+        subs,
+        policy_ == ViewPolicy::kFull ? &incoming.pinned_hosts : nullptr);
     std::optional<Error> first_failure;
     for (std::size_t i = 0; i < deployed.size(); ++i) {
       if (deployed[i].ok()) continue;

@@ -6,7 +6,6 @@
 #include "adapters/emu_adapter.h"
 #include "adapters/pox_controller.h"
 #include "adapters/remote_sdn_adapter.h"
-#include "adapters/sdn_adapter.h"
 #include "adapters/un_adapter.h"
 #include "mapping/chain_dp_mapper.h"
 
@@ -25,7 +24,7 @@ void register_endpoint(Fig1Stack& stack, const std::string& sap,
 
 }  // namespace
 
-Result<std::unique_ptr<Fig1Stack>> make_fig1_stack(Fig1Options options) {
+Result<std::unique_ptr<Fig1Stack>> make_fig1_stack() {
   auto stack = std::make_unique<Fig1Stack>();
   SimClock& clock = stack->clock;
 
@@ -62,17 +61,11 @@ Result<std::unique_ptr<Fig1Stack>> make_fig1_stack(Fig1Options options) {
 
   // ---- Adapters
   auto emu_adapter = std::make_unique<adapters::EmuAdapter>(emu);
-  std::unique_ptr<adapters::DomainAdapter> sdn_adapter;
-  if (options.remote_pox) {
-    auto [north, south] = proto::make_channel_pair(clock, 150);
-    auto controller = std::make_shared<adapters::PoxController>(sdn, south);
-    auto remote =
-        std::make_unique<adapters::RemoteSdnAdapter>("sdn", north);
-    remote->keep_alive(std::move(controller));
-    sdn_adapter = std::move(remote);
-  } else {
-    sdn_adapter = std::make_unique<adapters::SdnAdapter>(sdn);
-  }
+  auto [north, south] = proto::make_channel_pair(clock, 150);
+  auto controller = std::make_shared<adapters::PoxController>(sdn, south);
+  auto sdn_adapter =
+      std::make_unique<adapters::RemoteSdnAdapter>("sdn", north);
+  sdn_adapter->keep_alive(std::move(controller));
   auto cloud_adapter = std::make_unique<adapters::CloudAdapter>(cloud);
   cloud_adapter->map_sap(0, "xp-sdn-dc", {10000, 0.3});
   cloud_adapter->map_sap(1, "sap2", {10000, 0.1});
@@ -81,13 +74,9 @@ Result<std::unique_ptr<Fig1Stack>> make_fig1_stack(Fig1Options options) {
   un_adapter->map_sap(1, "sap3", {10000, 0.1});
 
   // ---- Resource orchestrator + virtualizer + service layer
-  if (options.mapper == nullptr) {
-    options.mapper = std::make_shared<mapping::ChainDpMapper>();
-  }
-  core::RoOptions ro_options;
-  ro_options.use_decomposition = options.use_decomposition;
   stack->ro = std::make_unique<core::ResourceOrchestrator>(
-      "ro", options.mapper, catalog::default_catalog(), ro_options);
+      "ro", std::make_shared<mapping::ChainDpMapper>(),
+      catalog::default_catalog());
   UNIFY_RETURN_IF_ERROR(stack->ro->add_domain(std::move(emu_adapter)));
   UNIFY_RETURN_IF_ERROR(stack->ro->add_domain(std::move(sdn_adapter)));
   UNIFY_RETURN_IF_ERROR(stack->ro->add_domain(std::move(cloud_adapter)));
@@ -97,8 +86,7 @@ Result<std::unique_ptr<Fig1Stack>> make_fig1_stack(Fig1Options options) {
   stack->virtualizer = std::make_unique<core::Virtualizer>(
       *stack->ro, core::ViewPolicy::kSingleBisBis);
   stack->service_layer = std::make_unique<ServiceLayer>(core::make_unify_link(
-      *stack->virtualizer, clock, "ro-north",
-      options.unify_channel_latency_us));
+      *stack->virtualizer, clock, "ro-north"));
 
   // ---- Endpoint registry for the cross-domain tracer.
   register_endpoint(*stack, "sap1", &emu.fabric(), "sap1");

@@ -28,15 +28,6 @@
 
 namespace unify::service {
 
-struct Fig1Options {
-  std::shared_ptr<const mapping::Mapper> mapper;  ///< default: chain-dp
-  bool use_decomposition = true;
-  SimTime unify_channel_latency_us = 200;
-  /// Reach the OpenFlow domain through a PoxController over a framed RPC
-  /// channel (the paper's setup) instead of the in-process adapter.
-  bool remote_pox = true;
-};
-
 /// The assembled stack. Topology:
 ///
 ///   sap1 - [emu: s1 - s2] =xp-emu-sdn= [sdn: t1 - t2 - t3]
@@ -65,9 +56,10 @@ struct Fig1Stack {
 };
 
 /// Builds and initializes the full stack (RO view merged, service layer
-/// connected over the Unify channel).
-[[nodiscard]] Result<std::unique_ptr<Fig1Stack>> make_fig1_stack(
-    Fig1Options options = {});
+/// connected over the Unify channel): chain-DP mapping with NF
+/// decomposition, and the OpenFlow domain reached through a PoxController
+/// over a framed RPC channel (the paper's setup).
+[[nodiscard]] Result<std::unique_ptr<Fig1Stack>> make_fig1_stack();
 
 /// One hop of a cross-domain trace.
 struct TraceStep {

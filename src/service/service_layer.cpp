@@ -25,6 +25,11 @@ const char* to_string(RequestState state) noexcept {
 }
 
 namespace {
+/// After this many consecutive transient push/fetch failures against the
+/// client, submit_batch() probes the layer below before committing a wave
+/// and rejects the batch up front when the probe fails.
+constexpr int kClientSuspectAfter = 2;
+
 /// A request that still owns southbound resources: its config must stay in
 /// every push (degraded services are kept running wherever they still run,
 /// never torn down by a reconciliation push).
@@ -296,10 +301,11 @@ std::vector<Result<std::string>> ServiceLayer::submit_batch(
   };
   if (admitted_count == 0) return finish();
 
-  // The layer below has been failing transiently: one cheap probe decides
-  // whether to commit the wave at all. Rejecting up front is much cheaper
-  // than pushing a doomed merged config and unwinding it per request.
-  if (client_suspect_after_ > 0 && client_failures_ >= client_suspect_after_) {
+  // The layer below has been failing transiently (kClientSuspectAfter
+  // consecutive push/fetch failures): one cheap probe decides whether to
+  // commit the wave at all. Rejecting up front is much cheaper than
+  // pushing a doomed merged config and unwinding it per request.
+  if (client_failures_ >= kClientSuspectAfter) {
     metrics_.add("service.health.probes");
     if (const auto probed = client_->probe(); !probed.ok()) {
       metrics_.add("service.health.batches_rejected");

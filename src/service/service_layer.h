@@ -227,14 +227,6 @@ class ServiceLayer {
   /// otherwise read as healthy). Returns the ids currently degraded.
   Result<std::vector<std::string>> sync_health();
 
-  /// After this many consecutive transient push/fetch failures against the
-  /// client, submit_batch() probes the layer below before committing a
-  /// wave and rejects the batch up front when the probe fails (cheaper
-  /// than pushing a doomed wave and unwinding it). 0 disables.
-  void set_client_suspect_after(int failures) noexcept {
-    client_suspect_after_ = failures;
-  }
-
   /// Batch/deployment counters (service.batch.*).
   [[nodiscard]] telemetry::Registry& metrics() noexcept { return metrics_; }
 
@@ -295,7 +287,6 @@ class ServiceLayer {
   /// Consecutive transient push failures against client_ (reset on any
   /// successful push); drives the pre-batch suspect probe.
   int client_failures_ = 0;
-  int client_suspect_after_ = 2;
   // -- admission lifecycle ------------------------------------------------
   AdmissionPolicy admission_;
   AdmissionQueue queue_{admission_.queue_capacity};

@@ -1,5 +1,6 @@
 #include "util/orchestration_pool.h"
 
+#include <algorithm>
 #include <memory>
 
 namespace unify::util {
@@ -88,16 +89,14 @@ void OrchestrationPool::run_batch_tasks(Batch& batch) {
   }
 }
 
-std::size_t OrchestrationPool::run_all(std::vector<std::function<void()>> tasks,
-                                       std::size_t max_parallel) {
+std::size_t OrchestrationPool::run_all(
+    std::vector<std::function<void()>> tasks) {
   const std::size_t n = tasks.size();
   if (n == 0) return 0;
   batches_.fetch_add(1, std::memory_order_relaxed);
   tasks_.fetch_add(n, std::memory_order_relaxed);
 
-  std::size_t runners = workers_;
-  if (max_parallel != 0 && max_parallel < runners) runners = max_parallel;
-  if (runners > n) runners = n;
+  const std::size_t runners = std::min(workers_, n);
   if (runners <= 1) {
     for (auto& task : tasks) task();
     return 1;

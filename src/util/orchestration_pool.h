@@ -47,12 +47,10 @@ class OrchestrationPool {
 
   /// Runs every task and blocks until all of them completed. Safe to call
   /// from several threads concurrently; each call waits only for its own
-  /// tasks. `max_parallel` caps the number of tasks of THIS batch in
-  /// flight at once (0 = pool size); 1 runs the batch inline on the
-  /// calling thread without touching the pool. Returns the number of
-  /// runners actually used (1 when run inline).
-  std::size_t run_all(std::vector<std::function<void()>> tasks,
-                      std::size_t max_parallel = 0);
+  /// tasks. A one-task batch, or any batch on a one-worker pool, runs
+  /// inline on the calling thread without touching the helper threads.
+  /// Returns the number of runners actually used (1 when run inline).
+  std::size_t run_all(std::vector<std::function<void()>> tasks);
 
   /// Configured worker count (threads may not be spawned yet).
   [[nodiscard]] std::size_t workers() const noexcept { return workers_; }

@@ -86,67 +86,6 @@ TEST(HealthManager, ObservationsAgainstOpenCircuitDoNotDoubleCount) {
   EXPECT_EQ(m.record(0).circuit_opens, 1u);
 }
 
-TEST(HealthManager, ProbeBackoffEscalatesCapsAndResets) {
-  HealthPolicy policy;
-  policy.probe_backoff_initial = 1;
-  policy.probe_backoff_multiplier = 2.0;
-  policy.probe_backoff_cap = 4;
-  HealthManager m = make_manager(policy);
-  const Error err{kUnavailable, "flap"};
-
-  // First transient failure arms a 1-pass cooldown: skip one heal pass,
-  // then due again.
-  EXPECT_FALSE(m.record_failure(0, err));
-  EXPECT_EQ(m.health(0), DomainHealth::kDegraded);
-  EXPECT_FALSE(m.should_probe(0));
-  EXPECT_TRUE(m.should_probe(0));
-
-  // A success while degraded resets the ladder entirely.
-  m.record_success(0);
-  EXPECT_EQ(m.record(0).probe_backoff, 0);
-  EXPECT_TRUE(m.should_probe(0));
-
-  // Trip the breaker, then fail probes: each failure doubles the window
-  // up to the cap.
-  ASSERT_TRUE(m.open_circuit(0, "dead"));
-  m.begin_probe(0);
-  m.probe_failed(0, err);  // backoff 1
-  EXPECT_FALSE(m.should_probe(0));
-  EXPECT_TRUE(m.should_probe(0));
-  m.begin_probe(0);
-  m.probe_failed(0, err);  // backoff 2
-  EXPECT_FALSE(m.should_probe(0));
-  EXPECT_FALSE(m.should_probe(0));
-  EXPECT_TRUE(m.should_probe(0));
-  m.begin_probe(0);
-  m.probe_failed(0, err);  // backoff 4
-  m.begin_probe(0);
-  m.probe_failed(0, err);  // capped: stays 4
-  EXPECT_EQ(m.record(0).probe_backoff, 4);
-  for (int i = 0; i < 4; ++i) EXPECT_FALSE(m.should_probe(0));
-  EXPECT_TRUE(m.should_probe(0));
-
-  // Readmission (close_circuit) wipes the history.
-  m.begin_probe(0);
-  m.close_circuit(0);
-  EXPECT_EQ(m.record(0).probe_backoff, 0);
-  EXPECT_TRUE(m.should_probe(0));
-
-  // The untouched domain never defers.
-  EXPECT_TRUE(m.should_probe(1));
-}
-
-TEST(HealthManager, ProbeBackoffDisabledByDefault) {
-  HealthManager m = make_manager();  // probe_backoff_initial == 0
-  const Error err{kUnavailable, "flap"};
-  (void)m.record_failure(0, err);
-  m.probe_failed(0, err);
-  // Historical behaviour: a probe on every heal pass.
-  EXPECT_TRUE(m.should_probe(0));
-  EXPECT_TRUE(m.should_probe(0));
-  EXPECT_EQ(m.record(0).probe_backoff, 0);
-}
-
 TEST(HealthManager, DisabledPolicyNeverOpensPassively) {
   HealthPolicy policy;
   policy.enabled = false;
@@ -217,11 +156,11 @@ struct LineStack {
   std::vector<adapters::FaultyAdapter*> faults;
 };
 
-LineStack make_line_ro(std::size_t n, RoOptions options = {}) {
+LineStack make_line_ro(std::size_t n) {
   LineStack stack;
   stack.ro = std::make_unique<ResourceOrchestrator>(
       "ro", std::make_shared<mapping::ChainDpMapper>(),
-      catalog::default_catalog(), options);
+      catalog::default_catalog());
   for (std::size_t i = 0; i < n; ++i) {
     auto counting = std::make_unique<CountingAdapter>(
         "d" + std::to_string(i), line_domain_view(i, n));
@@ -294,10 +233,9 @@ TEST(DomainHealth, KillADomainHealsRecoverableAndDegradesStranded) {
   LineStack stack = make_line_ro(3);
   // "rec": SAPs on the survivors, NF pinned onto bb0 — recoverable once
   // bb0 dies because only its NF (not an endpoint) lives there.
-  ASSERT_TRUE(stack.ro
-                  ->deploy_pinned(span_chain("rec", 1, 2, "nat"),
-                                  {{"nat0", "bb0"}})
-                  .ok());
+  const ResourceOrchestrator::Pins pins{{"nat0", "bb0"}};
+  ASSERT_TRUE(
+      stack.ro->map_batch({span_chain("rec", 1, 2, "nat")}, &pins)[0].ok());
   // "unrec": endpoint SAP sap0 is wired to bb0 — unrecoverable while d0
   // is down, whatever host its NF got.
   ASSERT_TRUE(stack.ro->deploy(span_chain("unrec", 0, 1, "dpi")).ok());

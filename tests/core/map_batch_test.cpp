@@ -10,6 +10,7 @@
 #include "mapping/chain_dp_mapper.h"
 #include "model/nffg_builder.h"
 #include "service/service_layer.h"
+#include "util/orchestration_pool.h"
 
 namespace unify::core {
 namespace {
@@ -56,12 +57,16 @@ model::Nffg domain_view(const std::string& bb, const std::string& sap,
 }
 
 /// Two stitched domains d1/d2; `adapters`, when given, receives borrowed
-/// pointers to their adapters (owned by the returned RO).
+/// pointers to their adapters (owned by the returned RO). `pool` (which
+/// must outlive the RO) replaces the process pool.
 std::unique_ptr<ResourceOrchestrator> two_domain_ro(
-    std::vector<FakeAdapter*>* adapters = nullptr) {
+    std::vector<FakeAdapter*>* adapters = nullptr,
+    util::OrchestrationPool* pool = nullptr) {
+  RoOptions options;
+  options.pool = pool;
   auto ro = std::make_unique<ResourceOrchestrator>(
       "ro", std::make_shared<mapping::ChainDpMapper>(),
-      catalog::default_catalog());
+      catalog::default_catalog(), options);
   for (const auto& [domain, bb, sap] :
        {std::tuple{"d1", "bb1", "sap1"}, std::tuple{"d2", "bb2", "sap2"}}) {
     auto adapter =
@@ -97,8 +102,9 @@ TEST(MapBatch, MatchesSequentialDeployOnIndependentRequests) {
     ASSERT_TRUE(result.ok()) << result.error().to_string();
   }
 
-  auto batched = two_domain_ro();
-  const auto results = batched->map_batch(requests, 4);
+  util::OrchestrationPool pool(4);
+  auto batched = two_domain_ro(nullptr, &pool);
+  const auto results = batched->map_batch(requests);
   ASSERT_EQ(results.size(), requests.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     ASSERT_TRUE(results[i].ok()) << i << ": " << results[i].error().to_string();
@@ -123,9 +129,10 @@ TEST(MapBatch, ResolvesResourceConflictsDeterministically) {
   // snapshot, commits 2..4 hit the verifier and fail their re-map.
   const auto requests = independent_requests(4, 6000);
 
-  const auto run = [&requests] {
-    auto ro = two_domain_ro();
-    auto results = ro->map_batch(requests, 4);
+  util::OrchestrationPool pool(4);
+  const auto run = [&requests, &pool] {
+    auto ro = two_domain_ro(nullptr, &pool);
+    auto results = ro->map_batch(requests);
     return std::make_pair(std::move(results),
                           ro->metrics().counter("ro.batch_conflicts"));
   };
@@ -153,7 +160,7 @@ TEST(MapBatch, ReportsPerRequestErrorsWithoutPoisoningTheBatch) {
   auto requests = independent_requests(3, 10);
   requests[1] = sg::ServiceGraph{""};  // inadmissible: empty id
 
-  const auto results = ro->map_batch(requests, 2);
+  const auto results = ro->map_batch(requests);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_TRUE(results[0].ok());
   EXPECT_FALSE(results[1].ok());
@@ -162,11 +169,12 @@ TEST(MapBatch, ReportsPerRequestErrorsWithoutPoisoningTheBatch) {
 }
 
 TEST(MapBatch, EmptyBatchAndSingleWorkerDegenerateCases) {
-  auto ro = two_domain_ro();
-  EXPECT_TRUE(ro->map_batch({}, 4).empty());
+  util::OrchestrationPool sequential(1);
+  auto ro = two_domain_ro(nullptr, &sequential);
+  EXPECT_TRUE(ro->map_batch({}).empty());
 
   const auto requests = independent_requests(3, 10);
-  const auto results = ro->map_batch(requests, 1);  // sequential pool
+  const auto results = ro->map_batch(requests);
   for (const auto& result : results) {
     EXPECT_TRUE(result.ok());
   }
@@ -176,9 +184,10 @@ TEST(MapBatch, EmptyBatchAndSingleWorkerDegenerateCases) {
 /// minimal on purpose — the point is exercising the concurrent speculative
 /// phase (shared const view, per-slot writes) under the race detector.
 TEST(MapBatch, ConcurrentSpeculationIsRaceFree) {
-  auto ro = two_domain_ro();
+  util::OrchestrationPool pool(8);
+  auto ro = two_domain_ro(nullptr, &pool);
   const auto requests = independent_requests(16, 5);
-  const auto results = ro->map_batch(requests, 8);
+  const auto results = ro->map_batch(requests);
   ASSERT_EQ(results.size(), 16u);
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_TRUE(results[i].ok()) << i << ": "
@@ -192,7 +201,7 @@ TEST(MapBatch, OneFanOutPerBatch) {
   auto ro = two_domain_ro(&adapters);
   const auto fanout = ro->metrics().counter("ro.push.fanout");
 
-  const auto results = ro->map_batch(independent_requests(8, 10), 4);
+  const auto results = ro->map_batch(independent_requests(8, 10));
   for (std::size_t i = 0; i < results.size(); ++i) {
     ASSERT_TRUE(results[i].ok()) << i << ": "
                                  << results[i].error().to_string();
@@ -214,7 +223,7 @@ TEST(MapBatch, FailedGroupPushRollsBackTheWholeBatch) {
 
   auto requests = independent_requests(6, 10);
   requests[2] = sg::ServiceGraph{""};  // inadmissible: never installed
-  const auto results = ro->map_batch(requests, 4);
+  const auto results = ro->map_batch(requests);
   ASSERT_EQ(results.size(), requests.size());
   EXPECT_EQ(results[2].error().code, ErrorCode::kInvalidArgument);
   for (const std::size_t i : {0u, 1u, 3u, 4u, 5u}) {
@@ -233,7 +242,7 @@ TEST(MapBatch, FailedGroupPushRollsBackTheWholeBatch) {
   // The books are clean: the same batch commits once d2 accepts again.
   adapters[1]->set_reject(false);
   requests[2] = independent_requests(3, 10)[2];
-  for (const auto& result : ro->map_batch(requests, 4)) {
+  for (const auto& result : ro->map_batch(requests)) {
     EXPECT_TRUE(result.ok()) << result.error().to_string();
   }
   EXPECT_EQ(ro->deployments().size(), 6u);
@@ -243,7 +252,7 @@ TEST(RemoveBatch, OnePushForManyAndNotFoundIsPerId) {
   std::vector<FakeAdapter*> adapters;
   auto ro = two_domain_ro(&adapters);
   const auto requests = independent_requests(6, 10);
-  for (const auto& result : ro->map_batch(requests, 4)) {
+  for (const auto& result : ro->map_batch(requests)) {
     ASSERT_TRUE(result.ok()) << result.error().to_string();
   }
   const auto fanout = ro->metrics().counter("ro.push.fanout");
@@ -274,7 +283,7 @@ TEST(RemoveBatch, OnePushForManyAndNotFoundIsPerId) {
 TEST(RemoveBatch, FailedPushIsReportedPerIdAndRemovalStaysCommitted) {
   std::vector<FakeAdapter*> adapters;
   auto ro = two_domain_ro(&adapters);
-  for (const auto& result : ro->map_batch(independent_requests(4, 10), 4)) {
+  for (const auto& result : ro->map_batch(independent_requests(4, 10))) {
     ASSERT_TRUE(result.ok()) << result.error().to_string();
   }
   std::vector<std::string> released_nfs;

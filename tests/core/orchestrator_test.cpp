@@ -56,11 +56,10 @@ model::Nffg domain_view(const std::string& bb, const std::string& sap,
 }
 
 std::unique_ptr<ResourceOrchestrator> two_domain_ro(
-    FakeAdapter** left = nullptr, FakeAdapter** right = nullptr,
-    RoOptions options = {}) {
+    FakeAdapter** left = nullptr, FakeAdapter** right = nullptr) {
   auto ro = std::make_unique<ResourceOrchestrator>(
       "ro", std::make_shared<mapping::ChainDpMapper>(),
-      catalog::default_catalog(), options);
+      catalog::default_catalog());
   auto a = std::make_unique<FakeAdapter>("d1",
                                          domain_view("bb1", "sap1", "xp"));
   auto b = std::make_unique<FakeAdapter>("d2",
@@ -129,16 +128,6 @@ TEST(Ro, DecompositionExpandsInGlobalView) {
   EXPECT_GE(deployment.expanded.nfs().size(), 2u);
 }
 
-TEST(Ro, DecompositionDisabledPreExpands) {
-  RoOptions options;
-  options.use_decomposition = false;
-  auto ro = two_domain_ro(nullptr, nullptr, options);
-  const auto request = ro->deploy(
-      sg::make_chain("svc", "sap1", {"secure-gw"}, "sap2", 50, 100));
-  ASSERT_TRUE(request.ok()) << request.error().to_string();
-  EXPECT_GT(ro->metrics().counter("ro.pre_expansions"), 0u);
-}
-
 TEST(Ro, RemoveRestoresView) {
   auto ro = two_domain_ro();
   const model::Nffg before = ro->global_view();
@@ -183,8 +172,8 @@ TEST(Ro, DeployPinnedHonoursPlacement) {
   auto ro = two_domain_ro();
   const sg::ServiceGraph sg =
       sg::make_chain("svc", "sap1", {"nat"}, "sap2", 10, 50);
-  std::map<std::string, std::string> pins{{"nat0", "bb2"}};
-  ASSERT_TRUE(ro->deploy_pinned(sg, pins).ok());
+  const ResourceOrchestrator::Pins pins{{"nat0", "bb2"}};
+  ASSERT_TRUE(ro->map_batch({sg}, &pins)[0].ok());
   const auto placed = ro->global_view().find_nf("nat0");
   ASSERT_TRUE(placed.has_value());
   EXPECT_EQ(placed->first, "bb2");
@@ -194,7 +183,9 @@ TEST(Ro, DeployPinnedRejectsMissingPin) {
   auto ro = two_domain_ro();
   const sg::ServiceGraph sg =
       sg::make_chain("svc", "sap1", {"nat"}, "sap2", 10, 50);
-  EXPECT_FALSE(ro->deploy_pinned(sg, {}).ok());
+  const ResourceOrchestrator::Pins none;
+  EXPECT_FALSE(ro->map_batch({sg}, &none)[0].ok());
+  EXPECT_TRUE(ro->deployments().empty());
 }
 
 TEST(Ro, DomainRejectionSurfaces) {

@@ -170,72 +170,6 @@ TEST(PushPipeline, CleanDomainsAreSkipped) {
   EXPECT_EQ(stack.ro->metrics().counter("ro.push.skipped_clean"), 4u);
 }
 
-// --------------------------------------------------------- retry / backoff
-
-TEST(PushPipeline, RetryRecoversTransientFault) {
-  RoOptions options;
-  options.push.max_attempts = 3;
-  options.push.backoff_initial_us = 1;
-  LineStack stack = make_line_ro(2, options, /*wrap_faulty=*/true);
-
-  stack.faults[0]->fail_next(1, ErrorCode::kUnavailable);
-  ASSERT_TRUE(stack.ro->deploy(span_chain("svc", 0, 1)).ok());
-  EXPECT_EQ(stack.faults[0]->injected_failures(), 1u);
-  EXPECT_EQ(stack.domains[0]->applies(), 1u);
-  EXPECT_EQ(stack.ro->metrics().counter("ro.push.retries"), 1u);
-}
-
-TEST(PushPipeline, RetryExhaustionSurfacesTransientCode) {
-  RoOptions options;
-  options.push.max_attempts = 2;
-  options.push.backoff_initial_us = 1;
-  LineStack stack = make_line_ro(2, options, /*wrap_faulty=*/true);
-
-  // Enough injected faults to outlast the deploy push AND the rollback
-  // push (2 attempts each).
-  stack.faults[0]->fail_next(4, ErrorCode::kUnavailable);
-  const auto r = stack.ro->deploy(span_chain("svc", 0, 1));
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error().code, ErrorCode::kUnavailable);
-  EXPECT_EQ(stack.faults[0]->injected_failures(), 4u);
-  EXPECT_EQ(stack.ro->deployments().size(), 0u);
-
-  // Once healthy, the next resync converges the failed domain.
-  ASSERT_TRUE(stack.ro->resync_domains().ok());
-  EXPECT_EQ(stack.domains[0]->last_applied().stats().nf_count, 0u);
-}
-
-TEST(PushPipeline, RejectionsAreNotRetried) {
-  RoOptions options;
-  options.push.max_attempts = 5;
-  options.push.backoff_initial_us = 1;
-  LineStack stack = make_line_ro(2, options, /*wrap_faulty=*/true);
-
-  stack.faults[0]->fail_next(1, ErrorCode::kRejected);
-  const auto r = stack.ro->deploy(span_chain("svc", 0, 1));
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error().code, ErrorCode::kRejected);
-  // One injected failure, no retry of the rejected push (the rollback
-  // push afterwards is a fresh transaction and succeeds).
-  EXPECT_EQ(stack.faults[0]->injected_failures(), 1u);
-  EXPECT_EQ(stack.ro->metrics().counter("ro.push.retries"), 0u);
-}
-
-TEST(PushPipeline, FlakyDomainConvergesUnderRetry) {
-  RoOptions options;
-  options.push.max_attempts = 2;
-  options.push.backoff_initial_us = 1;
-  LineStack stack = make_line_ro(2, options, /*wrap_faulty=*/true);
-
-  // Every 2nd southbound operation fails: each push needs the retry.
-  stack.faults[0]->flaky_every(2, ErrorCode::kUnavailable);
-  ASSERT_TRUE(stack.ro->deploy(span_chain("a", 0, 1)).ok());
-  ASSERT_TRUE(stack.ro->deploy(span_chain("b", 0, 1, "dpi")).ok());
-  ASSERT_TRUE(stack.ro->remove("a").ok());
-  EXPECT_GE(stack.faults[0]->injected_failures(), 1u);
-  EXPECT_GE(stack.ro->metrics().counter("ro.push.retries"), 1u);
-}
-
 // --------------------------------------- partial failure / fail-fast fix
 
 TEST(PushPipeline, HealthyDomainsConvergeWhenFirstFails) {

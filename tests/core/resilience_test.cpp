@@ -8,28 +8,39 @@
 #include "core/virtualizer.h"
 #include "mapping/chain_dp_mapper.h"
 #include "model/nffg_builder.h"
+#include "model/nffg_json.h"
 #include "service/service_layer.h"
 
 namespace unify::core {
 namespace {
 
-/// Fake domain whose advertised view can be swapped at runtime.
+/// Fake domain whose advertised view can be swapped at runtime. Keeps the
+/// last slice it accepted and can reject its next applies.
 class MutableAdapter final : public adapters::DomainAdapter {
  public:
   MutableAdapter(std::string name, model::Nffg view)
       : name_(std::move(name)), view_(std::move(view)) {}
   const std::string& domain() const noexcept override { return name_; }
   Result<model::Nffg> fetch_view() override { return view_; }
-  Result<void> apply(const model::Nffg&) override {
+  Result<void> apply(const model::Nffg& desired) override {
+    if (rejects_ > 0) {
+      --rejects_;
+      return Error{ErrorCode::kRejected, name_ + " says no"};
+    }
+    applied_ = desired;
     return Result<void>::success();
   }
   std::uint64_t native_operations() const noexcept override { return 0; }
 
   void set_view(model::Nffg view) { view_ = std::move(view); }
+  void reject_next(int count) { rejects_ = count; }
+  [[nodiscard]] const model::Nffg& last_applied() const { return applied_; }
 
  private:
   std::string name_;
   model::Nffg view_;
+  model::Nffg applied_;
+  int rejects_ = 0;
 };
 
 model::Nffg domain_view(const std::string& bb, const std::string& sap,
@@ -159,6 +170,40 @@ TEST(Redeploy, RestoresOldPlacementWhenRemapFails) {
   ASSERT_TRUE(fx.ro->global_view().find_nf("dpi0").has_value());
   EXPECT_EQ(fx.ro->global_view().find_nf("dpi0")->first, host_before);
   EXPECT_EQ(fx.ro->deployments().count("svc"), 1u);
+}
+
+TEST(Redeploy, FailedPushRestoresThePreviousPlacementInEveryDomain) {
+  Fixture fx;
+  ASSERT_TRUE(
+      fx.ro->deploy(sg::make_chain("svc", "sap1", {"nat"}, "sap2", 10, 50))
+          .ok());
+  ASSERT_EQ(fx.ro->global_view().find_nf("nat0")->first, "bb1");
+
+  // Drain bb1 so the migration targets bb2, and make d2 refuse the
+  // migrated slice.
+  fx.left->set_view(domain_view("bb1", "sap1", "xp", /*cpu=*/0));
+  ASSERT_TRUE(fx.ro->refresh_domain("d1").ok());
+  fx.right->reject_next(1);
+
+  const auto r = fx.ro->redeploy("svc");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, ErrorCode::kRejected);
+  EXPECT_NE(r.error().message.find("previous placement restored"),
+            std::string::npos)
+      << r.error().message;
+  // The books keep the old placement...
+  EXPECT_EQ(fx.ro->global_view().find_nf("nat0")->first, "bb1");
+  EXPECT_EQ(fx.ro->deployments().at("svc").mapping.nf_host.at("nat0"), "bb1");
+  // ...and so does every domain: each one last applied exactly the slice
+  // the view describes (d1 runs nat0 again).
+  for (const MutableAdapter* domain : {fx.left, fx.right}) {
+    EXPECT_EQ(model::to_json(domain->last_applied()).dump(),
+              model::to_json(model::slice_for_domain(fx.ro->global_view(),
+                                                     domain->domain()))
+                  .dump())
+        << domain->domain();
+  }
+  EXPECT_TRUE(fx.left->last_applied().find_nf("nat0").has_value());
 }
 
 TEST(Redeploy, UnknownRequestFails) {

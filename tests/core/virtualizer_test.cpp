@@ -272,6 +272,55 @@ TEST(VirtualizerFull, MovedNfRedeploys) {
   ASSERT_EQ(fx.ro->global_view().find_nf("nf")->first, "bb2");
 }
 
+/// Places `nf` on bb1 of a full view with a sap1 -> nf -> sap1 loop
+/// (bb1 port 0 faces sap1). `force` skips the capacity check, so the
+/// client can write an NF no BiS-BiS can host.
+void place_looped(model::Nffg& config, const std::string& nf,
+                  const model::Resources& demand, bool force = false) {
+  ASSERT_TRUE(
+      config.place_nf("bb1", model::make_nf(nf, "nat", demand, 2), force)
+          .ok());
+  ASSERT_TRUE(config
+                  .add_flowrule("bb1", model::Flowrule{nf + "-in", {"bb1", 0},
+                                                       {nf, 0}, "", "", 5})
+                  .ok());
+  ASSERT_TRUE(config
+                  .add_flowrule("bb1", model::Flowrule{nf + "-out", {nf, 1},
+                                                       {"bb1", 0}, "", "", 5})
+                  .ok());
+}
+
+TEST(VirtualizerFull, ComponentsDeployAsOneWaveAllOrNothing) {
+  RoFixture fx;
+  Virtualizer virt(*fx.ro, ViewPolicy::kFull);
+  auto view = virt.get_config();
+  ASSERT_TRUE(view.ok());
+  ASSERT_TRUE(fx.ro->resync_domains().ok());  // every domain acked once
+
+  // Second component infeasible: neither stays deployed, and the request
+  // numbers are recycled.
+  model::Nffg doomed = *view;
+  place_looped(doomed, "a", {1, 512, 1});
+  place_looped(doomed, "b", {999, 512, 1}, /*force=*/true);
+  ASSERT_FALSE(virt.edit_config(doomed).ok());
+  EXPECT_TRUE(fx.ro->deployments().empty());
+  EXPECT_TRUE(virt.active_requests().empty());
+  EXPECT_FALSE(fx.ro->global_view().find_nf("a").has_value());
+
+  // Two feasible components: one southbound fan-out (d1 only), and the
+  // request numbers start where the failed edit started.
+  model::Nffg two = *view;
+  place_looped(two, "a", {1, 512, 1});
+  place_looped(two, "b", {1, 512, 1});
+  const auto fanout = fx.ro->metrics().counter("ro.push.fanout");
+  ASSERT_TRUE(virt.edit_config(two).ok());
+  EXPECT_EQ(fx.ro->metrics().counter("ro.push.fanout") - fanout, 1u);
+  EXPECT_EQ(virt.active_requests(),
+            (std::vector<std::string>{"ro-r1", "ro-r2"}));
+  EXPECT_EQ(fx.ro->global_view().find_nf("a")->first, "bb1");
+  EXPECT_EQ(fx.ro->global_view().find_nf("b")->first, "bb1");
+}
+
 TEST(VirtualizerSingle, DisconnectedSapsStillRender) {
   // Two domains with NO stitching SAP: the merged view is disconnected;
   // the collapsed view must still render (unreachable SAP pairs simply do

@@ -220,7 +220,7 @@ TEST(BatchConcurrency, ManyClientsOneProcessPool) {
       for (int round = 0; round < kRoundsPerClient; ++round) {
         auto ro = two_domain_ro();
         const auto requests = independent_requests(8, 5);
-        const auto results = ro->map_batch(requests, 4);
+        const auto results = ro->map_batch(requests);
         for (const auto& result : results) {
           if (!result.ok()) failures.fetch_add(1);
         }

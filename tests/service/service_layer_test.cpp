@@ -324,7 +324,6 @@ TEST(ServiceLayer, BatchWaveRollbackFailureFailsTheWave) {
 
 TEST(ServiceLayer, SuspectClientProbeRejectsBatchUpFront) {
   FaultyStack stack;
-  stack.layer->set_client_suspect_after(1);
   ASSERT_TRUE(stack.layer
                   ->submit(sg::make_chain("ok", "sap1", {"nat"}, "sap2", 10,
                                           100))

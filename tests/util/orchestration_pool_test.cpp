@@ -98,17 +98,27 @@ TEST(OrchestrationPool, EmptyBatchIsANoOp) {
 }
 
 TEST(OrchestrationPool, MaxParallelOneRunsInlineOnCaller) {
-  OrchestrationPool pool(4);
+  // A batch whose parallelism is one -- every batch on a one-worker pool,
+  // or a one-task batch on a wider pool -- runs inline on the caller.
   const auto caller = std::this_thread::get_id();
+  OrchestrationPool narrow(1);
   std::vector<std::thread::id> ran_on(8);
   std::vector<std::function<void()>> tasks;
   for (std::size_t i = 0; i < ran_on.size(); ++i) {
     tasks.push_back([&ran_on, i] { ran_on[i] = std::this_thread::get_id(); });
   }
-  EXPECT_EQ(pool.run_all(std::move(tasks), 1), 1u);
+  EXPECT_EQ(narrow.run_all(std::move(tasks)), 1u);
   for (const auto id : ran_on) EXPECT_EQ(id, caller);
+
+  OrchestrationPool wide(4);
+  std::thread::id single;
+  std::vector<std::function<void()>> one;
+  one.push_back([&single] { single = std::this_thread::get_id(); });
+  EXPECT_EQ(wide.run_all(std::move(one)), 1u);
+  EXPECT_EQ(single, caller);
   // Inline batches never touch the lazily spawned threads.
-  EXPECT_FALSE(pool.started());
+  EXPECT_FALSE(narrow.started());
+  EXPECT_FALSE(wide.started());
 }
 
 TEST(OrchestrationPool, SingleWorkerPoolNeverSpawnsThreads) {

@@ -8,9 +8,9 @@
 // simulated time, so hours of churn compress into seconds of wall clock.
 //
 // The engine is substrate-agnostic: events reference SAP/domain indices
-// and abstract chain shapes; the driver (service::run_churn, bench_churn)
-// materializes them against a concrete stack. Everything is derived from
-// one seeded Rng pulled in a fixed order, so a (spec, seed) pair yields a
+// and abstract chain shapes; the driver (service::run_churn) materializes
+// them against a concrete stack. Everything is derived from one seeded
+// Rng pulled in a fixed order, so a (spec, seed) pair yields a
 // bit-identical event stream on every run and platform — the replay
 // contract the churn tests and CHURN_SEED overrides rely on.
 #pragma once

@@ -8,8 +8,8 @@
 // runs on a fixed sim-time cadence, departures coalesce into remove_batch
 // waves, migrations re-enqueue live services at re-embed priority, and
 // maintenance windows open/heal domain circuits. The same driver backs the
-// churn tests (SLO invariants, determinism) and bench_churn (latency /
-// shed-rate numbers), so both measure the identical code path.
+// fast ChurnSmoke suite and the ChurnSoak soak (SLO invariants,
+// determinism), so both exercise the identical code path.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <functional>
 #include <set>
+#include <utility>
 
 #include "core/config_translate.h"
 #include "util/log.h"
@@ -13,7 +14,6 @@ namespace unify::service {
 const char* to_string(RequestState state) noexcept {
   switch (state) {
     case RequestState::kQueued:    return "queued";
-    case RequestState::kAdmitted:  return "admitted";
     case RequestState::kPostponed: return "postponed";
     case RequestState::kShed:      return "shed";
     case RequestState::kDeployed:  return "deployed";
@@ -37,9 +37,8 @@ bool is_active(RequestState state) noexcept {
   return state == RequestState::kDeployed || state == RequestState::kDegraded;
 }
 
-/// A request that still owns its id against a new submit(): active, or
-/// waiting for dispatch. kAdmitted is not among them: pump() marks its wave
-/// kAdmitted and then hands the ids to submit_batch().
+/// A request that still owns its id against a new submission: active, or
+/// waiting for dispatch.
 bool holds_id(RequestState state) noexcept {
   return is_active(state) || state == RequestState::kQueued ||
          state == RequestState::kPostponed;
@@ -137,7 +136,7 @@ sg::ServiceGraph ServiceLayer::merged_active() const {
 }
 
 Result<void> ServiceLayer::push_config() {
-  // Re-fetches the view when a failed rollback dropped it (rollback_failed).
+  // Re-fetches the view when a failed restore dropped it (push_or_restore).
   UNIFY_RETURN_IF_ERROR(ensure_view());
   UNIFY_ASSIGN_OR_RETURN(
       const model::Nffg config,
@@ -159,19 +158,27 @@ Result<void> ServiceLayer::push_config() {
   return pushed;
 }
 
-Error ServiceLayer::rollback_failed(const char* op, const Error& original,
-                                    const Error& restore) {
+Result<void> ServiceLayer::push_or_restore(
+    const char* op, const std::function<void(const Error&)>& undo,
+    bool* diverged) {
+  auto pushed = push_config();
+  if (pushed.ok()) return pushed;
+  undo(pushed.error());
+  const auto restore = push_config();
+  if (restore.ok()) return pushed;
   // The restore push did not land: whatever the layer below is actually
   // running may no longer match merged_active(). Drop the cached view so
   // the next operation re-fetches ground truth, and surface both failures
   // under kRollbackFailed so the caller knows the data plane may diverge.
+  if (diverged != nullptr) *diverged = true;
   view_.reset();
   metrics_.add("service.rollback_failures");
   UNIFY_LOG(kError, "service")
-      << op << " rollback push failed: " << restore.to_string();
+      << op << " rollback push failed: " << restore.error().to_string();
   return Error{ErrorCode::kRollbackFailed,
-               std::string(op) + " failed (" + original.to_string() +
-                   ") AND the restore push failed (" + restore.to_string() +
+               std::string(op) + " failed (" + pushed.error().to_string() +
+                   ") AND the restore push failed (" +
+                   restore.error().to_string() +
                    "): data plane may diverge from the service books"};
 }
 
@@ -196,51 +203,20 @@ std::optional<Error> ServiceLayer::reuse_id(const std::string& id) {
   if (holds_id(it->second.state)) {
     return Error{ErrorCode::kAlreadyExists, "request " + id};
   }
-  requests_.erase(it);  // terminal and admitted ids may be reused
+  requests_.erase(it);  // terminal ids may be reused
   return std::nullopt;
 }
 
-Result<std::string> ServiceLayer::commit_one(const sg::ServiceGraph& request) {
-  requests_.emplace(request.id(), ServiceRequest{request.id(), request,
-                                                 RequestState::kDeployed, ""});
-  if (const auto pushed = push_config(); !pushed.ok()) {
-    // Roll back: mark failed and restore the previous configuration.
-    ServiceRequest& failed = requests_.at(request.id());
-    failed.state = RequestState::kFailed;
-    failed.error = pushed.error().to_string();
-    if (const auto restore = push_config(); !restore.ok()) {
-      return rollback_failed("deployment", pushed.error(), restore.error());
-    }
-    return Error{pushed.error().code,
-                 "deployment of " + request.id() +
-                     " failed: " + pushed.error().message};
-  }
-  UNIFY_LOG(kInfo, "service") << "request " << request.id() << " deployed";
-  return request.id();
-}
-
 Result<std::string> ServiceLayer::submit(const sg::ServiceGraph& request) {
-  UNIFY_RETURN_IF_ERROR(ensure_view());
-  if (request.id().empty()) {
-    return Error{ErrorCode::kInvalidArgument, "service graph needs an id"};
-  }
-  if (auto taken = reuse_id(request.id()); taken.has_value()) {
-    return *std::move(taken);
-  }
-  if (auto invalid = validate_request(request); invalid.has_value()) {
-    return *std::move(invalid);
-  }
-  return commit_one(request);
+  return submit_batch({request}).front();
 }
 
 std::vector<Result<std::string>> ServiceLayer::submit_batch(
     const std::vector<sg::ServiceGraph>& requests) {
   const auto wall_start = std::chrono::steady_clock::now();
-  std::vector<Result<std::string>> results;
-  results.reserve(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    results.emplace_back(Error{ErrorCode::kInternal, "request not processed"});
-  }
+  std::vector<Result<std::string>> results(
+      requests.size(),
+      Error{ErrorCode::kInternal, "request not processed"});
   if (requests.empty()) return results;
   metrics_.add("service.batch.requests", requests.size());
 
@@ -290,8 +266,6 @@ std::vector<Result<std::string>> ServiceLayer::submit_batch(
     ++admitted_count;
   }
   metrics_.add("service.batch.admitted", admitted_count);
-  metrics_.set_gauge("service.batch.pools_constructed",
-                     static_cast<double>(util::OrchestrationPool::constructed()));
 
   const auto finish = [&] {
     const auto wall = std::chrono::steady_clock::now() - wall_start;
@@ -325,129 +299,87 @@ std::vector<Result<std::string>> ServiceLayer::submit_batch(
   // Phase 2 — optimistic wave commit: one merged edit-config carries every
   // admitted request; the virtualizer below deploys the wave's services
   // through ResourceOrchestrator::map_batch (parallel embedding on the
-  // same shared pool). Commit order inside the wave is deterministic.
+  // same shared pool). A failed wave bisects in request order, so
+  // per-request outcomes (and final state, byte for byte) are exactly what
+  // a sequential submit() loop would produce.
+  std::vector<std::size_t> indices;
+  indices.reserve(admitted_count);
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (!admitted[i]) continue;
-    requests_.emplace(requests[i].id(),
-                      ServiceRequest{requests[i].id(), requests[i],
-                                     RequestState::kDeployed, ""});
+    if (admitted[i]) indices.push_back(i);
   }
-  const auto pushed_wave = push_config();
-  if (pushed_wave.ok()) {
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      if (admitted[i]) results[i] = requests[i].id();
-    }
-    metrics_.add("service.batch.committed", admitted_count);
-    UNIFY_LOG(kInfo, "service")
-        << "batch of " << admitted_count << " requests deployed in one wave";
-    return finish();
-  }
-
-  // Phase 3 — the wave contains at least one poisonous request. Withdraw
-  // it entirely, restore the pre-batch configuration, then BISECT: merged
-  // half-waves committed in request order isolate the poison in
-  // O(bad * log n) pushes instead of a full per-request sequential replay,
-  // with per-request outcomes (and final state, byte for byte) exactly
-  // what a sequential submit() loop would produce.
-  metrics_.add("service.batch.wave_fallbacks");
-  const Error wave_error = pushed_wave.error();
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (admitted[i]) requests_.erase(requests[i].id());
-  }
-  if (const auto restore = push_config(); !restore.ok()) {
-    // The pre-batch config did not come back: every admitted request fails
-    // with the rollback context instead of entering the bisection fallback
-    // against a data plane in an unknown state.
-    const Error failure =
-        rollback_failed("batch wave", wave_error, restore.error());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      if (admitted[i]) results[i] = failure;
-    }
-    metrics_.add("service.batch.rolled_back", admitted_count);
-    return finish();
-  }
-  std::vector<std::size_t> admitted_indices;
-  admitted_indices.reserve(admitted_count);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (admitted[i]) admitted_indices.push_back(i);
-  }
-  std::size_t committed = 0, rolled_back = 0;
-  if (!commit_wave_bisect(requests, admitted_indices, results, committed,
-                          rolled_back)) {
+  if (!commit(requests, indices, results, /*top=*/true)) {
     // A restore push failed mid-bisection: everything not yet decided
     // fails with the divergence context instead of committing against a
     // data plane in an unknown state.
     const Error aborted{ErrorCode::kRollbackFailed,
                         "batch aborted: a restore push failed mid-fallback "
                         "(data plane may diverge from the service books)"};
-    for (const std::size_t i : admitted_indices) {
+    for (const std::size_t i : indices) {
       if (!results[i].ok() && results[i].error().code == ErrorCode::kInternal) {
         results[i] = aborted;
-        ++rolled_back;
       }
     }
   }
+  std::size_t committed = 0;
+  for (const std::size_t i : indices) committed += results[i].ok() ? 1 : 0;
   metrics_.add("service.batch.committed", committed);
-  metrics_.add("service.batch.rolled_back", rolled_back);
+  metrics_.add("service.batch.rolled_back", admitted_count - committed);
   return finish();
 }
 
-bool ServiceLayer::commit_wave_bisect(
-    const std::vector<sg::ServiceGraph>& requests,
-    const std::vector<std::size_t>& indices,
-    std::vector<Result<std::string>>& results, std::size_t& committed,
-    std::size_t& rolled_back) {
-  // Precondition: a merged push of `indices` as one wave has already
-  // failed and the pre-wave configuration is restored — go straight to
-  // the ordered halves (re-probing the whole set would always fail again).
-  if (indices.size() == 1) {
-    const std::size_t i = indices.front();
-    results[i] = commit_one(requests[i]);
-    ++(results[i].ok() ? committed : rolled_back);
+bool ServiceLayer::commit(const std::vector<sg::ServiceGraph>& requests,
+                          const std::vector<std::size_t>& indices,
+                          std::vector<Result<std::string>>& results,
+                          bool top) {
+  const bool single = indices.size() == 1;
+  const bool bisecting = !top && !single;
+  if (bisecting) metrics_.add("service.batch.bisect_probes");
+  for (const std::size_t i : indices) {
+    requests_.emplace(requests[i].id(),
+                      ServiceRequest{requests[i].id(), requests[i],
+                                     RequestState::kDeployed, ""});
+  }
+  bool diverged = false;
+  const auto pushed = push_or_restore(
+      single ? "deployment" : "batch wave",
+      [&](const Error& error) {
+        // Withdraw: a singleton stays on the books as kFailed, a sub-wave
+        // leaves them for its halves to re-enter.
+        if (!single) {
+          for (const std::size_t i : indices) requests_.erase(requests[i].id());
+          return;
+        }
+        ServiceRequest& failed = requests_.at(requests[indices.front()].id());
+        failed.state = RequestState::kFailed;
+        failed.error = error.to_string();
+      },
+      &diverged);
+  if (pushed.ok()) {
+    for (const std::size_t i : indices) results[i] = requests[i].id();
+    if (bisecting) metrics_.add("service.batch.bisect_waves");
+    UNIFY_LOG(kInfo, "service")
+        << indices.size() << " request(s) deployed in one push";
     return true;
   }
-  const std::size_t half = indices.size() / 2;
-  const std::vector<std::size_t> halves[2] = {
-      {indices.begin(), indices.begin() + static_cast<long>(half)},
-      {indices.begin() + static_cast<long>(half), indices.end()}};
-  for (const std::vector<std::size_t>& part : halves) {
-    if (part.size() == 1) {
-      const std::size_t i = part.front();
-      results[i] = commit_one(requests[i]);
-      ++(results[i].ok() ? committed : rolled_back);
-      continue;
-    }
-    // Optimistic merged push of this half on top of the committed state so
-    // far (the same commit point a sequential loop would have reached).
-    metrics_.add("service.batch.bisect_probes");
-    for (const std::size_t i : part) {
-      requests_.emplace(requests[i].id(),
-                        ServiceRequest{requests[i].id(), requests[i],
-                                       RequestState::kDeployed, ""});
-    }
-    const auto pushed = push_config();
-    if (pushed.ok()) {
-      for (const std::size_t i : part) results[i] = requests[i].id();
-      committed += part.size();
-      metrics_.add("service.batch.bisect_waves");
-      continue;
-    }
-    // Withdraw the half, restore, recurse.
-    const Error part_error = pushed.error();
-    for (const std::size_t i : part) requests_.erase(requests[i].id());
-    if (const auto restore = push_config(); !restore.ok()) {
-      const Error failure =
-          rollback_failed("batch wave", part_error, restore.error());
-      for (const std::size_t i : part) results[i] = failure;
-      rolled_back += part.size();
-      return false;
-    }
-    if (!commit_wave_bisect(requests, part, results, committed,
-                            rolled_back)) {
-      return false;
-    }
+  if (top) metrics_.add("service.batch.wave_fallbacks");
+  if (single) {
+    const std::size_t i = indices.front();
+    results[i] = diverged ? pushed.error()
+                          : Error{pushed.error().code,
+                                  "deployment of " + requests[i].id() +
+                                      " failed: " + pushed.error().message};
+    return true;
   }
-  return true;
+  if (diverged) {
+    for (const std::size_t i : indices) results[i] = pushed.error();
+    return false;
+  }
+  // The merged push of `indices` failed and the books are restored: go
+  // straight to the ordered halves (re-pushing the whole set would fail
+  // again), each on top of whatever the first half committed.
+  const auto half = indices.begin() + static_cast<long>(indices.size() / 2);
+  return commit(requests, {indices.begin(), half}, results, false) &&
+         commit(requests, {half, indices.end()}, results, false);
 }
 
 void ServiceLayer::record_outcome(const AdmissionEntry& entry,
@@ -482,19 +414,8 @@ Result<void> ServiceLayer::enqueue(const sg::ServiceGraph& request,
   if (request.id().empty()) {
     return Error{ErrorCode::kInvalidArgument, "service graph needs an id"};
   }
-  if (const auto it = requests_.find(request.id()); it != requests_.end()) {
-    switch (it->second.state) {
-      case RequestState::kQueued:
-      case RequestState::kAdmitted:
-      case RequestState::kPostponed:
-      case RequestState::kDeployed:
-      case RequestState::kDegraded:
-        return Error{ErrorCode::kAlreadyExists, "request " + request.id()};
-      case RequestState::kShed:
-      case RequestState::kFailed:
-      case RequestState::kRemoved:
-        requests_.erase(it);  // terminal ids may be reused
-    }
+  if (auto taken = reuse_id(request.id()); taken.has_value()) {
+    return *std::move(taken);
   }
   metrics_.add("service.admission.enqueued");
   AdmissionEntry entry{request, options.klass, now, options.deadline,
@@ -590,7 +511,7 @@ PumpReport ServiceLayer::pump(SimTime now) {
     std::vector<sg::ServiceGraph> graphs;
     graphs.reserve(wave.size());
     for (const AdmissionEntry& entry : wave) {
-      requests_.at(entry.graph.id()).state = RequestState::kAdmitted;
+      requests_.erase(entry.graph.id());  // every outcome is re-recorded
       graphs.push_back(entry.graph);
     }
     const auto results = submit_batch(graphs);
@@ -642,14 +563,10 @@ std::vector<Result<void>> ServiceLayer::remove_batch(
       case RequestState::kPostponed:
         // Cancel: never reached the substrate, no push needed.
         (void)queue_.erase(id);
-        for (auto p = parked_.begin(); p != parked_.end(); ++p) {
-          if (p->entry.graph.id() == id) {
-            parked_.erase(p);
-            break;
-          }
-        }
-        it->second.state = RequestState::kRemoved;
-        it->second.error.clear();
+        std::erase_if(parked_, [&](const Parked& parked) {
+          return parked.entry.graph.id() == id;
+        });
+        requests_.erase(it);
         metrics_.add("service.admission.cancelled");
         break;
       case RequestState::kDeployed:
@@ -662,14 +579,19 @@ std::vector<Result<void>> ServiceLayer::remove_batch(
     }
   }
   if (flipped.empty()) return results;
-  if (const auto pushed = push_config(); !pushed.ok()) {
+  const auto pushed = push_or_restore("removal", [&](const Error&) {
     for (const auto& [i, prior] : flipped) {
       requests_.at(request_ids[i]).state = prior;  // keep books consistent
+    }
+  });
+  for (const auto& [i, prior] : flipped) {
+    if (pushed.ok()) {
+      requests_.erase(request_ids[i]);
+    } else {
       results[i] = pushed.error();
     }
-    return results;
   }
-  metrics_.add("service.batch.removed", flipped.size());
+  if (pushed.ok()) metrics_.add("service.batch.removed", flipped.size());
   return results;
 }
 
@@ -683,19 +605,16 @@ Result<void> ServiceLayer::update(const sg::ServiceGraph& request) {
   if (auto invalid = validate_request(request); invalid.has_value()) {
     return *std::move(invalid);
   }
-  const sg::ServiceGraph previous = it->second.graph;
-  it->second.graph = request;
-  if (const auto pushed = push_config(); !pushed.ok()) {
-    it->second.graph = previous;  // keep the old version running
-    if (const auto restore = push_config(); !restore.ok()) {
-      return rollback_failed("update", pushed.error(), restore.error());
-    }
-    return Error{pushed.error().code,
-                 "update of " + request.id() +
-                     " failed (previous version kept): " +
-                     pushed.error().message};
-  }
-  return Result<void>::success();
+  sg::ServiceGraph previous = std::exchange(it->second.graph, request);
+  bool diverged = false;
+  const auto pushed = push_or_restore(
+      "update",
+      [&](const Error&) { it->second.graph = std::move(previous); },
+      &diverged);
+  if (pushed.ok() || diverged) return pushed;
+  return Error{pushed.error().code, "update of " + request.id() +
+                                        " failed (previous version kept): " +
+                                        pushed.error().message};
 }
 
 Result<void> ServiceLayer::remove(const std::string& request_id) {

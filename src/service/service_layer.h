@@ -29,22 +29,25 @@ class OrchestrationPool;
 
 namespace unify::service {
 
-/// Request lifecycle (DESIGN.md §12). The happy path is
-/// kQueued -> kAdmitted -> kDeployed -> kRemoved; overload and failure add
+/// Request lifecycle (DESIGN.md §12). The happy path is kQueued ->
+/// kDeployed -> kRemoved, and a removed request leaves the books once its
+/// teardown push lands; overload and failure add
 ///
 ///   kQueued ----(deadline passed / displaced)----> kShed        (terminal)
-///   kAdmitted --(transient substrate failure)----> kPostponed --> kQueued
-///   kAdmitted --(validation / infeasible)--------> kFailed      (id reusable)
+///   kQueued ----(transient substrate failure)----> kPostponed --> kQueued
+///   kQueued ----(validation / infeasible)--------> kFailed      (id reusable)
 ///   kDeployed <-> kDegraded  (health reconciliation; kept, not torn down)
 ///
+/// submit()/submit_batch() skip the queue: kDeployed or kFailed directly.
 /// kDegraded = the service is still admitted (its config stays in every
 /// push, it is NOT torn down) but the layer below reports at least one of
 /// its NFs failed — typically stranded on a down domain awaiting healing.
 /// kPostponed = parked: the substrate below is impaired, the request waits
 /// for a health transition (readmission) instead of burning retries.
+/// kRemoved = teardown push in flight; a failed push restores the prior
+/// state, a landed one erases the record.
 enum class RequestState {
   kQueued,     ///< waiting in the bounded admission queue
-  kAdmitted,   ///< popped from the queue, wave commit in flight
   kPostponed,  ///< parked on a degraded substrate, retried on readmission
   kShed,       ///< dropped by admission control (queue bound or deadline)
   kDeployed,
@@ -113,10 +116,10 @@ class ServiceLayer {
   explicit ServiceLayer(std::unique_ptr<adapters::DomainAdapter> client,
                         util::OrchestrationPool* pool = nullptr);
 
-  /// Validates and deploys a service request. The request id is the
-  /// service graph id; kAlreadyExists while that id is queued, parked,
-  /// deployed or degraded. On failure the previous configuration is
-  /// restored and the request is recorded as kFailed.
+  /// Validates and deploys a service request: submit_batch() of one. The
+  /// request id is the service graph id; kAlreadyExists while that id is
+  /// queued, parked, deployed or degraded. On failure the previous
+  /// configuration is restored and the request is recorded as kFailed.
   Result<std::string> submit(const sg::ServiceGraph& request);
 
   /// Admits, validates and deploys a whole wave of service requests.
@@ -125,21 +128,17 @@ class ServiceLayer {
   /// the wave is committed optimistically with ONE merged edit-config —
   /// the virtualizer below hands the new services to
   /// ResourceOrchestrator::map_batch, which embeds them in parallel on the
-  /// same pool. When the wave push fails (at least one request is
-  /// infeasible), the layer falls back to committing the admitted
-  /// requests sequentially in request order with per-request rollback, so
-  /// a failed request never poisons its batch-mates: the outcome per
-  /// request is exactly what a sequential submit() loop would produce.
+  /// same pool. A failed push is withdrawn and restored, then the wave is
+  /// BISECTED: its ordered halves are retried as merged pushes, recursing
+  /// until the poisonous requests are isolated as singletons (recorded
+  /// kFailed) — typically O(bad * log n) pushes instead of n, with outcomes
+  /// and final state byte-identical to a sequential submit() loop
+  /// (batch_golden_test). A failed wave of one costs two pushes.
   ///
   /// Returns one Result per request, index-aligned with `requests`.
-  /// Telemetry: service.batch.{requests,admitted,committed,rolled_back}
-  /// counters and the service.batch.wall_ms summary in metrics().
-  ///
-  /// A failed merged wave falls back by BISECTION: the admitted half-waves
-  /// are retried as merged pushes in request order, recursing into halves
-  /// until the poisonous requests are isolated as singletons — typically
-  /// O(bad * log n) pushes instead of n, with outcomes and final state
-  /// byte-identical to a sequential submit() loop (batch_golden_test).
+  /// Telemetry: service.batch.{requests,admitted,committed,rolled_back,
+  /// wave_fallbacks,bisect_probes,bisect_waves} counters and the
+  /// service.batch.wall_ms summary in metrics().
   std::vector<Result<std::string>> submit_batch(
       const std::vector<sg::ServiceGraph>& requests);
 
@@ -172,8 +171,9 @@ class ServiceLayer {
 
   /// Batch removal with ONE reconciliation push for every active id in
   /// `request_ids` (the churn departure path: N removals cost one push,
-  /// not N). Queued/parked ids are cancelled without a push. Results are
-  /// index-aligned; on a failed push every flipped state is restored.
+  /// not N). Queued/parked ids are cancelled without a push. Removed and
+  /// cancelled records leave the books. Results are index-aligned; on a
+  /// failed push every flipped state is restored and pushed again.
   std::vector<Result<void>> remove_batch(
       const std::vector<std::string>& request_ids);
 
@@ -241,16 +241,25 @@ class ServiceLayer {
 
   Result<void> ensure_view();
   Result<void> push_config();
-  /// Bisection fallback of submit_batch: commits `indices` (already
-  /// admitted, ascending request order) on top of the current state. A
-  /// clean merged push commits the whole sub-wave; a failed one recurses
-  /// into halves after restoring, bottoming out in commit_one(). Fills
-  /// `results` for every index; returns false when a restore push failed
-  /// (kRollbackFailed — the caller stops committing).
-  bool commit_wave_bisect(const std::vector<sg::ServiceGraph>& requests,
-                          const std::vector<std::size_t>& indices,
-                          std::vector<Result<std::string>>& results,
-                          std::size_t& committed, std::size_t& rolled_back);
+  /// The one book transaction: pushes the books; on failure runs `undo`
+  /// (given the push error), pushes the restored books and returns the
+  /// push error. When the restore push fails too, the layer below may
+  /// diverge from the books: the cached view is dropped (the next push
+  /// re-fetches ground truth), `*diverged` is set and both failures
+  /// surface as kRollbackFailed for `op`.
+  Result<void> push_or_restore(const char* op,
+                               const std::function<void(const Error&)>& undo,
+                               bool* diverged = nullptr);
+  /// Commits `indices` (admitted, ascending request order) on top of the
+  /// current books as one merged push; a failed push is withdrawn — a
+  /// singleton recorded kFailed — and, with more than one index, retried
+  /// as its ordered halves. `top` marks the whole wave (counted as a
+  /// wave_fallback on failure) against a bisection probe. Fills `results`
+  /// for every index; returns false when a multi-request restore push
+  /// failed (the caller stops committing).
+  bool commit(const std::vector<sg::ServiceGraph>& requests,
+              const std::vector<std::size_t>& indices,
+              std::vector<Result<std::string>>& results, bool top);
   /// True when `error` should park the request (kPostponed) rather than
   /// fail it: transient transport errors always, capacity errors while the
   /// substrate below reports impaired.
@@ -259,24 +268,15 @@ class ServiceLayer {
   /// Records a terminal admission outcome (kShed/kFailed) for `entry`.
   void record_outcome(const AdmissionEntry& entry, RequestState state,
                       std::string error);
-  /// Builds the kRollbackFailed error for a failed restore push: the data
-  /// plane may diverge from the books, so the cached view is dropped (next
-  /// ensure_view() re-fetches ground truth) and both failures surface.
-  Error rollback_failed(const char* op, const Error& original,
-                        const Error& restore);
   [[nodiscard]] sg::ServiceGraph merged_active() const;
   /// Pure per-request checks (structure + SAP existence against the
   /// fetched view). Thread-safe; submit_batch runs these on the pool.
   [[nodiscard]] std::optional<Error> validate_request(
       const sg::ServiceGraph& request) const;
-  /// Frees `id` for an inline submission: kAlreadyExists while a request
-  /// with that id is queued, parked, deployed or degraded; otherwise drops
-  /// the old record (terminal, or kAdmitted by pump()).
+  /// Frees `id` for a new submission or enqueue: kAlreadyExists while a
+  /// request with that id is queued, parked, deployed or degraded;
+  /// otherwise drops the old (terminal) record.
   [[nodiscard]] std::optional<Error> reuse_id(const std::string& id);
-  /// Records `request` as deployed and pushes; on failure marks it
-  /// kFailed and restores the previous configuration. Assumes admission
-  /// and validation already passed.
-  Result<std::string> commit_one(const sg::ServiceGraph& request);
   [[nodiscard]] util::OrchestrationPool& pool() const noexcept;
 
   std::unique_ptr<adapters::DomainAdapter> client_;

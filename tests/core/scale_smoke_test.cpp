@@ -1,9 +1,9 @@
 // Tier-1 scale smoke: a 10^4-node multi-domain substrate through the
 // sharded-state machinery — snapshot acquisition, one embedding against
 // the shared index, a full orchestrator deploy and a clean resync. The
-// 10^5/10^6 sizes and the timing claims live in bench_scale; this test
-// pins that the machinery *functions* at four orders of magnitude without
-// slowing the regular test run down.
+// last 10^5/10^6 timings are recorded in DESIGN.md §11 (scale
+// validation); this test pins that the machinery *functions* at four
+// orders of magnitude without slowing the regular test run down.
 #include <gtest/gtest.h>
 
 #include <memory>

@@ -1,5 +1,7 @@
-# Fails when a document names a bench_* target that bench/CMakeLists.txt
-# does not define, so a deleted benchmark cannot linger in the docs.
+# Fails when a document, or a comment or string in the C++ sources under
+# src/, tests/ and examples/, names a bench_* target that
+# bench/CMakeLists.txt does not define, so a deleted benchmark cannot
+# linger in the docs or the code. perfbench/ is not scanned.
 #
 #   cmake -DREPO=<source dir> -P tests/doc_bench_refs.cmake
 #
@@ -23,8 +25,16 @@ if(NOT targets)
   message(FATAL_ERROR "no unify_add_bench() target found in bench/CMakeLists.txt")
 endif()
 
+file(GLOB_RECURSE sources RELATIVE "${REPO}"
+     "${REPO}/src/*.h" "${REPO}/src/*.cpp"
+     "${REPO}/tests/*.h" "${REPO}/tests/*.cpp"
+     "${REPO}/examples/*.h" "${REPO}/examples/*.cpp")
 set(stale "")
+set(docs "")
 foreach(doc README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md)
+  list(APPEND docs "${doc}")
+endforeach()
+foreach(doc IN LISTS docs sources)
   file(READ "${REPO}/${doc}" text)
   string(REGEX MATCHALL "(^|[^A-Za-z0-9_.-])bench_[a-z0-9_]+" refs
          "\n${text}")
@@ -45,9 +55,11 @@ if(stale)
   list(REMOVE_DUPLICATES stale)
   string(REPLACE ";" "\n  " report "${stale}")
   message(FATAL_ERROR
-          "docs name bench targets that bench/CMakeLists.txt does not "
-          "define:\n  ${report}")
+          "docs or sources name bench targets that bench/CMakeLists.txt "
+          "does not define:\n  ${report}")
 endif()
 list(LENGTH targets count)
-message(STATUS "doc_bench_refs: every bench_* reference names one of "
-               "${count} targets")
+list(LENGTH docs documents)
+list(LENGTH sources scanned)
+message(STATUS "doc_bench_refs: every bench_* reference in ${documents} "
+               "docs and ${scanned} sources names one of ${count} targets")

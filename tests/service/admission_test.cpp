@@ -101,7 +101,7 @@ TEST(AdmissionQueue, ShedExpiredHonoursMargin) {
 /// Fake substrate with a scriptable per-push outcome sequence: each apply()
 /// pops the next scripted result (success once the script is drained), so
 /// a test can fail exactly the pushes it means to — e.g. the merged wave
-/// and the commit_one retry but not the restores in between.
+/// but not the restore after it.
 class ScriptedAdapter final : public adapters::DomainAdapter {
  public:
   ScriptedAdapter() {
@@ -137,11 +137,10 @@ class ScriptedAdapter final : public adapters::DomainAdapter {
 constexpr auto kOk = [] { return Result<void>::success(); };
 Result<void> fail(ErrorCode code) { return Error{code, "scripted failure"}; }
 
-/// The push sequence of one failed singleton wave: merged push fails,
-/// restore lands, the commit_one retry fails, its restore lands — the
-/// request's final result carries `code`.
+/// The push sequence of one failed singleton wave: the push fails, the
+/// restore lands — the request's result carries `code`.
 std::vector<Result<void>> singleton_wave_failure(ErrorCode code) {
-  return {fail(code), kOk(), fail(code), kOk()};
+  return {fail(code), kOk()};
 }
 
 /// Service layer directly over the scripted fake: failure codes injected
@@ -192,7 +191,7 @@ TEST(AdmissionLifecycle, DuplicateActiveIdRejectedTerminalReusable) {
   EXPECT_EQ(dup.error().code, ErrorCode::kAlreadyExists);
   (void)stack.layer->pump(100);
   ASSERT_TRUE(stack.layer->remove("a").ok());
-  // kRemoved is terminal: the id is reusable.
+  // A removed request leaves the books: the id is reusable.
   EXPECT_TRUE(stack.layer->enqueue(chain("a"), 200).ok());
 }
 
@@ -332,10 +331,8 @@ TEST(AdmissionLifecycle, RemoveBatchCancelsQueuedAndTearsDownDeployed) {
   EXPECT_TRUE(results[1].ok());
   ASSERT_FALSE(results[2].ok());
   EXPECT_EQ(results[2].error().code, ErrorCode::kNotFound);
-  EXPECT_EQ(stack.layer->requests().at("deployed").state,
-            RequestState::kRemoved);
-  EXPECT_EQ(stack.layer->requests().at("queued").state,
-            RequestState::kRemoved);
+  EXPECT_EQ(stack.layer->requests().count("deployed"), 0u);
+  EXPECT_EQ(stack.layer->requests().count("queued"), 0u);
   EXPECT_EQ(stack.layer->queue_depth(), 0u);
   EXPECT_EQ(stack.layer->metrics().counter("service.admission.cancelled"),
             1u);

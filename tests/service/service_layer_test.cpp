@@ -151,7 +151,7 @@ TEST(ServiceLayer, MultipleIndependentServices) {
   ASSERT_TRUE(stack.layer->remove("a").ok());
   EXPECT_FALSE(stack.ro->global_view().find_nf("a.nat0").has_value());
   EXPECT_TRUE(stack.ro->global_view().find_nf("b.dpi0").has_value());
-  EXPECT_EQ(stack.layer->requests().at("a").state, RequestState::kRemoved);
+  EXPECT_EQ(stack.layer->requests().count("a"), 0u);
 }
 
 TEST(ServiceLayer, RejectsBadRequests) {
@@ -355,6 +355,34 @@ TEST(ServiceLayer, SuspectClientProbeRejectsBatchUpFront) {
   ASSERT_TRUE(retried[0].ok()) << retried[0].error().to_string();
 }
 
+TEST(ServiceLayer, FailedSingletonWaveCostsTwoPushes) {
+  FaultyStack stack;
+  ASSERT_TRUE(stack.layer
+                  ->submit(sg::make_chain("ok", "sap1", {"nat"}, "sap2", 10,
+                                          100))
+                  .ok());
+  // Infeasible below (CPU far beyond the substrate): the push fails, the
+  // restore lands, and nothing is pushed again.
+  sg::ServiceGraph greedy{"greedy"};
+  ASSERT_TRUE(greedy.add_sap("sap1").ok());
+  ASSERT_TRUE(greedy.add_sap("sap2").ok());
+  ASSERT_TRUE(greedy
+                  .add_nf(sg::SgNf{"x", "nat", 2,
+                                   model::Resources{9999, 1, 1}})
+                  .ok());
+  ASSERT_TRUE(
+      greedy.add_link(sg::SgLink{"l1", {"sap1", 0}, {"x", 0}, 1}).ok());
+  ASSERT_TRUE(
+      greedy.add_link(sg::SgLink{"l2", {"x", 1}, {"sap2", 0}, 1}).ok());
+  const std::uint64_t before = stack.fault->operations_seen();
+  const auto results = stack.layer->submit_batch({greedy});
+  ASSERT_FALSE(results[0].ok());
+  EXPECT_EQ(stack.fault->operations_seen() - before, 2u);
+  EXPECT_EQ(stack.layer->requests().at("greedy").state,
+            RequestState::kFailed);
+  EXPECT_TRUE(stack.ro->global_view().find_nf("ok.nat0").has_value());
+}
+
 // ------------------------------------------------------------ sync_health
 
 /// Client fake that replays the last pushed configuration and can report
@@ -376,12 +404,18 @@ class StatusClient final : public adapters::DomainAdapter {
   }
   Result<void> apply(const model::Nffg& desired) override {
     config_ = desired;
+    if (lose_next_ack_) {
+      lose_next_ack_ = false;
+      return Error{ErrorCode::kTimeout, "ack lost after apply"};
+    }
     return Result<void>::success();
   }
   [[nodiscard]] std::uint64_t native_operations() const noexcept override {
     return 0;
   }
   void fail_nf(const std::string& nf_id) { failed_.insert(nf_id); }
+  /// The next push is applied, but its ack never arrives (kTimeout).
+  void lose_next_ack() { lose_next_ack_ = true; }
   void clear_failures() { failed_.clear(); }
   [[nodiscard]] const model::Nffg& last_config() const { return *config_; }
 
@@ -390,7 +424,54 @@ class StatusClient final : public adapters::DomainAdapter {
   model::Nffg view_;
   std::optional<model::Nffg> config_;
   std::set<std::string> failed_;
+  bool lose_next_ack_ = false;
 };
+
+/// A StatusClient-backed layer over a one-BiS-BiS view with two SAPs.
+std::unique_ptr<ServiceLayer> status_layer(StatusClient** handle) {
+  model::Nffg view{"client-view"};
+  EXPECT_TRUE(
+      view.add_bisbis(model::make_bisbis("big", {64, 65536, 500}, 4)).ok());
+  model::attach_sap(view, "sap1", "big", 0, {1000, 0.1});
+  model::attach_sap(view, "sap2", "big", 1, {1000, 0.1});
+  auto client = std::make_unique<StatusClient>(std::move(view));
+  *handle = client.get();
+  return std::make_unique<ServiceLayer>(std::move(client));
+}
+
+TEST(ServiceLayer, LostRemovalAckPushesTheRestoredBooks) {
+  StatusClient* handle = nullptr;
+  const auto layer = status_layer(&handle);
+  ASSERT_TRUE(
+      layer->submit(sg::make_chain("svc", "sap1", {"nat"}, "sap2", 10, 100))
+          .ok());
+  // The removal config lands below but its ack is lost: the layer keeps
+  // the service on its books, so the layer below must run it again too.
+  handle->lose_next_ack();
+  const auto removed = layer->remove("svc");
+  ASSERT_FALSE(removed.ok());
+  EXPECT_EQ(removed.error().code, ErrorCode::kTimeout);
+  EXPECT_EQ(layer->requests().at("svc").state, RequestState::kDeployed);
+  EXPECT_TRUE(handle->last_config().find_nf("svc.nat0").has_value());
+}
+
+TEST(ServiceLayer, RemovedRequestsLeaveTheBooks) {
+  StatusClient* handle = nullptr;
+  const auto layer = status_layer(&handle);
+  constexpr int kLive = 3;
+  for (int i = 0; i < 1000; ++i) {
+    const std::string id = "s" + std::to_string(i);
+    ASSERT_TRUE(
+        layer->submit(sg::make_chain(id, "sap1", {"nat"}, "sap2", 1, 100))
+            .ok())
+        << id;
+    if (i >= kLive) {
+      ASSERT_TRUE(layer->remove("s" + std::to_string(i - kLive)).ok());
+    }
+  }
+  EXPECT_EQ(layer->requests().size(), static_cast<std::size_t>(kLive));
+  EXPECT_EQ(layer->metrics().counter("service.batch.removed"), 997u);
+}
 
 TEST(ServiceLayer, SyncHealthDegradesAndRestoresWithoutTeardown) {
   model::Nffg view{"client-view"};

@@ -49,8 +49,8 @@ Result<void> BaseAdapter::apply(const model::Nffg& desired) {
   // dirty-tracking layer above. No-op deltas stay epoch-stable.
   if (delta.size() > 0) bump_epoch();
   // Removals free resources first; every successful native op is mirrored
-  // into deployed_ immediately so a partial failure leaves an accurate
-  // record.
+  // into deployed_ so a partial failure leaves an accurate record (a
+  // node's installed rules are mirrored together once its run ends).
   for (const model::RuleRemoval& rr : delta.rule_removals) {
     UNIFY_RETURN_IF_ERROR(do_remove_rule(rr.bisbis, rr.rule_id));
     UNIFY_RETURN_IF_ERROR(deployed_.remove_flowrule(rr.bisbis, rr.rule_id));
@@ -63,9 +63,20 @@ Result<void> BaseAdapter::apply(const model::Nffg& desired) {
     UNIFY_RETURN_IF_ERROR(do_place_nf(np.bisbis, np.nf));
     UNIFY_RETURN_IF_ERROR(deployed_.place_nf(np.bisbis, np.nf));
   }
-  for (const model::RuleInstall& ri : delta.rule_installs) {
-    UNIFY_RETURN_IF_ERROR(do_install_rule(ri.bisbis, ri.rule));
-    UNIFY_RETURN_IF_ERROR(deployed_.add_flowrule(ri.bisbis, ri.rule));
+  const auto& installs = delta.rule_installs;
+  for (auto run = installs.begin(); run != installs.end();) {
+    std::vector<model::Flowrule> installed;
+    Result<void> native = Result<void>::success();
+    auto it = run;
+    for (; it != installs.end() && it->bisbis == run->bisbis; ++it) {
+      native = do_install_rule(it->bisbis, it->rule);
+      if (!native.ok()) break;
+      installed.push_back(it->rule);
+    }
+    UNIFY_RETURN_IF_ERROR(
+        deployed_.add_flowrules(run->bisbis, std::move(installed)));
+    UNIFY_RETURN_IF_ERROR(native);
+    run = it;
   }
   return Result<void>::success();
 }

@@ -197,6 +197,8 @@ Result<model::Nffg> service_graph_to_config(const sg::ServiceGraph& sg,
     UNIFY_RETURN_IF_ERROR(config.place_nf(big_node, std::move(instance),
                                           /*force=*/true));
   }
+  std::vector<model::Flowrule> rules;
+  rules.reserve(sg.links().size());
   for (const sg::SgLink& link : sg.links()) {
     const auto endpoint = [&](const model::PortRef& ref)
         -> Result<model::PortRef> {
@@ -215,8 +217,9 @@ Result<model::Nffg> service_graph_to_config(const sg::ServiceGraph& sg,
     UNIFY_ASSIGN_OR_RETURN(rule.in, endpoint(link.from));
     UNIFY_ASSIGN_OR_RETURN(rule.out, endpoint(link.to));
     rule.bandwidth = link.bandwidth;
-    UNIFY_RETURN_IF_ERROR(config.add_flowrule(big_node, std::move(rule)));
+    rules.push_back(std::move(rule));
   }
+  UNIFY_RETURN_IF_ERROR(config.add_flowrules(big_node, std::move(rules)));
   for (const sg::E2eRequirement& req : sg.requirements()) {
     UNIFY_RETURN_IF_ERROR(config.add_hint(model::ServiceHint{
         req.id, req.from_sap, req.to_sap, req.max_delay,

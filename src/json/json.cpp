@@ -1,9 +1,13 @@
 #include "json/json.h"
 
+#include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <iterator>
+#include <limits>
+#include <optional>
+#include <tuple>
 
 #include "util/strings.h"
 
@@ -63,48 +67,27 @@ bool operator==(const Object& a, const Object& b) {
 
 // ----------------------------------------------------------------- Value
 
-bool Value::as_bool() const noexcept {
-  assert(is_bool());
-  return bool_;
-}
+static_assert(sizeof(Value) <= sizeof(std::string) + sizeof(void*),
+              "a Value is one tag plus a payload no larger than a string");
 
-double Value::as_number() const noexcept {
-  assert(is_number());
-  return number_;
-}
+Value::Value(const Value& other) = default;
+Value::Value(Value&& other) noexcept = default;
+Value& Value::operator=(const Value& other) = default;
+Value& Value::operator=(Value&& other) noexcept = default;
+Value::~Value() = default;
 
 std::int64_t Value::as_int() const noexcept {
-  assert(is_number());
-  return static_cast<std::int64_t>(number_);
-}
-
-const std::string& Value::as_string() const noexcept {
-  assert(is_string());
-  return *string_;
-}
-
-const Array& Value::as_array() const noexcept {
-  assert(is_array());
-  return *array_;
-}
-
-Array& Value::as_array() noexcept {
-  assert(is_array());
-  return *array_;
-}
-
-const Object& Value::as_object() const noexcept {
-  assert(is_object());
-  return *object_;
-}
-
-Object& Value::as_object() noexcept {
-  assert(is_object());
-  return *object_;
+  const double n = as_number();
+  // 2^63 is exact as a double; the cast is defined strictly inside +-2^63.
+  constexpr double kLimit = 9223372036854775808.0;
+  if (std::isnan(n)) return 0;
+  if (n <= -kLimit) return std::numeric_limits<std::int64_t>::min();
+  if (n >= kLimit) return std::numeric_limits<std::int64_t>::max();
+  return static_cast<std::int64_t>(n);
 }
 
 const Value* Value::get(std::string_view key) const noexcept {
-  return is_object() ? object_->find(key) : nullptr;
+  return is_object() ? as_object().find(key) : nullptr;
 }
 
 std::string Value::get_string(std::string_view key, std::string fallback) const {
@@ -129,36 +112,25 @@ bool Value::get_bool(std::string_view key, bool fallback) const noexcept {
   return (v != nullptr && v->is_bool()) ? v->as_bool() : fallback;
 }
 
-void Value::copy_from(const Value& other) {
-  type_ = other.type_;
-  bool_ = other.bool_;
-  number_ = other.number_;
-  if (other.string_) string_ = std::make_unique<std::string>(*other.string_);
-  if (other.array_) array_ = std::make_unique<Array>(*other.array_);
-  if (other.object_) object_ = std::make_unique<Object>(*other.object_);
-}
-
-bool operator==(const Value& a, const Value& b) {
-  if (a.type_ != b.type_) return false;
-  switch (a.type_) {
-    case Type::kNull:   return true;
-    case Type::kBool:   return a.bool_ == b.bool_;
-    case Type::kNumber: return a.number_ == b.number_;
-    case Type::kString: return *a.string_ == *b.string_;
-    case Type::kArray:  return *a.array_ == *b.array_;
-    case Type::kObject: return *a.object_ == *b.object_;
-  }
-  return false;
-}
+bool operator==(const Value& a, const Value& b) { return a.data_ == b.data_; }
 
 // ---------------------------------------------------------------- writer
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
+/// Characters that serialize as themselves inside a JSON string.
+constexpr bool plain(unsigned char c) noexcept {
+  return c >= 0x20 && c != '"' && c != '\\';
+}
+
+void append_escaped(std::string& out, std::string_view s) {
   out += '"';
-  for (const char raw : s) {
-    const auto c = static_cast<unsigned char>(raw);
+  std::size_t run = 0;  // start of the pending run of plain characters
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (plain(c)) continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':  out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -167,16 +139,15 @@ void append_escaped(std::string& out, const std::string& s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += raw;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xF]};
+        out.append(escape, sizeof(escape));
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out += '"';
 }
 
@@ -185,7 +156,7 @@ void append_number(std::string& out, double n) {
     out += "null";  // JSON has no Inf/NaN; null is the conventional fallback
     return;
   }
-  out += strings::format_double(n);
+  strings::append_double(out, n);
 }
 
 void append_indent(std::string& out, int indent, int depth) {
@@ -196,52 +167,54 @@ void append_indent(std::string& out, int indent, int depth) {
 
 }  // namespace
 
-void Value::dump_to(std::string& out, int indent, int depth) const {
-  switch (type_) {
+void Value::write(std::string& out, int indent, int depth) const {
+  switch (type()) {
     case Type::kNull:
       out += "null";
       return;
     case Type::kBool:
-      out += bool_ ? "true" : "false";
+      out += as_bool() ? "true" : "false";
       return;
     case Type::kNumber:
-      append_number(out, number_);
+      append_number(out, as_number());
       return;
     case Type::kString:
-      append_escaped(out, *string_);
+      append_escaped(out, as_string());
       return;
     case Type::kArray: {
-      if (array_->empty()) {
+      const Array& array = as_array();
+      if (array.empty()) {
         out += "[]";
         return;
       }
       out += '[';
       bool first = true;
-      for (const Value& v : *array_) {
+      for (const Value& v : array) {
         if (!first) out += ',';
         first = false;
         append_indent(out, indent, depth + 1);
-        v.dump_to(out, indent, depth + 1);
+        v.write(out, indent, depth + 1);
       }
       append_indent(out, indent, depth);
       out += ']';
       return;
     }
     case Type::kObject: {
-      if (object_->empty()) {
+      const Object& object = as_object();
+      if (object.empty()) {
         out += "{}";
         return;
       }
       out += '{';
       bool first = true;
-      for (const auto& [k, v] : *object_) {
+      for (const auto& [k, v] : object) {
         if (!first) out += ',';
         first = false;
         append_indent(out, indent, depth + 1);
         append_escaped(out, k);
         out += ':';
         if (indent > 0) out += ' ';
-        v.dump_to(out, indent, depth + 1);
+        v.write(out, indent, depth + 1);
       }
       append_indent(out, indent, depth);
       out += '}';
@@ -252,13 +225,15 @@ void Value::dump_to(std::string& out, int indent, int depth) const {
 
 std::string Value::dump() const {
   std::string out;
-  dump_to(out, 0, 0);
+  write(out, 0, 0);
   return out;
 }
 
+void Value::dump_to(std::string& out) const { write(out, 0, 0); }
+
 std::string Value::dump_pretty() const {
   std::string out;
-  dump_to(out, 2, 0);
+  write(out, 2, 0);
   return out;
 }
 
@@ -266,55 +241,67 @@ std::string Value::dump_pretty() const {
 
 namespace {
 
+bool is_digit(char c) noexcept { return c >= '0' && c <= '9'; }
+
+/// Recursive-descent parser that builds each node in place: a value is
+/// parsed straight into its slot in the enclosing container's scratch list,
+/// so no node is moved through a Result. The first error is kept in
+/// `error_`.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
   Result<Value> run() {
+    Value v;
     skip_ws();
-    UNIFY_ASSIGN_OR_RETURN(Value v, parse_value());
+    if (!parse_value(v)) return std::move(*error_);
     skip_ws();
     if (pos_ != text_.size()) {
-      return fail("trailing characters after document");
+      fail("trailing characters after document");
+      return std::move(*error_);
     }
     return v;
   }
 
  private:
-  Result<Value> parse_value() {
+  bool parse_value(Value& out) {
     if (depth_ > kMaxDepth) return fail("nesting too deep");
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return parse_string_value();
-      case 't': return parse_literal("true", Value(true));
-      case 'f': return parse_literal("false", Value(false));
-      case 'n': return parse_literal("null", Value(nullptr));
-      default:  return parse_number();
+      case '{': return parse_object(out);
+      case '[': return parse_array(out);
+      case '"': {
+        std::string s;
+        if (!parse_string(s)) return false;
+        out = Value(std::move(s));
+        return true;
+      }
+      case 't': return parse_literal("true", Value(true), out);
+      case 'f': return parse_literal("false", Value(false), out);
+      case 'n': return parse_literal("null", Value(nullptr), out);
+      default:  return parse_number(out);
     }
   }
 
-  Result<Value> parse_object() {
+  bool parse_object(Value& out) {
     ++pos_;  // '{'
-    ++depth_;
-    Object obj;
+    const std::size_t level = enter();
     skip_ws();
     if (peek() == '}') {
       ++pos_;
       --depth_;
-      return Value(std::move(obj));
+      out = Value(Object{});
+      return true;
     }
     while (true) {
       skip_ws();
       if (peek() != '"') return fail("expected object key");
-      UNIFY_ASSIGN_OR_RETURN(std::string key, parse_string());
+      if (!parse_string(key_)) return false;
       skip_ws();
       if (peek() != ':') return fail("expected ':' after key");
       ++pos_;
       skip_ws();
-      UNIFY_ASSIGN_OR_RETURN(Value v, parse_value());
-      obj.set(std::move(key), std::move(v));
+      if (!parse_value(member_slot(level))) return false;
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -323,26 +310,30 @@ class Parser {
       if (peek() == '}') {
         ++pos_;
         --depth_;
-        return Value(std::move(obj));
+        auto& members = members_[level];
+        out = Value(Object(std::vector<Object::Entry>(
+            std::make_move_iterator(members.begin()),
+            std::make_move_iterator(members.end()))));
+        members.clear();
+        return true;
       }
       return fail("expected ',' or '}' in object");
     }
   }
 
-  Result<Value> parse_array() {
+  bool parse_array(Value& out) {
     ++pos_;  // '['
-    ++depth_;
-    Array arr;
+    const std::size_t level = enter();
     skip_ws();
     if (peek() == ']') {
       ++pos_;
       --depth_;
-      return Value(std::move(arr));
+      out = Value(Array{});
+      return true;
     }
     while (true) {
       skip_ws();
-      UNIFY_ASSIGN_OR_RETURN(Value v, parse_value());
-      arr.push_back(std::move(v));
+      if (!parse_value(elements_[level].emplace_back())) return false;
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -351,78 +342,108 @@ class Parser {
       if (peek() == ']') {
         ++pos_;
         --depth_;
-        return Value(std::move(arr));
+        auto& elements = elements_[level];
+        out = Value(Array(std::make_move_iterator(elements.begin()),
+                          std::make_move_iterator(elements.end())));
+        elements.clear();
+        return true;
       }
       return fail("expected ',' or ']' in array");
     }
   }
 
-  Result<Value> parse_string_value() {
-    UNIFY_ASSIGN_OR_RETURN(std::string s, parse_string());
-    return Value(std::move(s));
+  /// Opens a container one level deeper; returns its scratch level.
+  std::size_t enter() {
+    const auto level = static_cast<std::size_t>(depth_++);
+    if (members_.size() <= level) {
+      members_.resize(level + 1);
+      elements_.resize(level + 1);
+    }
+    return level;
   }
 
-  Result<std::string> parse_string() {
+  /// The slot for the member named key_ of the object open at `level`. A
+  /// repeated key keeps its first position and takes the last value.
+  Value& member_slot(std::size_t level) {
+    auto& members = members_[level];
+    for (auto& [key, value] : members) {
+      if (key == key_) {
+        value = Value{};
+        return value;
+      }
+    }
+    return members
+        .emplace_back(std::piecewise_construct,
+                      std::forward_as_tuple(std::move(key_)),
+                      std::forward_as_tuple())
+        .second;
+  }
+
+  /// Replaces `out` with the decoded string at pos_ (an opening quote).
+  /// Runs of plain characters are copied in one step; escapes take the
+  /// slow path.
+  bool parse_string(std::string& out) {
     assert(peek() == '"');
     ++pos_;
-    std::string out;
-    while (pos_ < text_.size()) {
+    out.clear();
+    while (true) {
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() &&
+             plain(static_cast<unsigned char>(text_[pos_]))) {
+        ++pos_;
+      }
+      out.append(text_.data() + run, pos_ - run);
+      if (pos_ >= text_.size()) return fail("unterminated string");
       const char c = text_[pos_];
       if (c == '"') {
         ++pos_;
-        return out;
+        return true;
       }
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return fail("unterminated escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"':  out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/':  out += '/'; break;
-          case 'b':  out += '\b'; break;
-          case 'f':  out += '\f'; break;
-          case 'n':  out += '\n'; break;
-          case 'r':  out += '\r'; break;
-          case 't':  out += '\t'; break;
-          case 'u': {
-            UNIFY_ASSIGN_OR_RETURN(unsigned cp, parse_hex4());
-            if (cp >= 0xD800 && cp <= 0xDBFF) {
-              // High surrogate: require a following \uDC00-\uDFFF.
-              if (pos_ + 1 < text_.size() && text_[pos_] == '\\' &&
-                  text_[pos_ + 1] == 'u') {
-                pos_ += 2;
-                UNIFY_ASSIGN_OR_RETURN(unsigned lo, parse_hex4());
-                if (lo < 0xDC00 || lo > 0xDFFF) {
-                  return fail("invalid low surrogate");
-                }
-                cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-              } else {
-                return fail("unpaired high surrogate");
-              }
-            } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-              return fail("unpaired low surrogate");
-            }
-            append_utf8(out, cp);
-            break;
-          }
-          default:
-            return fail("invalid escape character");
-        }
-        continue;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return fail("raw control character in string");
-      }
-      out += c;
+      if (c != '\\') return fail("raw control character in string");
       ++pos_;
+      if (pos_ >= text_.size()) return fail("unterminated escape");
+      const char esc = text_[pos_++];
+      switch (esc) {
+        case '"':  out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/':  out += '/'; break;
+        case 'b':  out += '\b'; break;
+        case 'f':  out += '\f'; break;
+        case 'n':  out += '\n'; break;
+        case 'r':  out += '\r'; break;
+        case 't':  out += '\t'; break;
+        case 'u': {
+          unsigned cp = 0;
+          if (!parse_hex4(cp)) return false;
+          if (cp >= 0xD800 && cp <= 0xDBFF) {
+            // High surrogate: require a following \uDC00-\uDFFF.
+            if (pos_ + 1 < text_.size() && text_[pos_] == '\\' &&
+                text_[pos_ + 1] == 'u') {
+              pos_ += 2;
+              unsigned lo = 0;
+              if (!parse_hex4(lo)) return false;
+              if (lo < 0xDC00 || lo > 0xDFFF) {
+                return fail("invalid low surrogate");
+              }
+              cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+            } else {
+              return fail("unpaired high surrogate");
+            }
+          } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+            return fail("unpaired low surrogate");
+          }
+          append_utf8(out, cp);
+          break;
+        }
+        default:
+          return fail("invalid escape character");
+      }
     }
-    return fail("unterminated string");
   }
 
-  Result<unsigned> parse_hex4() {
+  bool parse_hex4(unsigned& value) {
     if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
-    unsigned value = 0;
+    value = 0;
     for (int i = 0; i < 4; ++i) {
       const char c = text_[pos_++];
       value <<= 4;
@@ -436,7 +457,7 @@ class Parser {
         return fail("invalid hex digit in \\u escape");
       }
     }
-    return value;
+    return true;
   }
 
   static void append_utf8(std::string& out, unsigned cp) {
@@ -457,53 +478,83 @@ class Parser {
     }
   }
 
-  Result<Value> parse_literal(std::string_view word, Value value) {
+  bool parse_literal(std::string_view word, Value value, Value& out) {
     if (text_.substr(pos_, word.size()) != word) {
       return fail("invalid literal");
     }
     pos_ += word.size();
-    return value;
+    out = std::move(value);
+    return true;
   }
 
-  Result<Value> parse_number() {
+  /// Scans the number token at pos_ and converts its span with
+  /// std::from_chars, which rounds exactly as strtod does.
+  bool parse_number(Value& out) {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
-    if (pos_ >= text_.size() ||
-        !(text_[pos_] >= '0' && text_[pos_] <= '9')) {
+    if (pos_ >= text_.size() || !is_digit(text_[pos_])) {
       return fail("invalid number");
     }
+    // Decimal exponent of the leading significant digit (the mantissa's
+    // part of it), used only to tell overflow from underflow below.
+    std::int64_t magnitude = 0;
+    bool significant = false;
     if (text_[pos_] == '0') {
       ++pos_;
     } else {
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      significant = true;
+      while (pos_ < text_.size() && is_digit(text_[pos_])) {
         ++pos_;
+        ++magnitude;
       }
+      --magnitude;
     }
     if (pos_ < text_.size() && text_[pos_] == '.') {
       ++pos_;
-      if (pos_ >= text_.size() ||
-          !(text_[pos_] >= '0' && text_[pos_] <= '9')) {
+      if (pos_ >= text_.size() || !is_digit(text_[pos_])) {
         return fail("digit required after decimal point");
       }
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      while (pos_ < text_.size() && is_digit(text_[pos_])) {
+        if (!significant) {
+          --magnitude;
+          significant = text_[pos_] != '0';
+        }
         ++pos_;
       }
     }
+    std::int64_t exponent = 0;
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       ++pos_;
+      bool negative = false;
       if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
+        negative = text_[pos_] == '-';
         ++pos_;
       }
-      if (pos_ >= text_.size() ||
-          !(text_[pos_] >= '0' && text_[pos_] <= '9')) {
+      if (pos_ >= text_.size() || !is_digit(text_[pos_])) {
         return fail("digit required in exponent");
       }
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      while (pos_ < text_.size() && is_digit(text_[pos_])) {
+        // Saturates far beyond any token length, so the sign test below
+        // stays exact.
+        exponent = std::min<std::int64_t>(exponent * 10 + (text_[pos_] - '0'),
+                                          kExponentCap);
         ++pos_;
       }
+      if (negative) exponent = -exponent;
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    return Value(std::strtod(token.c_str(), nullptr));
+    double value = 0;
+    const char* first = text_.data() + start;
+    const auto [ptr, ec] = std::from_chars(first, text_.data() + pos_, value);
+    assert(ptr == text_.data() + pos_);
+    (void)ptr;
+    if (ec == std::errc::result_out_of_range) {
+      // from_chars leaves `value` untouched here; strtod returns HUGE_VAL
+      // on overflow and zero on underflow, both with the token's sign.
+      value = magnitude + exponent > 0 ? HUGE_VAL : 0.0;
+      if (*first == '-') value = -value;
+    }
+    out = Value(value);
+    return true;
   }
 
   void skip_ws() {
@@ -521,16 +572,25 @@ class Parser {
     return pos_ < text_.size() ? text_[pos_] : '\0';
   }
 
-  Error fail(std::string_view what) const {
-    return Error{ErrorCode::kProtocol,
-                 std::string(what) + " at byte " + std::to_string(pos_)};
+  bool fail(std::string_view what) {
+    error_ = Error{ErrorCode::kProtocol,
+                   std::string(what) + " at byte " + std::to_string(pos_)};
+    return false;
   }
 
   static constexpr int kMaxDepth = 256;
+  static constexpr std::int64_t kExponentCap = 100'000'000'000'000'000;
 
   std::string_view text_;
   std::size_t pos_ = 0;
   int depth_ = 0;
+  std::optional<Error> error_;
+  // Members and elements of the containers being parsed collect in one
+  // scratch list per nesting level and move into an exactly-sized
+  // container when it closes: one allocation per container, no regrowth.
+  std::vector<std::vector<Object::Entry>> members_;
+  std::vector<Array> elements_;
+  std::string key_;
 };
 
 }  // namespace

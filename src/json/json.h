@@ -7,12 +7,13 @@
 // readable.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "util/result.h"
@@ -28,6 +29,9 @@ class Object {
   using Entry = std::pair<std::string, Value>;
 
   Object() = default;
+  /// Adopts `entries` as they are; their keys must be distinct.
+  explicit Object(std::vector<Entry> entries) noexcept
+      : entries_(std::move(entries)) {}
 
   /// Returns the value for `key`, or nullptr when absent.
   [[nodiscard]] const Value* find(std::string_view key) const noexcept;
@@ -35,6 +39,9 @@ class Object {
 
   /// Inserts or overwrites.
   Value& set(std::string key, Value value);
+
+  /// Reserves room for `n` members.
+  void reserve(std::size_t n) { entries_.reserve(n); }
 
   /// Returns a reference, default-constructing a null member when absent.
   Value& operator[](std::string_view key);
@@ -63,54 +70,69 @@ using Array = std::vector<Value>;
 
 enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
-/// A JSON value. Value semantics throughout; copies are deep.
+/// A JSON value: one tag and one payload (40 bytes). Strings live inline,
+/// so ids that fit the small-string buffer allocate nothing; arrays and
+/// objects own their elements. Value semantics throughout; copies are deep.
 class Value {
  public:
-  Value() noexcept : type_(Type::kNull) {}
-  Value(std::nullptr_t) noexcept : type_(Type::kNull) {}          // NOLINT
-  Value(bool b) noexcept : type_(Type::kBool), bool_(b) {}        // NOLINT
-  Value(double n) noexcept : type_(Type::kNumber), number_(n) {}  // NOLINT
+  Value() noexcept = default;
+  Value(std::nullptr_t) noexcept {}                               // NOLINT
+  Value(bool b) noexcept : data_(b) {}                            // NOLINT
+  Value(double n) noexcept : data_(n) {}                          // NOLINT
   Value(int n) noexcept : Value(static_cast<double>(n)) {}        // NOLINT
   Value(std::int64_t n) noexcept : Value(static_cast<double>(n)) {}  // NOLINT
   Value(std::size_t n) noexcept : Value(static_cast<double>(n)) {}   // NOLINT
-  Value(const char* s) : Value(std::string(s)) {}                 // NOLINT
-  Value(std::string_view s) : Value(std::string(s)) {}            // NOLINT
-  Value(std::string s)                                            // NOLINT
-      : type_(Type::kString), string_(std::make_unique<std::string>(std::move(s))) {}
-  Value(Array a)                                                  // NOLINT
-      : type_(Type::kArray), array_(std::make_unique<Array>(std::move(a))) {}
-  Value(Object o)                                                 // NOLINT
-      : type_(Type::kObject), object_(std::make_unique<Object>(std::move(o))) {}
+  Value(const char* s) : data_(std::in_place_type<std::string>, s) {}  // NOLINT
+  Value(std::string_view s)                                       // NOLINT
+      : data_(std::in_place_type<std::string>, s) {}
+  Value(std::string s) noexcept : data_(std::move(s)) {}          // NOLINT
+  Value(Array a) noexcept : data_(std::move(a)) {}                // NOLINT
+  Value(Object o) noexcept : data_(std::move(o)) {}               // NOLINT
+  // Out of line: inlined variant copies and moves trip GCC 12's
+  // -Wmaybe-uninitialized in every caller.
+  Value(const Value& other);
+  Value(Value&& other) noexcept;
+  Value& operator=(const Value& other);
+  Value& operator=(Value&& other) noexcept;
+  ~Value();
 
-  Value(const Value& other) { copy_from(other); }
-  Value& operator=(const Value& other) {
-    if (this != &other) {
-      reset();
-      copy_from(other);
-    }
-    return *this;
+  [[nodiscard]] Type type() const noexcept {
+    return static_cast<Type>(data_.index());
   }
-  Value(Value&&) noexcept = default;
-  Value& operator=(Value&&) noexcept = default;
-  ~Value() = default;
-
-  [[nodiscard]] Type type() const noexcept { return type_; }
-  [[nodiscard]] bool is_null() const noexcept { return type_ == Type::kNull; }
-  [[nodiscard]] bool is_bool() const noexcept { return type_ == Type::kBool; }
-  [[nodiscard]] bool is_number() const noexcept { return type_ == Type::kNumber; }
-  [[nodiscard]] bool is_string() const noexcept { return type_ == Type::kString; }
-  [[nodiscard]] bool is_array() const noexcept { return type_ == Type::kArray; }
-  [[nodiscard]] bool is_object() const noexcept { return type_ == Type::kObject; }
+  [[nodiscard]] bool is_null() const noexcept { return type() == Type::kNull; }
+  [[nodiscard]] bool is_bool() const noexcept { return type() == Type::kBool; }
+  [[nodiscard]] bool is_number() const noexcept {
+    return type() == Type::kNumber;
+  }
+  [[nodiscard]] bool is_string() const noexcept {
+    return type() == Type::kString;
+  }
+  [[nodiscard]] bool is_array() const noexcept {
+    return type() == Type::kArray;
+  }
+  [[nodiscard]] bool is_object() const noexcept {
+    return type() == Type::kObject;
+  }
 
   /// Typed accessors; preconditions enforced by assert.
-  [[nodiscard]] bool as_bool() const noexcept;
-  [[nodiscard]] double as_number() const noexcept;
+  [[nodiscard]] bool as_bool() const noexcept { return payload<bool>(); }
+  [[nodiscard]] double as_number() const noexcept {
+    return payload<double>();
+  }
+  /// The number truncated toward zero and saturated to the int64 range
+  /// (NaN reads as 0), so every double has a defined result.
   [[nodiscard]] std::int64_t as_int() const noexcept;
-  [[nodiscard]] const std::string& as_string() const noexcept;
-  [[nodiscard]] const Array& as_array() const noexcept;
-  [[nodiscard]] Array& as_array() noexcept;
-  [[nodiscard]] const Object& as_object() const noexcept;
-  [[nodiscard]] Object& as_object() noexcept;
+  [[nodiscard]] const std::string& as_string() const noexcept {
+    return payload<std::string>();
+  }
+  [[nodiscard]] const Array& as_array() const noexcept {
+    return payload<Array>();
+  }
+  [[nodiscard]] Array& as_array() noexcept { return payload<Array>(); }
+  [[nodiscard]] const Object& as_object() const noexcept {
+    return payload<Object>();
+  }
+  [[nodiscard]] Object& as_object() noexcept { return payload<Object>(); }
 
   /// Lenient lookups returning fallbacks; handy when reading configs.
   [[nodiscard]] const Value* get(std::string_view key) const noexcept;
@@ -125,6 +147,8 @@ class Value {
 
   /// Compact serialization ({"a":1}).
   [[nodiscard]] std::string dump() const;
+  /// Appends the compact serialization to `out`.
+  void dump_to(std::string& out) const;
   /// Pretty serialization with 2-space indent.
   [[nodiscard]] std::string dump_pretty() const;
 
@@ -132,21 +156,21 @@ class Value {
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
 
  private:
-  void reset() noexcept {
-    string_.reset();
-    array_.reset();
-    object_.reset();
-    type_ = Type::kNull;
+  template <typename T>
+  [[nodiscard]] const T& payload() const noexcept {
+    assert(std::holds_alternative<T>(data_));
+    return *std::get_if<T>(&data_);
   }
-  void copy_from(const Value& other);
-  void dump_to(std::string& out, int indent, int depth) const;
+  template <typename T>
+  [[nodiscard]] T& payload() noexcept {
+    assert(std::holds_alternative<T>(data_));
+    return *std::get_if<T>(&data_);
+  }
+  void write(std::string& out, int indent, int depth) const;
 
-  Type type_ = Type::kNull;
-  bool bool_ = false;
-  double number_ = 0;
-  std::unique_ptr<std::string> string_;
-  std::unique_ptr<Array> array_;
-  std::unique_ptr<Object> object_;
+  // Alternative order matches Type.
+  std::variant<std::monostate, bool, double, std::string, Array, Object>
+      data_;
 };
 
 /// Parses a complete JSON document (trailing whitespace allowed, trailing

@@ -1,6 +1,7 @@
 #include "mapping/mapper.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "model/topology_index.h"
@@ -224,7 +225,9 @@ Result<void> install_mapping(model::Nffg& target, const sg::ServiceGraph& sg,
   }
 
   // Synthesize the tag-switched flowrule chain per SG link and reserve
-  // bandwidth. The tag is the SG link id.
+  // bandwidth. The tag is the SG link id. Rules collect per node and land
+  // with one add_flowrules each.
+  std::map<std::string, std::vector<model::Flowrule>> rules_by_node;
   for (const sg::SgLink& link : sg.links()) {
     const auto path_it = mapping.link_paths.find(link.id);
     if (path_it == mapping.link_paths.end()) {
@@ -286,8 +289,11 @@ Result<void> install_mapping(model::Nffg& target, const sg::ServiceGraph& sg,
           if (i == last_bb) rule.set_tag = "-";
         }
       }
-      UNIFY_RETURN_IF_ERROR(target.add_flowrule(node, std::move(rule)));
+      rules_by_node[node].push_back(std::move(rule));
     }
+  }
+  for (auto& [node, rules] : rules_by_node) {
+    UNIFY_RETURN_IF_ERROR(target.add_flowrules(node, std::move(rules)));
   }
   return Result<void>::success();
 }

@@ -1,6 +1,9 @@
 #include "model/nffg.h"
 
 #include <algorithm>
+#include <iterator>
+#include <string_view>
+#include <unordered_map>
 
 namespace unify::model {
 
@@ -305,24 +308,51 @@ Result<void> Nffg::check_port_ref(const std::string& bisbis_id,
 }
 
 Result<void> Nffg::add_flowrule(const std::string& bisbis_id, Flowrule rule) {
+  std::vector<Flowrule> rules;
+  rules.push_back(std::move(rule));
+  return add_flowrules(bisbis_id, std::move(rules));
+}
+
+Result<void> Nffg::add_flowrules(const std::string& bisbis_id,
+                                 std::vector<Flowrule> rules) {
   BisBis* bb = find_bisbis(bisbis_id);
   if (bb == nullptr) {
     return Error{ErrorCode::kNotFound, "BiS-BiS " + bisbis_id};
   }
-  if (rule.id.empty()) {
-    return Error{ErrorCode::kInvalidArgument, "flowrule id must not be empty"};
+  // id -> index of its first rule in the batch, or kTaken when the node
+  // already holds that id. A rule is a duplicate unless it is its id's
+  // first, untaken occurrence.
+  constexpr std::size_t kTaken = static_cast<std::size_t>(-1);
+  std::unordered_map<std::string_view, std::size_t> first;
+  first.reserve(rules.size());
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    first.emplace(rules[i].id, i);
   }
-  if (bb->find_flowrule(rule.id) != nullptr) {
-    return Error{ErrorCode::kAlreadyExists,
-                 "flowrule " + rule.id + " on " + bisbis_id};
+  for (const Flowrule& existing : bb->flowrules) {
+    if (const auto it = first.find(existing.id); it != first.end()) {
+      it->second = kTaken;
+    }
   }
-  if (rule.bandwidth < 0) {
-    return Error{ErrorCode::kInvalidArgument,
-                 "flowrule " + rule.id + " has negative bandwidth"};
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    const Flowrule& rule = rules[i];
+    if (rule.id.empty()) {
+      return Error{ErrorCode::kInvalidArgument,
+                   "flowrule id must not be empty"};
+    }
+    if (first.find(rule.id)->second != i) {
+      return Error{ErrorCode::kAlreadyExists,
+                   "flowrule " + rule.id + " on " + bisbis_id};
+    }
+    if (rule.bandwidth < 0) {
+      return Error{ErrorCode::kInvalidArgument,
+                   "flowrule " + rule.id + " has negative bandwidth"};
+    }
+    UNIFY_RETURN_IF_ERROR(check_port_ref(bisbis_id, rule.in));
+    UNIFY_RETURN_IF_ERROR(check_port_ref(bisbis_id, rule.out));
   }
-  UNIFY_RETURN_IF_ERROR(check_port_ref(bisbis_id, rule.in));
-  UNIFY_RETURN_IF_ERROR(check_port_ref(bisbis_id, rule.out));
-  bb->flowrules.push_back(std::move(rule));
+  bb->flowrules.insert(bb->flowrules.end(),
+                       std::make_move_iterator(rules.begin()),
+                       std::make_move_iterator(rules.end()));
   return Result<void>::success();
 }
 

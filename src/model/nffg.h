@@ -260,6 +260,13 @@ class Nffg {
   /// Installs a flowrule on a BiS-BiS; endpoints are validated to be ports
   /// of that node, of its NFs, or of SAP/BiS-BiS neighbours via links.
   Result<void> add_flowrule(const std::string& bisbis_id, Flowrule rule);
+  /// Installs `rules` on one BiS-BiS with add_flowrule's checks, applied
+  /// in rule order (the first failing rule's error is returned); ids are
+  /// checked through one hash lookup each, so a batch costs O(existing +
+  /// batch) instead of O(existing x batch). All or nothing: on error the
+  /// node is unchanged.
+  Result<void> add_flowrules(const std::string& bisbis_id,
+                             std::vector<Flowrule> rules);
   Result<void> remove_flowrule(const std::string& bisbis_id,
                                const std::string& rule_id);
 

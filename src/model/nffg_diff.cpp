@@ -87,8 +87,16 @@ Result<void> apply(Nffg& nffg, const ConfigDelta& delta) {
   for (const NfPlacement& np : delta.nf_placements) {
     UNIFY_RETURN_IF_ERROR(nffg.place_nf(np.bisbis, np.nf));
   }
-  for (const RuleInstall& ri : delta.rule_installs) {
-    UNIFY_RETURN_IF_ERROR(nffg.add_flowrule(ri.bisbis, ri.rule));
+  // diff() lists each node's installs together: one add_flowrules per run.
+  const auto& installs = delta.rule_installs;
+  for (auto run = installs.begin(); run != installs.end();) {
+    std::vector<Flowrule> rules;
+    auto it = run;
+    for (; it != installs.end() && it->bisbis == run->bisbis; ++it) {
+      rules.push_back(it->rule);
+    }
+    UNIFY_RETURN_IF_ERROR(nffg.add_flowrules(run->bisbis, std::move(rules)));
+    run = it;
   }
   return Result<void>::success();
 }

@@ -1,6 +1,9 @@
 #include "model/nffg_json.h"
 
 #include <charconv>
+#include <limits>
+
+#include "util/strings.h"
 
 namespace unify::model {
 
@@ -10,11 +13,21 @@ using json::Array;
 using json::Object;
 using json::Value;
 
+/// The string member `key` of `v` by reference ("" when absent or not a
+/// string): decoding copies each string once, into its destination.
+const std::string& string_at(const Value& v, std::string_view key) {
+  static const std::string kEmpty;
+  const Value* member = v.get(key);
+  return member != nullptr && member->is_string() ? member->as_string()
+                                                  : kEmpty;
+}
+
 Value ports_to_json(const std::vector<Port>& ports) {
   Array arr;
   arr.reserve(ports.size());
   for (const Port& p : ports) {
     Object o;
+    o.reserve(2);
     o.set("id", p.id);
     if (!p.name.empty()) o.set("name", p.name);
     arr.emplace_back(std::move(o));
@@ -24,6 +37,7 @@ Value ports_to_json(const std::vector<Port>& ports) {
 
 Value resources_to_json(const Resources& r) {
   Object o;
+  o.reserve(3);
   o.set("cpu", r.cpu);
   o.set("mem", r.mem);
   o.set("storage", r.storage);
@@ -44,12 +58,19 @@ Result<std::vector<Port>> ports_from_json(const Value* v) {
   if (!v->is_array()) {
     return Error{ErrorCode::kProtocol, "ports must be an array"};
   }
+  ports.reserve(v->as_array().size());
   for (const Value& pv : v->as_array()) {
     if (!pv.is_object()) {
       return Error{ErrorCode::kProtocol, "port must be an object"};
     }
-    ports.push_back(Port{static_cast<int>(pv.get_int("id")),
-                         pv.get_string("name")});
+    const double id = pv.get_number("id");
+    if (!(id >= std::numeric_limits<int>::min() &&
+          id <= std::numeric_limits<int>::max())) {
+      return Error{ErrorCode::kProtocol,
+                   "port id " + strings::format_double(id) +
+                       " is outside the int range"};
+    }
+    ports.push_back(Port{static_cast<int>(id), string_at(pv, "name")});
   }
   return ports;
 }
@@ -81,12 +102,15 @@ Result<PortRef> port_ref_from_string(std::string_view text) {
 
 json::Value to_json(const Nffg& nffg) {
   Object root;
+  root.reserve(7);
   root.set("id", nffg.id());
   if (!nffg.name().empty()) root.set("name", nffg.name());
 
   Array saps;
+  saps.reserve(nffg.saps().size());
   for (const auto& [id, sap] : nffg.saps()) {
     Object o;
+    o.reserve(2);
     o.set("id", sap.id);
     if (!sap.name.empty()) o.set("name", sap.name);
     saps.emplace_back(std::move(o));
@@ -94,8 +118,10 @@ json::Value to_json(const Nffg& nffg) {
   root.set("saps", std::move(saps));
 
   Array nodes;
+  nodes.reserve(nffg.bisbis().size());
   for (const auto& [id, bb] : nffg.bisbis()) {
     Object o;
+    o.reserve(9);
     o.set("id", bb.id);
     if (!bb.name.empty()) o.set("name", bb.name);
     if (!bb.domain.empty()) o.set("domain", bb.domain);
@@ -103,14 +129,17 @@ json::Value to_json(const Nffg& nffg) {
     o.set("ports", ports_to_json(bb.ports));
     if (!bb.nf_types.empty()) {
       Array types;
+      types.reserve(bb.nf_types.size());
       for (const std::string& t : bb.nf_types) types.emplace_back(t);
       o.set("nf_types", std::move(types));
     }
     if (bb.internal_delay != 0) o.set("internal_delay", bb.internal_delay);
 
     Array nfs;
+    nfs.reserve(bb.nfs.size());
     for (const auto& [nf_id, nf] : bb.nfs) {
       Object n;
+      n.reserve(5);
       n.set("id", nf.id);
       n.set("type", nf.type);
       n.set("resources", resources_to_json(nf.requirement));
@@ -121,8 +150,10 @@ json::Value to_json(const Nffg& nffg) {
     o.set("nfs", std::move(nfs));
 
     Array rules;
+    rules.reserve(bb.flowrules.size());
     for (const Flowrule& fr : bb.flowrules) {
       Object r;
+      r.reserve(6);
       r.set("id", fr.id);
       r.set("in", fr.in.to_string());
       r.set("out", fr.out.to_string());
@@ -137,8 +168,10 @@ json::Value to_json(const Nffg& nffg) {
   root.set("nodes", std::move(nodes));
 
   Array links;
+  links.reserve(nffg.links().size());
   for (const auto& [id, link] : nffg.links()) {
     Object o;
+    o.reserve(6);
     o.set("id", link.id);
     o.set("from", link.from.to_string());
     o.set("to", link.to.to_string());
@@ -151,8 +184,10 @@ json::Value to_json(const Nffg& nffg) {
 
   if (!nffg.hints().empty()) {
     Array hints;
+    hints.reserve(nffg.hints().size());
     for (const ServiceHint& hint : nffg.hints()) {
       Object o;
+      o.reserve(5);
       o.set("id", hint.id);
       o.set("from", hint.from_sap);
       o.set("to", hint.to_sap);
@@ -167,8 +202,10 @@ json::Value to_json(const Nffg& nffg) {
 
   if (!nffg.constraints().empty()) {
     Array constraints;
+    constraints.reserve(nffg.constraints().size());
     for (const PlacementConstraint& c : nffg.constraints()) {
       Object o;
+      o.reserve(3);
       o.set("kind", to_string(c.kind));
       o.set("nf", c.nf_a);
       if (c.kind == ConstraintKind::kAntiAffinity) {
@@ -187,7 +224,7 @@ Result<Nffg> nffg_from_json(const json::Value& value) {
   if (!value.is_object()) {
     return Error{ErrorCode::kProtocol, "NFFG must be a JSON object"};
   }
-  Nffg nffg{value.get_string("id"), value.get_string("name")};
+  Nffg nffg{string_at(value, "id"), string_at(value, "name")};
 
   if (const Value* saps = value.get("saps")) {
     if (!saps->is_array()) {
@@ -198,7 +235,7 @@ Result<Nffg> nffg_from_json(const json::Value& value) {
         return Error{ErrorCode::kProtocol, "sap must be an object"};
       }
       UNIFY_RETURN_IF_ERROR(
-          nffg.add_sap(Sap{sv.get_string("id"), sv.get_string("name")}));
+          nffg.add_sap(Sap{string_at(sv, "id"), string_at(sv, "name")}));
     }
   }
 
@@ -211,9 +248,9 @@ Result<Nffg> nffg_from_json(const json::Value& value) {
         return Error{ErrorCode::kProtocol, "node must be an object"};
       }
       BisBis bb;
-      bb.id = nv.get_string("id");
-      bb.name = nv.get_string("name");
-      bb.domain = nv.get_string("domain");
+      bb.id = string_at(nv, "id");
+      bb.name = string_at(nv, "name");
+      bb.domain = string_at(nv, "domain");
       if (const Value* res = nv.get("resources")) {
         bb.capacity = resources_from_json(*res);
       }
@@ -244,17 +281,21 @@ Result<Nffg> nffg_from_json(const json::Value& value) {
             return Error{ErrorCode::kProtocol, "nf must be an object"};
           }
           NfInstance nf;
-          nf.id = nfv.get_string("id");
-          nf.type = nfv.get_string("type");
+          nf.id = string_at(nfv, "id");
+          nf.type = string_at(nfv, "type");
           if (const Value* res = nfv.get("resources")) {
             nf.requirement = resources_from_json(*res);
           }
           UNIFY_ASSIGN_OR_RETURN(nf.ports, ports_from_json(nfv.get("ports")));
-          const std::string status = nfv.get_string("status", "requested");
+          const Value* status_json = nfv.get("status");
+          const std::string_view status =
+              status_json != nullptr && status_json->is_string()
+                  ? std::string_view(status_json->as_string())
+                  : std::string_view("requested");
           const auto parsed = nf_status_from_string(status);
           if (!parsed.has_value()) {
             return Error{ErrorCode::kProtocol,
-                         "unknown NF status '" + status + "'"};
+                         "unknown NF status '" + std::string(status) + "'"};
           }
           nf.status = *parsed;
           nfs.push_back(std::move(nf));
@@ -265,18 +306,19 @@ Result<Nffg> nffg_from_json(const json::Value& value) {
         if (!rules_json->is_array()) {
           return Error{ErrorCode::kProtocol, "flowrules must be an array"};
         }
+        rules.reserve(rules_json->as_array().size());
         for (const Value& rv : rules_json->as_array()) {
           if (!rv.is_object()) {
             return Error{ErrorCode::kProtocol, "flowrule must be an object"};
           }
           Flowrule fr;
-          fr.id = rv.get_string("id");
+          fr.id = string_at(rv, "id");
           UNIFY_ASSIGN_OR_RETURN(fr.in,
-                                 port_ref_from_string(rv.get_string("in")));
+                                 port_ref_from_string(string_at(rv, "in")));
           UNIFY_ASSIGN_OR_RETURN(fr.out,
-                                 port_ref_from_string(rv.get_string("out")));
-          fr.match_tag = rv.get_string("match_tag");
-          fr.set_tag = rv.get_string("set_tag");
+                                 port_ref_from_string(string_at(rv, "out")));
+          fr.match_tag = string_at(rv, "match_tag");
+          fr.set_tag = string_at(rv, "set_tag");
           fr.bandwidth = rv.get_number("bandwidth");
           rules.push_back(std::move(fr));
         }
@@ -288,9 +330,7 @@ Result<Nffg> nffg_from_json(const json::Value& value) {
         UNIFY_RETURN_IF_ERROR(nffg.place_nf(bb_id, std::move(nf),
                                             /*force=*/true));
       }
-      for (Flowrule& fr : rules) {
-        UNIFY_RETURN_IF_ERROR(nffg.add_flowrule(bb_id, std::move(fr)));
-      }
+      UNIFY_RETURN_IF_ERROR(nffg.add_flowrules(bb_id, std::move(rules)));
     }
   }
 
@@ -303,11 +343,11 @@ Result<Nffg> nffg_from_json(const json::Value& value) {
         return Error{ErrorCode::kProtocol, "link must be an object"};
       }
       Link link;
-      link.id = lv.get_string("id");
+      link.id = string_at(lv, "id");
       UNIFY_ASSIGN_OR_RETURN(link.from,
-                             port_ref_from_string(lv.get_string("from")));
+                             port_ref_from_string(string_at(lv, "from")));
       UNIFY_ASSIGN_OR_RETURN(link.to,
-                             port_ref_from_string(lv.get_string("to")));
+                             port_ref_from_string(string_at(lv, "to")));
       link.attrs.bandwidth = lv.get_number("bandwidth");
       link.attrs.delay = lv.get_number("delay");
       link.reserved = lv.get_number("reserved");
@@ -324,9 +364,9 @@ Result<Nffg> nffg_from_json(const json::Value& value) {
         return Error{ErrorCode::kProtocol, "hint must be an object"};
       }
       ServiceHint hint;
-      hint.id = hv.get_string("id");
-      hint.from_sap = hv.get_string("from");
-      hint.to_sap = hv.get_string("to");
+      hint.id = string_at(hv, "id");
+      hint.from_sap = string_at(hv, "from");
+      hint.to_sap = string_at(hv, "to");
       hint.max_delay = hv.get_number(
           "max_delay", std::numeric_limits<double>::infinity());
       hint.min_bandwidth = hv.get_number("min_bandwidth");
@@ -343,21 +383,21 @@ Result<Nffg> nffg_from_json(const json::Value& value) {
         return Error{ErrorCode::kProtocol, "constraint must be an object"};
       }
       PlacementConstraint c;
-      const std::string kind = cv.get_string("kind");
+      const std::string& kind = string_at(cv, "kind");
       if (kind == "anti-affinity") {
         c.kind = ConstraintKind::kAntiAffinity;
-        c.nf_b = cv.get_string("peer");
+        c.nf_b = string_at(cv, "peer");
       } else if (kind == "pin") {
         c.kind = ConstraintKind::kPin;
-        c.host = cv.get_string("host");
+        c.host = string_at(cv, "host");
       } else if (kind == "forbid") {
         c.kind = ConstraintKind::kForbid;
-        c.host = cv.get_string("host");
+        c.host = string_at(cv, "host");
       } else {
         return Error{ErrorCode::kProtocol,
                      "unknown constraint kind '" + kind + "'"};
       }
-      c.nf_a = cv.get_string("nf");
+      c.nf_a = string_at(cv, "nf");
       UNIFY_RETURN_IF_ERROR(nffg.add_constraint(std::move(c)));
     }
   }

@@ -1,17 +1,17 @@
 #include "proto/framing.h"
 
+#include <cassert>
+
 namespace unify::proto {
 
-std::string encode_frame(std::string_view payload) {
-  const auto size = static_cast<std::uint32_t>(payload.size());
-  std::string out;
-  out.reserve(4 + payload.size());
-  out.push_back(static_cast<char>((size >> 24) & 0xFF));
-  out.push_back(static_cast<char>((size >> 16) & 0xFF));
-  out.push_back(static_cast<char>((size >> 8) & 0xFF));
-  out.push_back(static_cast<char>(size & 0xFF));
-  out.append(payload);
-  return out;
+void seal_frame(std::string& frame) {
+  assert(frame.size() >= kFrameHeaderBytes);
+  const auto size =
+      static_cast<std::uint32_t>(frame.size() - kFrameHeaderBytes);
+  frame[0] = static_cast<char>((size >> 24) & 0xFF);
+  frame[1] = static_cast<char>((size >> 16) & 0xFF);
+  frame[2] = static_cast<char>((size >> 8) & 0xFF);
+  frame[3] = static_cast<char>(size & 0xFF);
 }
 
 Result<void> FrameDecoder::feed(std::string_view bytes,
@@ -19,23 +19,35 @@ Result<void> FrameDecoder::feed(std::string_view bytes,
   if (poisoned_) {
     return Error{ErrorCode::kProtocol, "decoder poisoned by earlier error"};
   }
-  buffer_.append(bytes);
-  while (buffer_.size() >= 4) {
-    const auto b = [this](std::size_t i) {
+  // Frames that arrive whole are cut straight from `bytes`; only a
+  // partial tail is buffered, and consumed frames leave the buffer at once.
+  const bool buffered = !buffer_.empty();
+  if (buffered) buffer_.append(bytes);
+  const std::string_view data = buffered ? std::string_view(buffer_) : bytes;
+  std::size_t pos = 0;
+  Result<void> status = Result<void>::success();
+  while (data.size() - pos >= kFrameHeaderBytes) {
+    const auto b = [&](std::size_t i) {
       return static_cast<std::uint32_t>(
-          static_cast<unsigned char>(buffer_[i]));
+          static_cast<unsigned char>(data[pos + i]));
     };
     const std::uint32_t size = (b(0) << 24) | (b(1) << 16) | (b(2) << 8) | b(3);
     if (size > kMaxFrameBytes) {
       poisoned_ = true;
-      return Error{ErrorCode::kProtocol,
-                   "frame of " + std::to_string(size) + " bytes exceeds cap"};
+      status = Error{ErrorCode::kProtocol,
+                     "frame of " + std::to_string(size) + " bytes exceeds cap"};
+      break;
     }
-    if (buffer_.size() < 4 + static_cast<std::size_t>(size)) break;
-    out.push_back(buffer_.substr(4, size));
-    buffer_.erase(0, 4 + static_cast<std::size_t>(size));
+    if (data.size() - pos - kFrameHeaderBytes < size) break;
+    out.emplace_back(data.substr(pos + kFrameHeaderBytes, size));
+    pos += kFrameHeaderBytes + size;
   }
-  return Result<void>::success();
+  if (buffered) {
+    buffer_.erase(0, pos);
+  } else {
+    buffer_.assign(data.substr(pos));
+  }
+  return status;
 }
 
 }  // namespace unify::proto

@@ -18,8 +18,13 @@ namespace unify::proto {
 /// Frames larger than this are a protocol violation (64 MiB).
 inline constexpr std::uint32_t kMaxFrameBytes = 64u * 1024 * 1024;
 
-/// Prepends the length header.
-[[nodiscard]] std::string encode_frame(std::string_view payload);
+/// Bytes of the big-endian length header in front of every payload.
+inline constexpr std::size_t kFrameHeaderBytes = 4;
+
+/// Completes a frame built in place: `frame` starts with kFrameHeaderBytes
+/// reserved bytes followed by the payload; writes the payload length into
+/// them. Lets a writer serialize straight into the frame buffer.
+void seal_frame(std::string& frame);
 
 class FrameDecoder {
  public:

@@ -1,5 +1,7 @@
 #include "proto/rpc.h"
 
+#include <cmath>
+
 #include "util/log.h"
 
 namespace unify::proto {
@@ -124,7 +126,10 @@ Result<json::Value> RpcPeer::call_and_wait(std::string method,
 }
 
 Result<void> RpcPeer::send_json(const json::Value& msg) {
-  return transport_->send(encode_frame(msg.dump()));
+  std::string frame(kFrameHeaderBytes, '\0');
+  msg.dump_to(frame);
+  seal_frame(frame);
+  return transport_->send(std::move(frame));
 }
 
 void RpcPeer::handle_bytes(std::string_view bytes) {
@@ -140,7 +145,7 @@ void RpcPeer::handle_bytes(std::string_view bytes) {
     return;
   }
   for (const std::string& frame : frames) {
-    const auto parsed = json::parse(frame);
+    auto parsed = json::parse(frame);
     if (!parsed.ok()) {
       UNIFY_LOG(kError, "proto.rpc")
           << name_ << ": bad JSON frame: " << parsed.error().to_string();
@@ -151,7 +156,7 @@ void RpcPeer::handle_bytes(std::string_view bytes) {
   }
 }
 
-void RpcPeer::handle_message(const json::Value& msg) {
+void RpcPeer::handle_message(json::Value& msg) {
   if (!msg.is_object()) {
     UNIFY_LOG(kWarn, "proto.rpc") << name_ << ": non-object message frame";
     ++protocol_errors_;
@@ -214,6 +219,16 @@ void RpcPeer::handle_message(const json::Value& msg) {
   }
 
   if (id != nullptr && id->is_number()) {  // response
+    // Call ids are integers; a fractional or out-of-range id names no call
+    // (and must not be truncated onto one).
+    constexpr double kMaxExactId = 9007199254740992.0;  // 2^53
+    const double raw = id->as_number();
+    if (!(std::fabs(raw) <= kMaxExactId) || raw != std::trunc(raw)) {
+      UNIFY_LOG(kWarn, "proto.rpc")
+          << name_ << ": response with non-integer rpc id " << raw;
+      ++protocol_errors_;
+      return;
+    }
     const auto it = pending_.find(id->as_int());
     if (it == pending_.end()) {
       // Duplicate response id, or a late response after the deadline
@@ -229,8 +244,8 @@ void RpcPeer::handle_message(const json::Value& msg) {
     pending->responded = true;
     if (const json::Value* error = msg.get("error")) {
       pending->done(error_from_json(*error));
-    } else if (const json::Value* result = msg.get("result")) {
-      pending->done(*result);
+    } else if (json::Value* result = msg.as_object().find("result")) {
+      pending->done(std::move(*result));
     } else {
       pending->done(Error{ErrorCode::kProtocol,
                           "response carries neither result nor error"});

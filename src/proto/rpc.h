@@ -14,12 +14,12 @@
 //
 // Robustness: unknown methods are answered with a not_found error frame;
 // malformed input (bad JSON, requests without a string method, responses
-// with unknown/duplicate ids, frames that are not objects) is ignored and
-// counted in protocol_errors() — a misbehaving peer can never crash the
-// session or wedge a well-formed one. Every peer answers the "ping"
-// method natively (empty result) unless a handler overrides it, so any
-// session can be heartbeat-probed (proto/resilient_session.h) without
-// per-server plumbing. The single unrecoverable input is a
+// with unknown/duplicate or non-integer ids, frames that are not objects)
+// is ignored and counted in protocol_errors() — a misbehaving peer can
+// never crash the session or wedge a well-formed one. Every peer answers
+// the "ping" method natively (empty result) unless a handler overrides it,
+// so any session can be heartbeat-probed (proto/resilient_session.h)
+// without per-server plumbing. The single unrecoverable input is a
 // framing-level violation (oversized frame): byte-stream sync is lost, so
 // the transport is disconnected.
 //
@@ -105,7 +105,9 @@ class RpcPeer {
 
  private:
   void handle_bytes(std::string_view bytes);
-  void handle_message(const json::Value& msg);
+  /// Takes the parsed frame by reference so a response's result can be
+  /// moved into the pending call instead of copied.
+  void handle_message(json::Value& msg);
   void handle_closed();
   Result<void> send_json(const json::Value& msg);
 

@@ -1,8 +1,8 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace unify::strings {
 
@@ -55,15 +55,24 @@ bool ends_with(std::string_view text, std::string_view suffix) noexcept {
 }
 
 std::string format_double(double value) {
-  if (std::isfinite(value) && value == std::floor(value) &&
-      std::fabs(value) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", value);
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
+  std::string out;
+  append_double(out, value);
+  return out;
+}
+
+void append_double(std::string& out, double value) {
+  // std::to_chars with an explicit precision prints exactly what printf
+  // does with the matching conversion, without the locale or format parse.
+  char buf[32];
+  const bool integral = std::isfinite(value) && value == std::floor(value) &&
+                        std::fabs(value) < 1e15;
+  const auto [end, ec] =
+      integral ? std::to_chars(buf, buf + sizeof(buf), value,
+                               std::chars_format::fixed, 0)
+               : std::to_chars(buf, buf + sizeof(buf), value,
+                               std::chars_format::general, 6);
+  (void)ec;  // 32 bytes hold any "%.0f" below 1e15 and any "%.6g"
+  out.append(buf, end);
 }
 
 }  // namespace unify::strings

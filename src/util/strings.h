@@ -23,8 +23,12 @@ namespace unify::strings {
 [[nodiscard]] bool ends_with(std::string_view text,
                              std::string_view suffix) noexcept;
 
-/// Formats a double compactly: integral values without trailing ".0",
-/// otherwise up to 6 significant decimals ("2", "0.25", "13.333333").
+/// Formats a double compactly: integral values below 1e15 in magnitude
+/// without trailing ".0" (printf "%.0f"), otherwise 6 significant digits
+/// (printf "%.6g": "0.25", "13.3333", "1e+15").
 [[nodiscard]] std::string format_double(double value);
+
+/// Appends format_double(value) to `out` without a temporary string.
+void append_double(std::string& out, double value);
 
 }  // namespace unify::strings

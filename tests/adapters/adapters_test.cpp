@@ -300,5 +300,82 @@ TEST(FullReinstallAblation, SameFinalStateMoreOps) {
   EXPECT_EQ(naive_ops, 4u);   // stop 1 + start 3
 }
 
+
+// ------------------------------------------------------------ BaseAdapter
+
+// One node whose native rule installs fail on a chosen rule id.
+class RuleFaultAdapter final : public BaseAdapter {
+ public:
+  explicit RuleFaultAdapter(std::string fail_on) : fail_on_(std::move(fail_on)) {}
+  [[nodiscard]] const std::string& domain() const noexcept override {
+    return domain_;
+  }
+  [[nodiscard]] std::uint64_t native_operations() const noexcept override {
+    return ops_;
+  }
+
+ protected:
+  [[nodiscard]] Result<model::Nffg> build_skeleton() override {
+    model::Nffg view{"d-view"};
+    model::BisBis bb;
+    bb.id = "d.bb";
+    for (int p = 0; p < 2; ++p) bb.ports.push_back(model::Port{p, ""});
+    UNIFY_RETURN_IF_ERROR(view.add_bisbis(std::move(bb)));
+    return view;
+  }
+  Result<void> do_place_nf(const std::string&,
+                           const model::NfInstance&) override {
+    ++ops_;
+    return Result<void>::success();
+  }
+  Result<void> do_remove_nf(const std::string&, const std::string&) override {
+    ++ops_;
+    return Result<void>::success();
+  }
+  Result<void> do_install_rule(const std::string&,
+                               const model::Flowrule& rule) override {
+    if (rule.id == fail_on_) {
+      return Error{ErrorCode::kUnavailable, "switch rejected " + rule.id};
+    }
+    ++ops_;
+    return Result<void>::success();
+  }
+  Result<void> do_remove_rule(const std::string&, const std::string&) override {
+    ++ops_;
+    return Result<void>::success();
+  }
+
+ private:
+  std::string domain_ = "d";
+  std::string fail_on_;
+  std::uint64_t ops_ = 0;
+};
+
+TEST(BaseAdapterTest, FailedRuleInstallKeepsTheInstalledOnesOnRecord) {
+  RuleFaultAdapter adapter("r2");
+  auto view = adapter.fetch_view();
+  ASSERT_TRUE(view.ok()) << view.error().to_string();
+  model::Nffg desired = *view;
+  for (const char* id : {"r1", "r2", "r3"}) {
+    ASSERT_TRUE(desired
+                    .add_flowrule("d.bb", model::Flowrule{id, {"d.bb", 0},
+                                                          {"d.bb", 1}, "",
+                                                          "", 1})
+                    .ok());
+  }
+  const auto applied = adapter.apply(desired);
+  ASSERT_FALSE(applied.ok());
+  EXPECT_EQ(applied.error().code, ErrorCode::kUnavailable);
+  // r1 was installed natively, so the record holds it; r2 failed and r3
+  // was never attempted.
+  EXPECT_EQ(adapter.native_operations(), 1u);
+  auto after = adapter.fetch_view();
+  ASSERT_TRUE(after.ok());
+  const model::BisBis* bb = after->find_bisbis("d.bb");
+  ASSERT_NE(bb, nullptr);
+  ASSERT_EQ(bb->flowrules.size(), 1u);
+  EXPECT_EQ(bb->flowrules.front().id, "r1");
+}
+
 }  // namespace
 }  // namespace unify::adapters

@@ -2,6 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <random>
+#include <string>
+
+#include "util/strings.h"
+
 namespace unify::json {
 namespace {
 
@@ -80,6 +91,20 @@ TEST(JsonValue, EqualityIsOrderInsensitiveForObjects) {
 TEST(JsonValue, EqualityIsOrderSensitiveForArrays) {
   EXPECT_NE((Value{Array{1, 2}}), (Value{Array{2, 1}}));
   EXPECT_EQ((Value{Array{1, 2}}), (Value{Array{1, 2}}));
+}
+
+TEST(JsonValue, AsIntIsDefinedForEveryDouble) {
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(Value{1.9}.as_int(), 1);
+  EXPECT_EQ(Value{-1.9}.as_int(), -1);
+  EXPECT_EQ(Value{9007199254740992.0}.as_int(), 9007199254740992);
+  EXPECT_EQ(Value{-9223372036854775808.0}.as_int(), kMin);
+  EXPECT_EQ(Value{9223372036854775808.0}.as_int(), kMax);
+  EXPECT_EQ(Value{1e300}.as_int(), kMax);
+  EXPECT_EQ(Value{-1e300}.as_int(), kMin);
+  EXPECT_EQ(Value{std::numeric_limits<double>::infinity()}.as_int(), kMax);
+  EXPECT_EQ(Value{std::numeric_limits<double>::quiet_NaN()}.as_int(), 0);
 }
 
 TEST(JsonValue, LenientGetters) {
@@ -179,6 +204,24 @@ TEST(JsonParse, RejectsMalformedDocuments) {
   }
 }
 
+TEST(JsonParse, RepeatedKeyKeepsFirstPositionTakesLastValue) {
+  auto parsed = parse(
+      R"({"k0":0,"k1":1,"k2":2,"k1":"last","k0":{"nested":[1,{"k0":2,"k0":3}]}})");
+  ASSERT_TRUE(parsed.ok());
+  const Object& obj = parsed->as_object();
+  ASSERT_EQ(obj.size(), 3u);
+  auto it = obj.begin();
+  EXPECT_EQ(it->first, "k0");
+  const Value* inner = it->second.get("nested");
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(inner->as_array()[1].as_object().size(), 1u);
+  EXPECT_EQ(inner->as_array()[1].get_int("k0"), 3);
+  ++it;
+  EXPECT_EQ(it->first, "k1");
+  EXPECT_EQ(it->second.as_string(), "last");
+  EXPECT_EQ(obj.find("k2")->as_int(), 2);
+}
+
 TEST(JsonParse, ErrorCarriesOffset) {
   auto r = parse("[1, &]");
   ASSERT_FALSE(r.ok());
@@ -231,10 +274,95 @@ TEST_P(JsonNumberRoundTrip, Exact) {
   EXPECT_DOUBLE_EQ(parsed->as_number(), value);
 }
 
+// The codec must print exactly what printf's "%.0f" (integral, below 1e15)
+// or "%.6g" prints, and read every number bit-for-bit as strtod does.
+std::string printf_reference(double value) {
+  char buf[64];
+  const bool integral = std::isfinite(value) &&
+                        value == std::floor(value) && std::fabs(value) < 1e15;
+  std::snprintf(buf, sizeof(buf), integral ? "%.0f" : "%.6g", value);
+  return buf;
+}
+
+std::uint64_t bits(double value) {
+  return std::bit_cast<std::uint64_t>(value);
+}
+
+/// Parses `token` as a JSON document and expects strtod's exact result.
+void expect_parse_matches_strtod(const std::string& token) {
+  const auto parsed = parse(token);
+  ASSERT_TRUE(parsed.ok()) << token;
+  ASSERT_TRUE(parsed->is_number()) << token;
+  EXPECT_EQ(bits(parsed->as_number()),
+            bits(std::strtod(token.c_str(), nullptr)))
+      << token;
+}
+
+void expect_matches_libc(double value) {
+  const std::string text = strings::format_double(value);
+  EXPECT_EQ(text, printf_reference(value)) << bits(value);
+  std::string appended = "x";
+  strings::append_double(appended, value);
+  EXPECT_EQ(appended, "x" + text);
+  expect_parse_matches_strtod(text);
+  char full[64];  // 17 significant digits name the double exactly
+  std::snprintf(full, sizeof(full), "%.17g", value);
+  expect_parse_matches_strtod(full);
+  EXPECT_EQ(bits(parse(full)->as_number()), bits(value)) << full;
+}
+
+TEST_P(JsonNumberRoundTrip, MatchesLibc) { expect_matches_libc(GetParam()); }
+
 INSTANTIATE_TEST_SUITE_P(Values, JsonNumberRoundTrip,
                          ::testing::Values(0.0, 1.0, -1.0, 0.5, -0.25, 1e6,
                                            123456789.0, 3.14159, 1e-6,
-                                           42.42));
+                                           42.42, 1e15, -0.0,
+                                           4.9406564584124654e-324, 1e-310,
+                                           1e-7, 0.1));
+
+TEST_F(JsonNumberRoundTrip, LossyValuesMatchLibc) {
+  // Not exact through six significant digits, but still libc's answer.
+  for (const double value : {123456.5, 1234567.25, 999999.5, -0.1234567,
+                             1e15 + 0.5, 3.0e-5 / 7, 1.7976931348623157e308,
+                             2.2250738585072009e-308}) {
+    expect_matches_libc(value);
+  }
+}
+
+TEST_F(JsonNumberRoundTrip, SeededSweepMatchesLibc) {
+  std::mt19937_64 rng(19);
+  std::uniform_int_distribution<int> digits(0, 9);
+  for (int i = 0; i < 20000; ++i) {
+    // Alternate raw bit patterns (any finite double) with short decimals
+    // and integers, the shapes the orchestrator actually writes.
+    double value = std::bit_cast<double>(rng());
+    if (i % 3 == 1) {
+      value = static_cast<double>(static_cast<std::int64_t>(rng() % 2000001) -
+                                  1000000) /
+              std::pow(10.0, digits(rng) % 7);
+    } else if (i % 3 == 2) {
+      value = static_cast<double>(rng() >> (11 + digits(rng) * 5));
+    }
+    if (!std::isfinite(value)) continue;
+    expect_matches_libc(value);
+  }
+}
+
+TEST_F(JsonNumberRoundTrip, OutOfRangeTokensMatchStrtod) {
+  for (const std::string token :
+       {"1e400", "-1e400", "1e-400", "-1e-400", "1.7976931348623157e308",
+        "1.7976931348623159e308", "2.4703282292062327e-324",
+        "2.4703282292062328e-324", "2.4703282292062329e-324",
+        "0.00001e-320", "123456789012345678901234567890e280",
+        "1e99999999999999999999999", "-1e-99999999999999999999999",
+        "0e999999", "-0.0e-999999"}) {
+    expect_parse_matches_strtod(token);
+  }
+  expect_parse_matches_strtod("1" + std::string(400, '0'));
+  expect_parse_matches_strtod("-0." + std::string(400, '0') + "1");
+  expect_parse_matches_strtod("0." + std::string(400, '0') + "1e500");
+  expect_parse_matches_strtod("0." + std::string(400, '0') + "1e90");
+}
 
 }  // namespace
 }  // namespace unify::json

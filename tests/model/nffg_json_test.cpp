@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "model/nffg_builder.h"
+#include "util/rng.h"
 
 namespace unify::model {
 namespace {
@@ -127,6 +130,100 @@ TEST(NffgJson, OmitsDefaults) {
   EXPECT_EQ(wire.find("internal_delay"), std::string::npos);
   EXPECT_EQ(wire.find("nf_types"), std::string::npos);
   EXPECT_EQ(wire.find("\"name\""), std::string::npos);
+}
+
+/// A churn-sized edit-config: 200 chains of one to three NFs on the
+/// single BiS-BiS view of the four-domain churn line, written the way the
+/// service layer writes them (NFs on the big node, one untagged flowrule
+/// per chain hop, one hint per chain).
+Nffg churn_config(std::uint64_t seed) {
+  const char* const kTypes[] = {"nat", "fw-lite", "dpi"};
+  constexpr int kSaps = 4;
+  Rng rng(seed);
+  Nffg g{"churn-view", "single BiS-BiS"};
+  EXPECT_TRUE(g.add_bisbis(make_bisbis("big", {32768, 1 << 26, 1 << 22},
+                                       kSaps, 0.02))
+                  .ok());
+  for (int i = 0; i < kSaps; ++i) {
+    attach_sap(g, "sap" + std::to_string(i), "big", i, {1e6, 0.1});
+  }
+  for (int c = 0; c < 200; ++c) {
+    const std::string id = "c" + std::to_string(c);
+    const auto src = static_cast<int>(rng.next_below(kSaps));
+    const auto dst = static_cast<int>(
+        (src + 1 + rng.next_below(kSaps - 1)) % kSaps);
+    // Two decimals: the wire prints six significant digits, so these
+    // values decode to the very doubles that were encoded.
+    const double bandwidth = std::round(rng.next_double(1, 10) * 100) / 100;
+    const auto length = 1 + rng.next_below(3);
+    PortRef prev{"big", src};
+    for (std::uint64_t k = 0; k < length; ++k) {
+      const std::string nf = id + ".nf" + std::to_string(k);
+      NfInstance instance =
+          make_nf(nf, kTypes[rng.next_below(3)],
+                  {std::round(rng.next_double(0.5, 2) * 100) / 100, 256, 1});
+      instance.status = NfStatus::kRunning;
+      EXPECT_TRUE(g.place_nf("big", std::move(instance), true).ok());
+      EXPECT_TRUE(g.add_flowrule("big", Flowrule{id + ".l" + std::to_string(k),
+                                                 prev, {nf, 0}, "", "",
+                                                 bandwidth})
+                      .ok());
+      prev = PortRef{nf, 1};
+    }
+    EXPECT_TRUE(g.add_flowrule("big", Flowrule{id + ".l" +
+                                                   std::to_string(length),
+                                               prev, {"big", dst}, "", "",
+                                               bandwidth})
+                    .ok());
+    EXPECT_TRUE(g.add_hint(ServiceHint{id + ".e2e", "sap" + std::to_string(src),
+                                       "sap" + std::to_string(dst), 500,
+                                       bandwidth})
+                    .ok());
+  }
+  return g;
+}
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+TEST(NffgJson, ChurnSizedWireBytesArePinned) {
+  // The wire form is the interface between layers: these bytes must not
+  // move when the codec's internals change.
+  const Nffg config = churn_config(2001);
+  const std::string wire = to_json_string(config);
+  EXPECT_GT(wire.size(), 100000u);
+  EXPECT_EQ(fnv1a(wire), 0xD8A210ECFD482F72ULL)
+      << std::hex << fnv1a(wire) << " over " << std::dec << wire.size()
+      << " bytes";
+  auto decoded = nffg_from_json_string(wire);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+  EXPECT_TRUE(*decoded == config);
+  EXPECT_EQ(to_json_string(*decoded), wire);
+}
+
+TEST(NffgJson, RejectsPortIdsOutsideIntRange) {
+  for (const char* id : {"1e300", "-1e300", "2147483648", "-2147483649"}) {
+    const std::string doc =
+        std::string(R"({"id":"g","nodes":[{"id":"bb","ports":[{"id":)") + id +
+        "}]}]}";
+    const auto decoded = nffg_from_json_string(doc);
+    ASSERT_FALSE(decoded.ok()) << id;
+    EXPECT_EQ(decoded.error().code, ErrorCode::kProtocol) << id;
+  }
+  for (const char* id : {"2147483647", "-2147483648"}) {
+    const std::string doc =
+        std::string(R"({"id":"g","nodes":[{"id":"bb","ports":[{"id":)") + id +
+        "}]}]}";
+    const auto decoded = nffg_from_json_string(doc);
+    ASSERT_TRUE(decoded.ok()) << id;
+    EXPECT_EQ(decoded->find_bisbis("bb")->ports.front().id, std::stoi(id));
+  }
 }
 
 }  // namespace

@@ -217,6 +217,54 @@ TEST(Nffg, FlowruleEndpointRules) {
             ErrorCode::kInvalidArgument);
 }
 
+TEST(Nffg, AddFlowrulesChecksInRuleOrderAndIsAllOrNothing) {
+  Nffg g = two_node_graph();
+  ASSERT_TRUE(g.place_nf("bb1", make_nf("fw", "fw", {1, 1, 1}, 2)).ok());
+  ASSERT_TRUE(
+      g.add_flowrule("bb1", Flowrule{"r1", {"bb1", 0}, {"fw", 0}, "", "", 0})
+          .ok());
+  const auto rule = [](std::string id, PortRef in, double bandwidth = 0) {
+    return Flowrule{std::move(id), std::move(in), {"fw", 0}, "", "",
+                    bandwidth};
+  };
+  const auto first_error = [&](std::vector<Flowrule> rules) {
+    const auto added = g.add_flowrules("bb1", std::move(rules));
+    EXPECT_FALSE(added.ok());
+    return added.ok() ? Error{} : added.error();
+  };
+
+  // The first failing rule decides the error, whatever comes after it.
+  Error e = first_error({rule("a", {"bb1", 0}), rule("r1", {"bb1", 0}),
+                         rule("b", {"bb1", 77})});
+  EXPECT_EQ(e.code, ErrorCode::kAlreadyExists);
+  EXPECT_EQ(e.message, "flowrule r1 on bb1");
+  e = first_error({rule("a", {"bb1", 0}), rule("b", {"bb1", 77}),
+                   rule("a", {"bb1", 0})});
+  EXPECT_EQ(e.code, ErrorCode::kNotFound);
+  // A repeat inside the batch is a duplicate at its second occurrence.
+  e = first_error({rule("a", {"bb1", 0}), rule("b", {"bb1", 0}),
+                   rule("a", {"bb1", 1}, -1)});
+  EXPECT_EQ(e.code, ErrorCode::kAlreadyExists);
+  EXPECT_EQ(e.message, "flowrule a on bb1");
+  e = first_error({rule("a", {"bb1", 0}), rule("", {"bb1", 0})});
+  EXPECT_EQ(e.code, ErrorCode::kInvalidArgument);
+  e = first_error({rule("a", {"bb1", 0}, -1), rule("r1", {"bb1", 0})});
+  EXPECT_EQ(e.message, "flowrule a has negative bandwidth");
+  EXPECT_EQ(g.add_flowrules("ghost", {rule("a", {"bb1", 0})}).error().code,
+            ErrorCode::kNotFound);
+  // Failed batches left the node as it was.
+  ASSERT_EQ(g.find_bisbis("bb1")->flowrules.size(), 1u);
+
+  ASSERT_TRUE(g.add_flowrules("bb1", {rule("a", {"bb1", 0}),
+                                      rule("b", {"bb1", 1}, 5)})
+                  .ok());
+  const auto& rules = g.find_bisbis("bb1")->flowrules;
+  ASSERT_EQ(rules.size(), 3u);
+  EXPECT_EQ(rules[1].id, "a");
+  EXPECT_EQ(rules[2].id, "b");
+  EXPECT_TRUE(g.add_flowrules("bb1", {}).ok());
+}
+
 TEST(Nffg, RemoveNfDropsItsFlowrules) {
   Nffg g = two_node_graph();
   ASSERT_TRUE(g.place_nf("bb1", make_nf("fw", "fw", {1, 1, 1}, 2)).ok());

@@ -13,9 +13,12 @@
 #include "proto/channel.h"
 #include "proto/framing.h"
 #include "proto/rpc.h"
+#include "support/frame.h"
 
 namespace unify::proto {
 namespace {
+
+using test::encode_frame;
 
 FaultProfile only(FaultKind kind, double rate = 1.0) {
   FaultProfile profile;

@@ -12,9 +12,12 @@
 #include "proto/framing.h"
 #include "proto/net/tcp.h"
 #include "proto/rpc.h"
+#include "support/frame.h"
 
 namespace unify::proto {
 namespace {
+
+using test::encode_frame;
 
 std::vector<std::string> random_payloads(std::mt19937& rng, int count) {
   // Sizes spread over the interesting regimes: empty, tiny (header

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "support/frame.h"
+
 namespace unify::proto {
 namespace {
+
+using test::encode_frame;
 
 TEST(Framing, EncodeProducesHeaderPlusPayload) {
   const std::string frame = encode_frame("abc");

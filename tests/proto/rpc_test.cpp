@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "proto/channel.h"
+#include "support/frame.h"
 
 namespace unify::proto {
 namespace {
+
+using test::encode_frame;
 
 struct RpcFixture : ::testing::Test {
   void SetUp() override {
@@ -333,6 +336,50 @@ TEST_F(MalformedFixture, DuplicateResponseIdFiresDoneOnce) {
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(got, "first");
   EXPECT_EQ(server->protocol_errors(), 1u);  // the duplicate
+  expect_still_healthy();
+}
+
+TEST_F(MalformedFixture, FractionalResponseIdCompletesNoCall) {
+  // id 1.5 names no call; it must not be truncated onto pending call 1.
+  int fired = 0;
+  std::string got;
+  ASSERT_TRUE(server
+                  ->call("probe", json::Value{},
+                         [&](Result<json::Value> r) {
+                           ++fired;
+                           ASSERT_TRUE(r.ok());
+                           got = r->as_string();
+                         })
+                  .ok());
+  clock.run_until_idle();
+  inject(R"({"id": 1.5, "result": "forged"})");
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(server->protocol_errors(), 1u);
+  EXPECT_EQ(server->pending_calls(), 1u);
+  inject(R"({"id": 1, "result": "real"})");
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(got, "real");
+  EXPECT_EQ(server->protocol_errors(), 1u);
+  expect_still_healthy();
+}
+
+TEST_F(MalformedFixture, HugeResponseIdsAreProtocolErrors) {
+  // Ids beyond +-2^53 (or beyond double range) are not call ids; reading
+  // them must stay defined and complete nothing.
+  int fired = 0;
+  ASSERT_TRUE(server
+                  ->call("probe", json::Value{},
+                         [&](Result<json::Value>) { ++fired; })
+                  .ok());
+  clock.run_until_idle();
+  inject(R"({"id": 1e300, "result": 1})");
+  inject(R"({"id": -1e300, "result": 1})");
+  inject(R"({"id": 1e400, "result": 1})");
+  inject(R"({"id": 18014398509481984, "result": 1})");  // 2^54
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(server->protocol_errors(), 4u);
+  inject(R"({"id": 1, "result": 1})");
+  EXPECT_EQ(fired, 1);
   expect_still_healthy();
 }
 

@@ -9,9 +9,14 @@
 //     of DESIGN.md §15);
 //   - the branch-and-bound baseline lower-bounds every other mapper's
 //     canonically re-scored embedding on the instances it solves to proven
-//     optimality.
+//     optimality;
+//   - every lane's output over the sweep folds into a pinned digest, so a
+//     change below the mappers (path engine, cache, Context) that moves
+//     any placement, path, delay or error code shows up as a red test.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <iterator>
 #include <memory>
 #include <optional>
@@ -151,6 +156,84 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<int>& info) {
       return std::string(kMappers[info.param].label);
     });
+
+/// FNV-1a fold of a Result<Mapping>: placements, paths, requirement
+/// delays and stats (doubles by bit pattern), or the error code.
+class MappingDigest {
+ public:
+  void add(const Result<Mapping>& result) {
+    word(result.ok() ? 1 : 0);
+    if (!result.ok()) {
+      word(static_cast<std::uint64_t>(result.error().code));
+      return;
+    }
+    const Mapping& m = *result;
+    word(m.nf_host.size());
+    for (const auto& [nf, host] : m.nf_host) {
+      text(nf);
+      text(host);
+    }
+    word(m.link_paths.size());
+    for (const auto& [link, path] : m.link_paths) {
+      text(link);
+      word(path.links.size());
+      for (const std::string& hop : path.links) text(hop);
+      real(path.delay);
+    }
+    word(m.requirement_delay.size());
+    for (const auto& [req, delay] : m.requirement_delay) {
+      text(req);
+      real(delay);
+    }
+    word(m.stats.total_hops);
+    real(m.stats.bandwidth_hops);
+    word(m.stats.nodes_used);
+    word(m.stats.nfs_placed);
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return state_; }
+
+ private:
+  void byte(unsigned char b) {
+    state_ ^= b;
+    state_ *= 0x100000001B3ULL;
+  }
+  void word(std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(w >> (8 * i)));
+  }
+  void real(double d) { word(std::bit_cast<std::uint64_t>(d)); }
+  void text(const std::string& s) {
+    word(s.size());
+    for (const char c : s) byte(static_cast<unsigned char>(c));
+  }
+  std::uint64_t state_ = 0xCBF29CE484222325ULL;
+};
+
+/// The "mappings must not change" gate: one digest per lane over the
+/// conformance sweep, pinned to the values the current path engine
+/// produces. A digest may only move together with a deliberate change of
+/// what some mapper returns, and the commit doing so must say which.
+TEST(MapperGolden, EveryLaneDigestOverTheSweepIsPinned) {
+  const std::uint64_t kPinned[] = {
+      0x822A31287B75EC5FULL,  // greedy
+      0x26B0AA22E523DF26ULL,  // chain_dp
+      0x33FFDA4E422921D1ULL,  // bnb
+      0xB4F9CBB0A3B3E73DULL,  // first_fit
+      0xFA38E12CE44B6A55ULL,  // random
+  };
+  static_assert(std::size(kPinned) == std::size(kMappers));
+  const catalog::NfCatalog cat = catalog::default_catalog();
+  for (std::size_t lane = 0; lane < std::size(kMappers); ++lane) {
+    MappingDigest digest;
+    for (std::uint64_t seed = 0; seed < kInstances; ++seed) {
+      const Instance inst = make_instance(seed);
+      digest.add(kMappers[lane].make(seed + 1)->map(inst.sg, inst.substrate,
+                                                    cat));
+    }
+    EXPECT_EQ(digest.value(), kPinned[lane])
+        << kMappers[lane].label << " digest is 0x" << std::hex
+        << std::uppercase << digest.value();
+  }
+}
 
 /// Re-scores another mapper's *placement* under the canonical evaluation
 /// BnB proves optimality against (fresh Context, route_all in SG-link

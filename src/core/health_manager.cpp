@@ -8,6 +8,26 @@
 namespace unify::core {
 namespace {
 
+// The circuit breaker's fixed policy.
+/// Consecutive transient failures that open the circuit (domain down).
+constexpr int kFailureThreshold = 3;
+/// Consecutive transient failures that mark the domain degraded (still in
+/// the fan-out, but on the way to the breaker).
+constexpr int kDegradeAfter = 1;
+/// Embedding-cost bias (same unit as path delay) charged per consecutive
+/// transient failure while a domain is degraded, so flaky domains drain
+/// before their circuit trips. Stays below kProbingPenalty even at streak
+/// kFailureThreshold - 1, so a half-open domain never looks cheaper than a
+/// merely flaky one.
+constexpr double kPenaltyPerFailure = 4.0;
+/// Bias while a probe is in flight (half-open): almost-but-not-readmitted.
+constexpr double kProbingPenalty = 32.0;
+/// Bias while down. Capacity is masked to zero anyway; this is belt and
+/// braces for force-installed placements that survive the mask.
+constexpr double kDownPenalty = 64.0;
+static_assert(kPenaltyPerFailure * (kFailureThreshold - 1) < kProbingPenalty &&
+              kProbingPenalty < kDownPenalty);
+
 bool is_transient(ErrorCode code) noexcept {
   return code == ErrorCode::kUnavailable || code == ErrorCode::kTimeout;
 }
@@ -28,8 +48,7 @@ const char* to_string(DomainHealth health) noexcept {
   return "unknown";
 }
 
-void HealthManager::reset(HealthPolicy policy, std::vector<std::string> domains) {
-  policy_ = policy;
+void HealthManager::reset(std::vector<std::string> domains) {
   records_.clear();
   records_.reserve(domains.size());
   for (auto& domain : domains) {
@@ -56,11 +75,10 @@ bool HealthManager::record_failure(std::size_t index, const Error& error) {
     return false;
   }
   rec.consecutive_failures += 1;
-  if (!policy_.enabled) return false;
-  if (rec.consecutive_failures >= policy_.failure_threshold) {
+  if (rec.consecutive_failures >= kFailureThreshold) {
     return open_circuit(index, error.to_string());
   }
-  if (rec.consecutive_failures >= policy_.degrade_after) {
+  if (rec.consecutive_failures >= kDegradeAfter) {
     rec.health = DomainHealth::kDegraded;
   }
   return false;
@@ -145,12 +163,12 @@ double HealthManager::penalty(std::size_t index) const noexcept {
       // A non-transient failure resets the streak but leaves the domain
       // degraded; max(1, streak) keeps the penalty nonzero until a clean
       // success actually restores it to healthy.
-      return policy_.penalty_per_failure *
+      return kPenaltyPerFailure *
              static_cast<double>(std::max(1, rec.consecutive_failures));
     case DomainHealth::kProbing:
-      return policy_.probing_penalty;
+      return kProbingPenalty;
     case DomainHealth::kDown:
-      return policy_.down_penalty;
+      return kDownPenalty;
   }
   return 0.0;
 }

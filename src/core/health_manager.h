@@ -37,30 +37,6 @@ namespace unify::core {
 enum class DomainHealth { kHealthy, kDegraded, kDown, kProbing };
 [[nodiscard]] const char* to_string(DomainHealth health) noexcept;
 
-/// Circuit-breaker knobs. The RO runs the defaults; tests arm a bare
-/// HealthManager with others.
-struct HealthPolicy {
-  /// Passive circuit breaking on/off. Forced opens (open_circuit) and the
-  /// healing machinery keep working when disabled.
-  bool enabled = true;
-  /// Consecutive transient failures that open the circuit (domain down).
-  int failure_threshold = 3;
-  /// Consecutive transient failures that mark the domain degraded (still
-  /// in the fan-out, but one step from the breaker).
-  int degrade_after = 1;
-  /// Embedding-cost bias (same unit as path delay) charged per consecutive
-  /// transient failure while a domain is degraded, so flaky domains drain
-  /// before their circuit trips. Must stay below probing_penalty even at
-  /// streak == failure_threshold - 1 so a half-open domain never looks
-  /// cheaper than a merely flaky one.
-  double penalty_per_failure = 4.0;
-  /// Bias while a probe is in flight (half-open): almost-but-not-readmitted.
-  double probing_penalty = 32.0;
-  /// Bias while down. Capacity is masked to zero anyway; this is belt and
-  /// braces for force-installed placements that survive the mask.
-  double down_penalty = 64.0;
-};
-
 class HealthManager {
  public:
   struct DomainRecord {
@@ -82,7 +58,7 @@ class HealthManager {
 
   /// (Re)arms the manager for `domains` (index-aligned with the RO's
   /// adapters). All domains start healthy.
-  void reset(HealthPolicy policy, std::vector<std::string> domains);
+  void reset(std::vector<std::string> domains);
 
   // -- passive feed (push/fetch outcomes) --------------------------------
 
@@ -115,8 +91,8 @@ class HealthManager {
   [[nodiscard]] bool admits(std::size_t index) const noexcept;
   [[nodiscard]] DomainHealth health(std::size_t index) const noexcept;
   /// Embedding-cost bias for the domain: 0 iff healthy, scaled by the
-  /// failure streak while degraded, higher while probing/down (see
-  /// HealthPolicy). The orchestrator projects it onto every BiS-BiS of the
+  /// failure streak while degraded, higher while probing, highest while
+  /// down (constants in health_manager.cpp). The orchestrator projects it onto every BiS-BiS of the
   /// domain (model::BisBis::health_penalty) so mappers drain flaky domains
   /// before the breaker trips.
   [[nodiscard]] double penalty(std::size_t index) const noexcept;
@@ -135,10 +111,8 @@ class HealthManager {
   /// it and retry them when it moves — "a domain was readmitted (or died),
   /// re-evaluate" — without coupling to this manager's internals.
   [[nodiscard]] std::uint64_t state_fingerprint() const noexcept;
-  [[nodiscard]] const HealthPolicy& policy() const noexcept { return policy_; }
 
  private:
-  HealthPolicy policy_;
   std::vector<DomainRecord> records_;
 };
 

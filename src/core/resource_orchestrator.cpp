@@ -84,10 +84,9 @@ Result<void> ResourceOrchestrator::initialize() {
   merged.set_id(name_ + "-global-view");
   view_.reset(std::move(merged));
   push_state_.assign(adapters_.size(), DomainPushState{});
-  health_.reset(HealthPolicy{}, domain_names_);
+  health_.reset(domain_names_);
   mask_ = ViewMask{};
   refresh_health_penalties();
-  metrics_.set_gauge("ro.health.down_domains", 0);
   initialized_ = true;
   UNIFY_LOG(kInfo, "orch.ro")
       << name_ << ": merged " << adapters_.size() << " domains into "
@@ -683,8 +682,6 @@ void ResourceOrchestrator::remask_view() {
   for (const std::size_t i : health_.open_circuits()) {
     down.insert(domain_names_[i]);
   }
-  metrics_.set_gauge("ro.health.down_domains",
-                     static_cast<double>(down.size()));
   refresh_health_penalties();
   affected.insert(down.begin(), down.end());
   if (!affected.empty()) {

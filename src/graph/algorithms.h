@@ -6,9 +6,9 @@
 // with a negative weight are treated as unusable (filtered out), which is
 // how mappers mask links without residual bandwidth.
 //
-// The shortest-path searches (shortest_path, shortest_path_tree,
-// k_shortest_paths) live in path_kernel.h as templates over the scan
-// functor, run on a caller-owned PathWorkspace.
+// The shortest-path searches (shortest_path, shortest_path_tree) live in
+// path_kernel.h as templates over the scan functor, run on a caller-owned
+// PathWorkspace.
 #pragma once
 
 #include <functional>

@@ -1,11 +1,13 @@
-// Allocation-free shortest-path kernel.
+// Allocation-free shortest-path kernel: the early-exit point-to-point
+// search the mapping Context routes with, and the single-source tree the
+// virtualizer measures SAP-to-SAP transit delays with.
 //
-// The searches are templates over the scan functor (fully inlinable, no
-// virtual dispatch when the caller passes a concrete functor such as
+// Both are templates over the scan functor (fully inlinable, no virtual
+// dispatch when the caller passes a concrete functor such as
 // TopologyIndex::DelayScan) driving a PathWorkspace whose arrays are sized
 // once per substrate and logically reset by bumping an epoch counter
-// instead of refilling. Every search breaks (dist, node) ties the same
-// deterministic way and masks negative-weight edges.
+// instead of refilling. Both run the same Dijkstra loop, which breaks
+// (dist, node) ties one deterministic way and masks negative-weight edges.
 #pragma once
 
 #include <algorithm>
@@ -68,18 +70,12 @@ struct HeapAfter {
   }
 };
 
-}  // namespace detail
-
-/// Early-exit Dijkstra from `source` to `target` over `scan`, which must be
-/// callable as scan(NodeId, visit) with visit(EdgeId, NodeId to, double
-/// weight); negative weights mask edges. Returns nullopt when unreachable.
+/// Dijkstra from `source` (< node_capacity) into the workspace, stopping
+/// once `target` is settled; kInvalidId never settles, so it runs the
+/// full single-source search.
 template <typename ScanFn>
-[[nodiscard]] std::optional<Path> shortest_path(PathWorkspace& ws,
-                                                std::size_t node_capacity,
-                                                NodeId source, NodeId target,
-                                                ScanFn&& scan) {
-  if (source >= node_capacity || target >= node_capacity) return std::nullopt;
-  ws.begin(node_capacity);
+void run_dijkstra(PathWorkspace& ws, std::size_t node_capacity,
+                  NodeId source, NodeId target, ScanFn& scan) {
   const std::uint64_t epoch = ws.epoch();
   auto& nodes = ws.nodes_;
   auto& heap = ws.heap_;
@@ -90,7 +86,7 @@ template <typename ScanFn>
   nodes[source].seen = epoch;
   heap.push_back({0, source});
 
-  const detail::HeapAfter after;
+  const HeapAfter after;
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), after);
     const auto [d, node] = heap.back();
@@ -113,8 +109,24 @@ template <typename ScanFn>
       }
     });
   }
+}
 
-  if (nodes[target].seen != epoch) return std::nullopt;
+}  // namespace detail
+
+/// Early-exit Dijkstra from `source` to `target` over `scan`, which must be
+/// callable as scan(NodeId, visit) with visit(EdgeId, NodeId to, double
+/// weight); negative weights mask edges. Returns nullopt when unreachable.
+template <typename ScanFn>
+[[nodiscard]] std::optional<Path> shortest_path(PathWorkspace& ws,
+                                                std::size_t node_capacity,
+                                                NodeId source, NodeId target,
+                                                ScanFn&& scan) {
+  if (source >= node_capacity || target >= node_capacity) return std::nullopt;
+  ws.begin(node_capacity);
+  detail::run_dijkstra(ws, node_capacity, source, target, scan);
+
+  const auto& nodes = ws.nodes_;
+  if (nodes[target].seen != ws.epoch()) return std::nullopt;
   Path path;
   path.cost = nodes[target].dist;
   NodeId cur = target;
@@ -139,38 +151,7 @@ void shortest_path_tree(PathWorkspace& ws, std::size_t node_capacity,
                         NodeId source, ScanFn&& scan) {
   ws.begin(node_capacity);
   if (source >= node_capacity) return;
-  const std::uint64_t epoch = ws.epoch();
-  auto& nodes = ws.nodes_;
-  auto& heap = ws.heap_;
-
-  nodes[source].dist = 0;
-  nodes[source].parent_edge = kInvalidId;
-  nodes[source].parent_node = kInvalidId;
-  nodes[source].seen = epoch;
-  heap.push_back({0, source});
-
-  const detail::HeapAfter after;
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), after);
-    const auto [d, node] = heap.back();
-    heap.pop_back();
-    if (nodes[node].done == epoch) continue;
-    nodes[node].done = epoch;
-    scan(node, [&](EdgeId edge, NodeId to, double weight) {
-      if (weight < 0 || to >= node_capacity) return;
-      PathWorkspace::NodeState& state = nodes[to];
-      if (state.done == epoch) return;
-      const double candidate = d + weight;
-      if (state.seen != epoch || candidate < state.dist) {
-        state.dist = candidate;
-        state.parent_edge = edge;
-        state.parent_node = node;
-        state.seen = epoch;
-        heap.push_back({candidate, to});
-        std::push_heap(heap.begin(), heap.end(), after);
-      }
-    });
-  }
+  detail::run_dijkstra(ws, node_capacity, source, kInvalidId, scan);
 }
 
 /// Copies the current-epoch search state of `ws` (filled by
@@ -190,143 +171,6 @@ void shortest_path_tree(PathWorkspace& ws, std::size_t node_capacity,
     tree.parent_node[v] = state.parent_node;
   }
   return tree;
-}
-
-/// Yen's algorithm on the kernel: up to k loopless shortest paths in
-/// ascending cost, with deterministic cost/edge-sequence tie-breaks
-/// (KernelPinProperty pins it to a reference Yen). Every spur search runs
-/// on `ws` with the scan functor fully inlined, so repeated calls inside
-/// batch workers reuse one warm workspace.
-template <typename ScanFn>
-[[nodiscard]] std::vector<Path> k_shortest_paths(PathWorkspace& ws,
-                                                 std::size_t node_capacity,
-                                                 NodeId source, NodeId target,
-                                                 std::size_t k,
-                                                 ScanFn&& scan) {
-  std::vector<Path> result;
-  if (k == 0) return result;
-
-  auto first = shortest_path(ws, node_capacity, source, target, scan);
-  if (!first) return result;
-  result.push_back(std::move(*first));
-
-  // Candidate pool ordered by cost then edge sequence (deterministic).
-  auto cmp = [](const Path& a, const Path& b) {
-    if (a.cost != b.cost) return a.cost < b.cost;
-    return a.edges < b.edges;
-  };
-  std::vector<Path> candidates;
-  std::vector<bool> banned_nodes;
-  std::vector<EdgeId> banned_edges;
-
-  while (result.size() < k) {
-    const Path& prev = result.back();
-    // Deviate at every node of the previous path (classic Yen).
-    for (std::size_t i = 0; i + 1 < prev.nodes.size(); ++i) {
-      const NodeId spur_node = prev.nodes[i];
-      // Root = prev.nodes[0..i].
-      banned_edges.clear();
-      for (const Path& p : result) {
-        if (p.nodes.size() > i &&
-            std::equal(p.nodes.begin(),
-                       p.nodes.begin() + static_cast<long>(i) + 1,
-                       prev.nodes.begin())) {
-          if (i < p.edges.size()) banned_edges.push_back(p.edges[i]);
-        }
-      }
-      banned_nodes.assign(node_capacity, false);
-      for (std::size_t j = 0; j < i; ++j) banned_nodes[prev.nodes[j]] = true;
-
-      auto masked = [&](NodeId node, auto&& visit) {
-        scan(node, [&](EdgeId edge, NodeId to, double weight) {
-          if (std::find(banned_edges.begin(), banned_edges.end(), edge) !=
-              banned_edges.end()) {
-            return;
-          }
-          if (to < banned_nodes.size() && banned_nodes[to]) return;
-          visit(edge, to, weight);
-        });
-      };
-      auto spur = shortest_path(ws, node_capacity, spur_node, target, masked);
-      if (!spur) continue;
-
-      Path total;
-      total.nodes.assign(prev.nodes.begin(),
-                         prev.nodes.begin() + static_cast<long>(i));
-      total.edges.assign(prev.edges.begin(),
-                         prev.edges.begin() + static_cast<long>(i));
-      total.nodes.insert(total.nodes.end(), spur->nodes.begin(),
-                         spur->nodes.end());
-      total.edges.insert(total.edges.end(), spur->edges.begin(),
-                         spur->edges.end());
-      // Root cost: accumulate by re-scanning each root edge (the spur
-      // search's weights are not retained).
-      double root_cost = 0;
-      for (std::size_t j = 0; j < i; ++j) {
-        const EdgeId want = prev.edges[j];
-        double w = 0;
-        scan(prev.nodes[j], [&](EdgeId edge, NodeId, double weight) {
-          if (edge == want) w = weight;
-        });
-        root_cost += w;
-      }
-      total.cost = root_cost + spur->cost;
-
-      if (std::find(result.begin(), result.end(), total) == result.end() &&
-          std::find(candidates.begin(), candidates.end(), total) ==
-              candidates.end()) {
-        candidates.push_back(std::move(total));
-      }
-    }
-    if (candidates.empty()) break;
-    auto best = std::min_element(candidates.begin(), candidates.end(), cmp);
-    result.push_back(std::move(*best));
-    candidates.erase(best);
-  }
-  return result;
-}
-
-/// Distance-only variant: the cost of the shortest path, kInf when
-/// unreachable. Skips path reconstruction, so a query allocates nothing
-/// once the workspace is warm.
-template <typename ScanFn>
-[[nodiscard]] double shortest_distance(PathWorkspace& ws,
-                                       std::size_t node_capacity,
-                                       NodeId source, NodeId target,
-                                       ScanFn&& scan) {
-  if (source >= node_capacity || target >= node_capacity) return kInf;
-  if (source == target) return 0;
-  ws.begin(node_capacity);
-  const std::uint64_t epoch = ws.epoch();
-  auto& nodes = ws.nodes_;
-  auto& heap = ws.heap_;
-
-  nodes[source].dist = 0;
-  nodes[source].seen = epoch;
-  heap.push_back({0, source});
-
-  const detail::HeapAfter after;
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), after);
-    const auto [d, node] = heap.back();
-    heap.pop_back();
-    if (nodes[node].done == epoch) continue;
-    nodes[node].done = epoch;
-    if (node == target) return d;
-    scan(node, [&](EdgeId, NodeId to, double weight) {
-      if (weight < 0 || to >= node_capacity) return;
-      PathWorkspace::NodeState& state = nodes[to];
-      if (state.done == epoch) return;
-      const double candidate = d + weight;
-      if (state.seen != epoch || candidate < state.dist) {
-        state.dist = candidate;
-        state.seen = epoch;
-        heap.push_back({candidate, to});
-        std::push_heap(heap.begin(), heap.end(), after);
-      }
-    });
-  }
-  return kInf;
 }
 
 }  // namespace unify::graph

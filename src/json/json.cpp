@@ -301,7 +301,9 @@ class Parser {
       if (peek() != ':') return fail("expected ':' after key");
       ++pos_;
       skip_ws();
-      if (!parse_value(member_slot(level))) return false;
+      Value* slot = member_slot(level);
+      if (slot == nullptr) return fail("object has too many members");
+      if (!parse_value(*slot)) return false;
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -364,19 +366,23 @@ class Parser {
 
   /// The slot for the member named key_ of the object open at `level`. A
   /// repeated key keeps its first position and takes the last value.
-  Value& member_slot(std::size_t level) {
+  /// nullptr when a new key would exceed kMaxMembers: the duplicate scan
+  /// compares each key with at most kMaxMembers - 1 others, so parsing
+  /// stays linear in the input.
+  Value* member_slot(std::size_t level) {
     auto& members = members_[level];
     for (auto& [key, value] : members) {
       if (key == key_) {
         value = Value{};
-        return value;
+        return &value;
       }
     }
-    return members
-        .emplace_back(std::piecewise_construct,
-                      std::forward_as_tuple(std::move(key_)),
-                      std::forward_as_tuple())
-        .second;
+    if (members.size() >= kMaxMembers) return nullptr;
+    return &members
+                .emplace_back(std::piecewise_construct,
+                              std::forward_as_tuple(std::move(key_)),
+                              std::forward_as_tuple())
+                .second;
   }
 
   /// Replaces `out` with the decoded string at pos_ (an opening quote).
@@ -579,6 +585,9 @@ class Parser {
   }
 
   static constexpr int kMaxDepth = 256;
+  /// Members per object. Unify messages, NFFGs, service graphs and
+  /// catalogs need at most 9; the cap bounds the duplicate-key scan.
+  static constexpr std::size_t kMaxMembers = 32;
   static constexpr std::int64_t kExponentCap = 100'000'000'000'000'000;
 
   std::string_view text_;

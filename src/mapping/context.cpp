@@ -20,15 +20,7 @@ Context::Context(const sg::ServiceGraph& sg, const SubstrateView& substrate,
 }
 
 Result<model::Resources> Context::footprint(const sg::SgNf& nf) const {
-  const auto key =
-      std::make_tuple(nf.type, nf.requirement_override.cpu,
-                      nf.requirement_override.mem,
-                      nf.requirement_override.storage);
-  const auto it = footprint_cache_.find(key);
-  if (it != footprint_cache_.end()) return it->second;
-  auto resolved = catalog_->footprint(nf.type, nf.requirement_override);
-  if (resolved.ok()) footprint_cache_.emplace(key, *resolved);
-  return resolved;
+  return catalog_->footprint(nf.type, nf.requirement_override);
 }
 
 model::Resources Context::residual(const std::string& host) const {
@@ -192,18 +184,6 @@ Result<std::string> Context::node_of(const std::string& sg_node) const {
   return it->second;
 }
 
-void Context::OverlayScan::note_masked(graph::EdgeId e) const {
-  if (*overflow) return;
-  if (std::find(record->begin(), record->end(), e) != record->end()) return;
-  if (record->size() >= kMaskedEdgeCap) {
-    *overflow = true;
-    record->clear();
-    record->shrink_to_fit();
-    return;
-  }
-  record->push_back(e);
-}
-
 const Context::PathEntry& Context::cached_path(graph::NodeId from,
                                                graph::NodeId to,
                                                double min_bw) const {
@@ -215,12 +195,9 @@ const Context::PathEntry& Context::cached_path(graph::NodeId from,
   }
   ++cache_stats_.misses;
   PathEntry entry;
-  // Record every bandwidth-masked edge the Dijkstra scans: any edge whose
-  // release could improve this entry has a settled (hence scanned) tail,
-  // so the set is complete for per-entry unroute invalidation.
-  auto path = graph::shortest_path(
-      workspace_, index_->graph().node_capacity(), from, to,
-      OverlayScan{this, min_bw, &entry.masked, &entry.masked_overflow});
+  auto path = graph::shortest_path(workspace_,
+                                   index_->graph().node_capacity(), from, to,
+                                   OverlayScan{this, min_bw});
   if (path.has_value()) {
     entry.reachable = true;
     entry.delay = model::path_delay(*index_, *path);
@@ -229,64 +206,29 @@ const Context::PathEntry& Context::cached_path(graph::NodeId from,
   return path_cache_.emplace(key, std::move(entry)).first->second;
 }
 
-void Context::apply_reservation_to_cache(
+void Context::invalidate_paths_crossing(
     const std::vector<graph::EdgeId>& edges) {
-  for (auto it = path_cache_.begin(); it != path_cache_.end();) {
-    PathEntry& entry = it->second;
-    const auto& cached = entry.path.edges;
+  // Reservations only mask edges: an entry whose path avoids every touched
+  // edge is still what a fresh search returns.
+  std::erase_if(path_cache_, [&](const auto& item) {
+    const auto& cached = item.second.path.edges;
     const bool crosses =
-        entry.reachable &&
         std::any_of(cached.begin(), cached.end(), [&](graph::EdgeId e) {
           return std::binary_search(edges.begin(), edges.end(), e);
         });
-    if (crosses) {
-      ++cache_stats_.invalidations;
-      it = path_cache_.erase(it);
-      continue;
-    }
-    // Survivors stay optimal (reservations only mask edges), but must
-    // learn which of the touched edges are now masked for their floor so
-    // a later release re-examines them.
-    if (!entry.masked_overflow) {
-      const double floor = std::get<2>(it->first);
-      for (const graph::EdgeId e : edges) {
-        if (residual_bandwidth(e) < floor) {
-          if (std::find(entry.masked.begin(), entry.masked.end(), e) ==
-              entry.masked.end()) {
-            if (entry.masked.size() >= kMaskedEdgeCap) {
-              entry.masked_overflow = true;
-              entry.masked.clear();
-              entry.masked.shrink_to_fit();
-              break;
-            }
-            entry.masked.push_back(e);
-          }
-        }
-      }
-    }
-    ++it;
-  }
+    if (crosses) ++cache_stats_.invalidations;
+    return crosses;
+  });
 }
 
-void Context::invalidate_paths_unmasked_by(graph::EdgeId edge,
-                                           double pre_residual) {
-  for (auto it = path_cache_.begin(); it != path_cache_.end();) {
-    const PathEntry& entry = it->second;
-    const double floor = std::get<2>(it->first);
-    // The release unmasks `edge` only for floors above its pre-release
-    // residual, and only entries that saw it masked can improve.
-    const bool stale =
-        floor > pre_residual &&
-        (entry.masked_overflow ||
-         std::find(entry.masked.begin(), entry.masked.end(), edge) !=
-             entry.masked.end());
-    if (stale) {
-      ++cache_stats_.invalidations;
-      it = path_cache_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+void Context::invalidate_paths_above(double min_pre_residual) {
+  // A release unmasks an edge only for floors above its pre-release
+  // residual; every lower floor sees the same masked graph as before.
+  std::erase_if(path_cache_, [&](const auto& item) {
+    const bool stale = std::get<2>(item.first) > min_pre_residual;
+    if (stale) ++cache_stats_.invalidations;
+    return stale;
+  });
 }
 
 Result<PathInfo> Context::route(const sg::SgLink& link) {
@@ -318,7 +260,7 @@ Result<PathInfo> Context::route(const sg::SgLink& link) {
       // touched links stay optimal; those crossing them may now be masked.
       std::vector<graph::EdgeId> sorted = edges;
       std::sort(sorted.begin(), sorted.end());
-      apply_reservation_to_cache(sorted);
+      invalidate_paths_crossing(sorted);
     }
   }
   routed_edges_.emplace(link.id, std::move(edges));
@@ -336,15 +278,13 @@ void Context::unroute(const std::string& sg_link_id) {
         << " not in service graph; dropping path without releasing bandwidth";
   } else if (link->bandwidth > 0) {
     const auto routed = routed_edges_.find(sg_link_id);
-    if (routed != routed_edges_.end()) {
+    if (routed != routed_edges_.end() && !routed->second.empty()) {
+      double min_pre_residual = graph::kInf;
       for (const graph::EdgeId e : routed->second) {
-        // A release on an edge only unmasks it for floors above its
-        // pre-release residual; evict exactly the entries that saw this
-        // edge masked (everyone else's masked graph is unchanged).
-        const double pre_residual = residual_bandwidth(e);
+        min_pre_residual = std::min(min_pre_residual, residual_bandwidth(e));
         add_extra_reserved(e, -link->bandwidth);
-        invalidate_paths_unmasked_by(e, pre_residual);
       }
+      invalidate_paths_above(min_pre_residual);
     }
   }
   routed_edges_.erase(sg_link_id);

@@ -17,9 +17,9 @@
 // bandwidth (route) can only mask edges, so it evicts exactly the entries
 // whose path crosses the touched links; releasing bandwidth (unroute) can
 // only unmask a link for queries demanding more than its pre-release
-// residual — and only entries that actually *saw* that link masked
-// (tracked per entry) can improve, so everything else survives the
-// release. Hit/miss/invalidation counters are kept in PathCacheStats.
+// residual, so it evicts every entry whose floor exceeds the smallest
+// pre-release residual of the released links. Hit/miss/invalidation
+// counters are kept in PathCacheStats.
 #pragma once
 
 #include <cstdint>
@@ -72,8 +72,7 @@ class Context {
   [[nodiscard]] std::vector<std::string> candidates(
       const sg::SgNf& nf) const;
 
-  /// Resolved footprint of an SG NF (override or catalog), memoized per
-  /// (type, override).
+  /// Resolved footprint of an SG NF (override or catalog).
   [[nodiscard]] Result<model::Resources> footprint(const sg::SgNf& nf) const;
 
   /// Live residual capacity of a host: base residual minus this Context's
@@ -157,62 +156,42 @@ class Context {
   }
 
  private:
-  /// Cap on masked edges remembered per cache entry; past it the entry
-  /// degrades to the conservative "any release may help me" rule.
-  static constexpr std::size_t kMaskedEdgeCap = 128;
-
   /// (src node, dst node, bandwidth floor) -> memoized shortest path.
   using PathKey = std::tuple<graph::NodeId, graph::NodeId, double>;
   struct PathEntry {
     bool reachable = false;
     graph::Path path;  ///< empty when !reachable
     double delay = 0;  ///< path_delay of `path`
-    /// Edges seen bandwidth-masked while this entry could still improve:
-    /// recorded during the computing Dijkstra (every masked edge scanned
-    /// from a settled node) and maintained by route() (edges it newly
-    /// masks). A release can only improve this entry through one of
-    /// these, so unroute() evicts per entry instead of by global floor.
-    std::vector<graph::EdgeId> masked;
-    bool masked_overflow = false;  ///< cap hit; treat all edges as masked
   };
 
   /// Overlay scan for the path kernel: base residual minus overlay
-  /// reservations for masking, health-biased weights, and masked-edge
-  /// recording into `record`/`overflow` (satellite per-entry
-  /// invalidation).
+  /// reservations for masking, health-biased weights.
   struct OverlayScan {
     const Context* ctx;
     double min_bw;
-    std::vector<graph::EdgeId>* record;
-    bool* overflow;
 
     template <typename Visit>
     void operator()(graph::NodeId node, Visit&& visit) const {
       const auto& graph = ctx->index_->graph();
       for (const graph::EdgeId e : graph.out_edges(node)) {
         const auto& edge = graph.edge(e);
-        if (ctx->residual_bandwidth(e) < min_bw) {
-          note_masked(e);
-          continue;
-        }
+        if (ctx->residual_bandwidth(e) < min_bw) continue;
         visit(e, edge.to, model::TopologyIndex::edge_weight(edge.data));
       }
     }
-    void note_masked(graph::EdgeId e) const;
   };
 
   /// Returns the cached (or freshly computed) shortest path under the
   /// current residuals. The reference is valid until the next route/unroute.
   const PathEntry& cached_path(graph::NodeId from, graph::NodeId to,
                                double min_bw) const;
-  /// Route bookkeeping over the cache: evicts entries whose path crosses
-  /// any of `edges` (sorted ids) and teaches survivors which of those
-  /// edges the reservation newly masked for their floor.
-  void apply_reservation_to_cache(const std::vector<graph::EdgeId>& edges);
-  /// Unroute bookkeeping: evicts exactly the entries a release on `edge`
-  /// (pre-release residual `pre_residual`) could improve — floor above
-  /// the pre-release residual AND the edge in their masked set.
-  void invalidate_paths_unmasked_by(graph::EdgeId edge, double pre_residual);
+  /// Evicts the entries a reservation on `edges` (sorted ids) can change:
+  /// those whose path crosses one of them.
+  void invalidate_paths_crossing(const std::vector<graph::EdgeId>& edges);
+  /// Evicts the entries a release can change: those whose floor exceeds
+  /// `min_pre_residual`, the smallest pre-release residual of the
+  /// released edges.
+  void invalidate_paths_above(double min_pre_residual);
 
   /// Overlay reservation on one edge (0 when untouched). Sorted-vector
   /// lookup; empty() fast path keeps pristine scans at base speed.
@@ -239,10 +218,6 @@ class Context {
   mutable graph::PathWorkspace workspace_;
   mutable std::map<PathKey, PathEntry> path_cache_;
   mutable PathCacheStats cache_stats_;
-  /// (type, override cpu/mem/storage) -> resolved footprint.
-  mutable std::map<std::tuple<std::string, double, double, double>,
-                   model::Resources>
-      footprint_cache_;
 };
 
 }  // namespace unify::mapping

@@ -23,8 +23,8 @@ struct Fnv {
     u64(s.size());
     for (const char c : s) byte(static_cast<unsigned char>(c));
   }
-  /// Bit pattern, matching JSON's round-trip-exact double printing: two
-  /// doubles serialize identically iff their bits are identical.
+  /// Bit pattern: doubles with equal bits print identically, so equal
+  /// hashes imply equal JSON (the converse fails past six digits).
   void f64(double v) noexcept { u64(std::bit_cast<std::uint64_t>(v)); }
   void resources(const Resources& r) noexcept {
     f64(r.cpu);

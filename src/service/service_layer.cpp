@@ -538,10 +538,6 @@ PumpReport ServiceLayer::pump(SimTime now) {
       }
     }
   }
-  metrics_.set_gauge("service.admission.queue_depth",
-                     static_cast<double>(queue_.size()));
-  metrics_.set_gauge("service.admission.parked",
-                     static_cast<double>(parked_.size()));
   return report;
 }
 

@@ -9,23 +9,6 @@ void Summary::observe(double value) {
   sum_ += value;
 }
 
-void Summary::merge(const Summary& other) {
-  values_.insert(values_.end(), other.values_.begin(), other.values_.end());
-  sum_ += other.sum_;
-}
-
-double Summary::min() const noexcept {
-  return values_.empty()
-             ? 0
-             : *std::min_element(values_.begin(), values_.end());
-}
-
-double Summary::max() const noexcept {
-  return values_.empty()
-             ? 0
-             : *std::max_element(values_.begin(), values_.end());
-}
-
 double Summary::percentile(double p) const {
   if (values_.empty()) return 0;
   std::vector<double> sorted = values_;

@@ -2,8 +2,8 @@
 // observation/probe sequences across ~1k seeds, with the state-machine
 // invariants checked after every single operation (DESIGN.md §10):
 //
-//   1. monotone trip — with passive breaking enabled, a transient-failure
-//      streak reaching the threshold always leaves the circuit open;
+//   1. monotone trip — a transient-failure streak reaching the threshold
+//      always leaves the circuit open;
 //   2. no healthy→down without passing degraded, unless the open was
 //      forced (open_circuit);
 //   3. the per-domain generation counter never regresses;
@@ -23,8 +23,10 @@ namespace {
 using namespace unify;
 using core::DomainHealth;
 using core::HealthManager;
-using core::HealthPolicy;
 
+/// The breaker's fixed trip streak (TransientFailuresOpenCircuitAtThreshold
+/// pins it against the manager).
+constexpr int kFailureThreshold = 3;
 constexpr std::size_t kSeeds = 1000;
 constexpr std::size_t kStepsPerSeed = 120;
 constexpr std::size_t kDomains = 3;
@@ -74,17 +76,8 @@ bool apply_random_op(HealthManager& manager, Rng& rng, std::size_t idx) {
 TEST(HealthProperty, InvariantsHoldAcrossRandomSequences) {
   for (std::size_t seed = 0; seed < kSeeds; ++seed) {
     Rng rng(0x9e3779b97f4a7c15ULL + seed);
-
-    HealthPolicy policy;
-    policy.failure_threshold = 2 + static_cast<int>(rng.next_below(4));
-    policy.degrade_after =
-        1 + static_cast<int>(
-                rng.next_below(static_cast<std::size_t>(
-                    policy.failure_threshold - 1)));
-    policy.enabled = rng.next_below(8) != 0;  // occasionally disabled
-
     HealthManager manager;
-    manager.reset(policy, {"d0", "d1", "d2"});
+    manager.reset({"d0", "d1", "d2"});
 
     std::vector<std::uint64_t> last_generation(kDomains, 0);
     for (std::size_t step = 0; step < kStepsPerSeed; ++step) {
@@ -95,8 +88,8 @@ TEST(HealthProperty, InvariantsHoldAcrossRandomSequences) {
       const auto& rec = manager.record(idx);
 
       // 2. healthy never jumps straight to down passively: the passive path
-      // degrades at degrade_after (>= 1) strictly before the threshold trip
-      // (failure_threshold >= 2 here), so a direct jump means a forced open.
+      // degrades on the first transient failure, strictly before the
+      // threshold trip, so a direct jump means a forced open.
       if (before == DomainHealth::kHealthy && after == DomainHealth::kDown) {
         EXPECT_TRUE(forced)
             << "seed " << seed << " step " << step
@@ -122,14 +115,13 @@ TEST(HealthProperty, InvariantsHoldAcrossRandomSequences) {
             << "seed " << seed << " step " << step << " domain " << d;
       }
 
-      // 1. monotone trip: with passive breaking on, a streak at or past the
-      // threshold can only be observed with the circuit already open.
-      if (policy.enabled &&
-          rec.consecutive_failures >= policy.failure_threshold) {
+      // 1. monotone trip: a streak at or past the threshold can only be
+      // observed with the circuit already open.
+      if (rec.consecutive_failures >= kFailureThreshold) {
         EXPECT_FALSE(manager.admits(idx))
             << "seed " << seed << " step " << step << ": streak "
             << rec.consecutive_failures << " >= threshold "
-            << policy.failure_threshold << " but circuit still closed";
+            << kFailureThreshold << " but circuit still closed";
       }
     }
   }
@@ -138,32 +130,38 @@ TEST(HealthProperty, InvariantsHoldAcrossRandomSequences) {
 TEST(HealthProperty, DefaultPenaltiesAreOrderedByBadness) {
   // degraded (even at the worst pre-trip streak) < probing < down, so a
   // mapper never prefers a half-open or dead domain over a merely flaky one.
-  const HealthPolicy policy;
-  const double worst_degraded =
-      policy.penalty_per_failure *
-      static_cast<double>(policy.failure_threshold - 1);
-  EXPECT_GT(policy.penalty_per_failure, 0.0);
-  EXPECT_LT(worst_degraded, policy.probing_penalty);
-  EXPECT_LT(policy.probing_penalty, policy.down_penalty);
+  HealthManager manager;
+  manager.reset({"d0"});
+  for (int i = 0; i + 1 < kFailureThreshold; ++i) {
+    EXPECT_FALSE(manager.record_failure(0, transient_error()));
+  }
+  ASSERT_EQ(manager.health(0), DomainHealth::kDegraded);
+  const double worst_degraded = manager.penalty(0);
+  ASSERT_TRUE(manager.record_failure(0, transient_error()));
+  const double down = manager.penalty(0);
+  manager.begin_probe(0);
+  ASSERT_EQ(manager.health(0), DomainHealth::kProbing);
+  const double probing = manager.penalty(0);
+  EXPECT_GT(worst_degraded, 0.0);
+  EXPECT_LT(worst_degraded, probing);
+  EXPECT_LT(probing, down);
 }
 
 TEST(HealthProperty, PenaltyTracksStreakWhileDegraded) {
-  HealthPolicy policy;
-  policy.failure_threshold = 4;
-  policy.degrade_after = 1;
   HealthManager manager;
-  manager.reset(policy, {"d0"});
+  manager.reset({"d0"});
 
   EXPECT_EQ(manager.penalty(0), 0.0);
   manager.record_failure(0, transient_error());
-  EXPECT_EQ(manager.penalty(0), policy.penalty_per_failure);
+  const double unit = manager.penalty(0);
+  EXPECT_GT(unit, 0.0);
   manager.record_failure(0, transient_error());
-  EXPECT_EQ(manager.penalty(0), 2 * policy.penalty_per_failure);
+  EXPECT_EQ(manager.penalty(0), 2 * unit);
   // A rejection proves liveness and resets the streak, but the domain stays
   // degraded until a clean success: the penalty floors at one unit.
   manager.record_failure(0, rejection_error());
   EXPECT_EQ(manager.health(0), DomainHealth::kDegraded);
-  EXPECT_EQ(manager.penalty(0), policy.penalty_per_failure);
+  EXPECT_EQ(manager.penalty(0), unit);
   manager.record_success(0);
   EXPECT_EQ(manager.health(0), DomainHealth::kHealthy);
   EXPECT_EQ(manager.penalty(0), 0.0);
@@ -172,7 +170,7 @@ TEST(HealthProperty, PenaltyTracksStreakWhileDegraded) {
 TEST(HealthProperty, UnknownIndexHasNoPenalty) {
   HealthManager manager;
   EXPECT_EQ(manager.penalty(7), 0.0);
-  manager.reset(HealthPolicy{}, {"d0"});
+  manager.reset({"d0"});
   EXPECT_EQ(manager.penalty(1), 0.0);
 }
 

@@ -22,9 +22,9 @@ constexpr auto kUnavailable = ErrorCode::kUnavailable;
 
 // --------------------------------------------------- HealthManager (unit)
 
-HealthManager make_manager(HealthPolicy policy = {}) {
+HealthManager make_manager() {
   HealthManager manager;
-  manager.reset(policy, {"d0", "d1"});
+  manager.reset({"d0", "d1"});
   return manager;
 }
 
@@ -84,19 +84,6 @@ TEST(HealthManager, ObservationsAgainstOpenCircuitDoNotDoubleCount) {
   m.record_success(0);  // a stray success cannot short the probe protocol
   EXPECT_EQ(m.health(0), DomainHealth::kDown);
   EXPECT_EQ(m.record(0).circuit_opens, 1u);
-}
-
-TEST(HealthManager, DisabledPolicyNeverOpensPassively) {
-  HealthPolicy policy;
-  policy.enabled = false;
-  HealthManager m = make_manager(policy);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_FALSE(m.record_failure(0, Error{kUnavailable, "x"}));
-  }
-  EXPECT_TRUE(m.admits(0));
-  // Forced opens still work with passive breaking disabled.
-  EXPECT_TRUE(m.open_circuit(0, "drain"));
-  EXPECT_FALSE(m.admits(0));
 }
 
 // ----------------------------------------------------- RO fixture helpers

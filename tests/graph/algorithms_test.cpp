@@ -30,13 +30,6 @@ ShortestPathTree tree_from(const G& g, NodeId source) {
   return export_shortest_path_tree(ws, g.node_capacity());
 }
 
-std::vector<Path> k_shortest(const G& g, NodeId source, NodeId target,
-                             std::size_t k) {
-  PathWorkspace ws;
-  return k_shortest_paths(ws, g.node_capacity(), source, target, k,
-                          weight_scan(g));
-}
-
 // Small diamond: 0 -> 1 -> 3 (cost 1+1), 0 -> 2 -> 3 (cost 2+2).
 G diamond() {
   G g;
@@ -126,63 +119,6 @@ TEST(ShortestPathTree, UnreachableIsInf) {
   EXPECT_FALSE(tree.path_to(0, 1).has_value());
 }
 
-TEST(KShortest, EnumeratesInCostOrder) {
-  G g = diamond();
-  auto paths = k_shortest(g, 0, 3, 5);
-  ASSERT_EQ(paths.size(), 2u);  // only two loopless paths exist
-  EXPECT_EQ(paths[0].cost, 2.0);
-  EXPECT_EQ(paths[1].cost, 4.0);
-  EXPECT_EQ(paths[1].nodes, (std::vector<NodeId>{0, 2, 3}));
-}
-
-TEST(KShortest, KLimitsCount) {
-  G g = diamond();
-  auto paths = k_shortest(g, 0, 3, 1);
-  EXPECT_EQ(paths.size(), 1u);
-  EXPECT_TRUE(k_shortest(g, 0, 3, 0).empty());
-}
-
-TEST(KShortest, ParallelEdgesAreDistinctPaths) {
-  G g;
-  g.add_node();
-  g.add_node();
-  g.add_edge(0, 1, {1});
-  g.add_edge(0, 1, {2});
-  auto paths = k_shortest(g, 0, 1, 5);
-  ASSERT_EQ(paths.size(), 2u);
-  EXPECT_EQ(paths[0].cost, 1.0);
-  EXPECT_EQ(paths[1].cost, 2.0);
-}
-
-TEST(KShortest, GridHasManyPaths) {
-  // 3x3 grid, unit weights, top-left to bottom-right.
-  G g;
-  for (int i = 0; i < 9; ++i) g.add_node();
-  auto id = [](int r, int c) { return static_cast<NodeId>(r * 3 + c); };
-  for (int r = 0; r < 3; ++r) {
-    for (int c = 0; c < 3; ++c) {
-      if (c + 1 < 3) g.add_edge(id(r, c), id(r, c + 1), {1});
-      if (r + 1 < 3) g.add_edge(id(r, c), id(r + 1, c), {1});
-    }
-  }
-  auto paths = k_shortest(g, id(0, 0), id(2, 2), 6);
-  ASSERT_EQ(paths.size(), 6u);  // C(4,2) = 6 monotone lattice paths
-  for (const auto& p : paths) EXPECT_EQ(p.cost, 4.0);
-  // All paths distinct.
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    for (std::size_t j = i + 1; j < paths.size(); ++j) {
-      EXPECT_FALSE(paths[i] == paths[j]);
-    }
-  }
-}
-
-TEST(KShortest, UnreachableGivesEmpty) {
-  G g;
-  g.add_node();
-  g.add_node();
-  EXPECT_TRUE(k_shortest(g, 0, 1, 3).empty());
-}
-
 TEST(Reachability, ForwardOnly) {
   G g;
   for (int i = 0; i < 4; ++i) g.add_node();
@@ -264,25 +200,6 @@ TEST(PathKernel, TreeExportMarksUnreachableFromStaleEpochs) {
   for (NodeId v : {NodeId{0}, NodeId{1}, NodeId{2}}) {
     EXPECT_EQ(tree.dist[v], kInf) << "node " << v;
     EXPECT_EQ(tree.parent_edge[v], kInvalidId) << "node " << v;
-  }
-}
-
-TEST(PathKernel, YenReusesWorkspaceAcrossQueries) {
-  G g = diamond();
-  PathWorkspace ws;
-  // Interleave tree and Yen queries on one workspace; each must be
-  // unaffected by the previous run's state.
-  for (int round = 0; round < 3; ++round) {
-    auto paths =
-        k_shortest_paths(ws, g.node_capacity(), 0, 3, 5, weight_scan(g));
-    ASSERT_EQ(paths.size(), 2u) << "round " << round;
-    EXPECT_EQ(paths[0].cost, 2.0);
-    EXPECT_EQ(paths[1].cost, 4.0);
-    shortest_path_tree(ws, g.node_capacity(), 1, weight_scan(g));
-    const ShortestPathTree tree =
-        export_shortest_path_tree(ws, g.node_capacity());
-    EXPECT_EQ(tree.dist[3], 1.0) << "round " << round;
-    EXPECT_EQ(tree.dist[0], kInf) << "round " << round;
   }
 }
 

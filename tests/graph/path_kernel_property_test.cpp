@@ -1,9 +1,9 @@
-// Property pin for the kernel-ported tree/Yen algorithms: on random
-// topologies under random route/unroute churn (links get bandwidth
-// reserved and released, masking and unmasking edges for a given floor),
-// the allocation-free kernel versions of shortest_path_tree and
-// k_shortest_paths must return exactly what the legacy EdgeScanFn engine
-// returned — same costs, same node/edge sequences, same parents.
+// Property pin for the kernel searches: on random topologies under
+// random route/unroute churn (links get bandwidth reserved and released,
+// masking and unmasking edges for a given floor), the allocation-free
+// kernel versions of shortest_path_tree and the early-exit shortest_path
+// must return exactly what the legacy EdgeScanFn engine returned — same
+// costs, same node/edge sequences, same parents.
 //
 // The reference implementations below are verbatim ports of the
 // pre-kernel MinQueue engine (algorithms.cpp before the port), kept here
@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <set>
 
 #include "graph/graph.h"
 #include "graph/path_kernel.h"
@@ -80,88 +79,6 @@ std::optional<Path> legacy_shortest_path(std::size_t node_capacity,
   const ShortestPathTree tree = legacy_tree(node_capacity, source, scan);
   if (target >= node_capacity) return std::nullopt;
   return tree.path_to(source, target);
-}
-
-std::vector<Path> legacy_k_shortest(std::size_t node_capacity, NodeId source,
-                                    NodeId target, std::size_t k,
-                                    const EdgeScanFn& scan) {
-  std::vector<Path> result;
-  if (k == 0) return result;
-
-  auto masked_scan = [&](const std::vector<bool>& banned_nodes,
-                         const std::set<EdgeId>& banned_edges) {
-    return [&, banned_nodes, banned_edges](NodeId node,
-                                           const EdgeVisitFn& visit) {
-      scan(node, [&](EdgeId edge, NodeId to, double weight) {
-        if (banned_edges.count(edge) != 0) return;
-        if (to < banned_nodes.size() && banned_nodes[to]) return;
-        visit(edge, to, weight);
-      });
-    };
-  };
-
-  auto first = legacy_shortest_path(node_capacity, source, target, scan);
-  if (!first) return result;
-  result.push_back(std::move(*first));
-
-  auto cmp = [](const Path& a, const Path& b) {
-    if (a.cost != b.cost) return a.cost < b.cost;
-    return a.edges < b.edges;
-  };
-  std::vector<Path> candidates;
-
-  while (result.size() < k) {
-    const Path& prev = result.back();
-    for (std::size_t i = 0; i + 1 < prev.nodes.size(); ++i) {
-      const NodeId spur_node = prev.nodes[i];
-      std::set<EdgeId> banned_edges;
-      for (const Path& p : result) {
-        if (p.nodes.size() > i &&
-            std::equal(p.nodes.begin(),
-                       p.nodes.begin() + static_cast<long>(i) + 1,
-                       prev.nodes.begin())) {
-          if (i < p.edges.size()) banned_edges.insert(p.edges[i]);
-        }
-      }
-      std::vector<bool> banned_nodes(node_capacity, false);
-      for (std::size_t j = 0; j < i; ++j) banned_nodes[prev.nodes[j]] = true;
-
-      auto spur = legacy_shortest_path(node_capacity, spur_node, target,
-                                       masked_scan(banned_nodes, banned_edges));
-      if (!spur) continue;
-
-      Path total;
-      total.nodes.assign(prev.nodes.begin(),
-                         prev.nodes.begin() + static_cast<long>(i));
-      total.edges.assign(prev.edges.begin(),
-                         prev.edges.begin() + static_cast<long>(i));
-      total.nodes.insert(total.nodes.end(), spur->nodes.begin(),
-                         spur->nodes.end());
-      total.edges.insert(total.edges.end(), spur->edges.begin(),
-                         spur->edges.end());
-      double root_cost = 0;
-      for (std::size_t j = 0; j < i; ++j) {
-        const EdgeId want = prev.edges[j];
-        double w = 0;
-        scan(prev.nodes[j], [&](EdgeId edge, NodeId, double weight) {
-          if (edge == want) w = weight;
-        });
-        root_cost += w;
-      }
-      total.cost = root_cost + spur->cost;
-
-      if (std::find(result.begin(), result.end(), total) == result.end() &&
-          std::find(candidates.begin(), candidates.end(), total) ==
-              candidates.end()) {
-        candidates.push_back(std::move(total));
-      }
-    }
-    if (candidates.empty()) break;
-    auto best = std::min_element(candidates.begin(), candidates.end(), cmp);
-    result.push_back(std::move(*best));
-    candidates.erase(best);
-  }
-  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -245,19 +162,17 @@ TEST_P(KernelPinProperty, TreeAndYenMatchLegacyUnderChurn) {
     ASSERT_EQ(kernel_tree.parent_node, reference.parent_node)
         << "round " << round;
 
-    // --- k_shortest_paths: kernel vs legacy engine.
-    const std::size_t k = 1 + rng.next_below(5);
-    const std::vector<Path> kernel_paths = k_shortest_paths(
-        workspace, g.node_capacity(), source, target, k, scan);
-    const std::vector<Path> legacy_paths =
-        legacy_k_shortest(g.node_capacity(), source, target, k, scan);
-    ASSERT_EQ(kernel_paths.size(), legacy_paths.size())
-        << "round " << round << " src=" << source << " dst=" << target
-        << " k=" << k;
-    for (std::size_t i = 0; i < kernel_paths.size(); ++i) {
-      expect_same_path(kernel_paths[i], legacy_paths[i],
-                       "round " + std::to_string(round) + " path " +
-                           std::to_string(i));
+    // --- early-exit shortest_path: kernel vs legacy engine, on the
+    // workspace the tree search just used.
+    const auto kernel_path =
+        shortest_path(workspace, g.node_capacity(), source, target, scan);
+    const auto legacy_path =
+        legacy_shortest_path(g.node_capacity(), source, target, scan);
+    ASSERT_EQ(kernel_path.has_value(), legacy_path.has_value())
+        << "round " << round << " src=" << source << " dst=" << target;
+    if (kernel_path.has_value()) {
+      expect_same_path(*kernel_path, *legacy_path,
+                       "round " + std::to_string(round));
     }
   }
 }

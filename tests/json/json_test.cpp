@@ -222,6 +222,47 @@ TEST(JsonParse, RepeatedKeyKeepsFirstPositionTakesLastValue) {
   EXPECT_EQ(obj.find("k2")->as_int(), 2);
 }
 
+std::string object_with_keys(std::size_t n) {
+  std::string text = "{";
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i != 0) text += ',';
+    text += "\"key" + std::to_string(i) + "\":" + std::to_string(i);
+  }
+  return text + "}";
+}
+
+TEST(JsonParse, WideObjectIsRejected) {
+  // Duplicate-key detection scans the object's earlier keys, so an
+  // uncapped 40,000-key object (about 500 KB) took seconds to parse.
+  const auto wide = parse(object_with_keys(40'000));
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.error().code, ErrorCode::kProtocol);
+  EXPECT_NE(wide.error().message.find("too many members"), std::string::npos)
+      << wide.error().message;
+}
+
+TEST(JsonParse, MemberCapCountsDistinctKeys) {
+  const auto at_cap = parse(object_with_keys(32));
+  ASSERT_TRUE(at_cap.ok());
+  EXPECT_EQ(at_cap->as_object().size(), 32u);
+  EXPECT_FALSE(parse(object_with_keys(33)).ok());
+  // A repeated key adds no member, so it is fine at the cap.
+  std::string repeated = object_with_keys(32);
+  repeated.back() = ',';
+  repeated += "\"key0\":\"last\"}";
+  const auto overwritten = parse(repeated);
+  ASSERT_TRUE(overwritten.ok());
+  EXPECT_EQ(overwritten->as_object().size(), 32u);
+  EXPECT_EQ(overwritten->get_string("key0"), "last");
+  // The cap is per object: many full objects in one document parse.
+  std::string many = "[";
+  for (int i = 0; i < 100; ++i) {
+    if (i != 0) many += ',';
+    many += object_with_keys(32);
+  }
+  EXPECT_TRUE(parse(many + "]").ok());
+}
+
 TEST(JsonParse, ErrorCarriesOffset) {
   auto r = parse("[1, &]");
   ASSERT_FALSE(r.ok());

@@ -1,7 +1,13 @@
 // Coverage for the Context path cache: hits, route/unroute invalidation,
-// and a property sweep asserting cached distances always equal a fresh
-// Dijkstra over the live residuals.
+// and property sweeps asserting that every cached answer — distance, delay
+// and the routed edge sequence — equals a fresh Dijkstra over the live
+// residuals, across route/unroute churn and branch-and-bound-style leaf
+// cycles.
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "graph/path_kernel.h"
 #include "infra/topologies.h"
@@ -35,18 +41,18 @@ ServiceGraph chain(double bw, double delay = 1000) {
   return sg::make_chain("svc", "sap1", {"firewall"}, "sap2", bw, delay);
 }
 
-/// Reference distance computed from scratch over the context's live
-/// residuals (base minus overlay reservations): same masking and weights
-/// the Context's own scan uses, but through a type-erased scan with no
-/// cache in the loop.
-double fresh_distance(const Context& ctx, const std::string& from,
-                      const std::string& to, double min_bw) {
-  if (from == to) return 0;
+/// Reference path computed from scratch over the context's live residuals
+/// (base minus overlay reservations): same masking and weights the
+/// Context's own scan uses, but through a type-erased scan with no cache
+/// in the loop. nullopt when disconnected or either node is unknown.
+std::optional<graph::Path> fresh_path(const Context& ctx,
+                                      const std::string& from,
+                                      const std::string& to, double min_bw) {
   const model::TopologyIndex& index = ctx.index();
   const auto from_id = index.node_of(from);
   const auto to_id = index.node_of(to);
   if (from_id == graph::kInvalidId || to_id == graph::kInvalidId) {
-    return graph::kInf;
+    return std::nullopt;
   }
   const graph::EdgeScanFn scan = [&](graph::NodeId node,
                                      const graph::EdgeVisitFn& visit) {
@@ -57,9 +63,59 @@ double fresh_distance(const Context& ctx, const std::string& from,
     }
   };
   graph::PathWorkspace workspace;
-  const auto path = graph::shortest_path(
-      workspace, index.graph().node_capacity(), from_id, to_id, scan);
+  return graph::shortest_path(workspace, index.graph().node_capacity(),
+                              from_id, to_id, scan);
+}
+
+double fresh_distance(const Context& ctx, const std::string& from,
+                      const std::string& to, double min_bw) {
+  if (from == to) return 0;
+  const auto path = fresh_path(ctx, from, to, min_bw);
   return path.has_value() ? path->cost : graph::kInf;
+}
+
+/// distance() and delay_between() (both served from the cache) against a
+/// fresh search.
+void expect_fresh_probe(const Context& ctx, const std::string& from,
+                        const std::string& to, double min_bw) {
+  const auto path = from == to ? std::nullopt
+                               : fresh_path(ctx, from, to, min_bw);
+  const double want_delay =
+      from == to ? 0
+                 : (path.has_value() ? model::path_delay(ctx.index(), *path)
+                                     : graph::kInf);
+  ASSERT_EQ(ctx.distance(from, to, min_bw),
+            fresh_distance(ctx, from, to, min_bw))
+      << from << "->" << to << " bw " << min_bw;
+  ASSERT_EQ(ctx.delay_between(from, to, min_bw), want_delay)
+      << from << "->" << to << " bw " << min_bw;
+}
+
+/// Routes `link` and checks what route() returned — served from the cache
+/// whenever the key is warm — against a fresh search made just before:
+/// same reachability, same link sequence, same delay. Returns whether the
+/// link was routed.
+bool route_fresh(Context& ctx, const sg::SgLink& link) {
+  const auto from = ctx.node_of(link.from.node);
+  const auto to = ctx.node_of(link.to.node);
+  EXPECT_TRUE(from.ok() && to.ok()) << link.id;
+  if (!from.ok() || !to.ok()) return false;
+  std::optional<graph::Path> want;
+  if (*from != *to) want = fresh_path(ctx, *from, *to, link.bandwidth);
+  const auto routed = ctx.route(link);
+  if (*from == *to) {
+    EXPECT_TRUE(routed.ok() && routed->links.empty()) << link.id;
+    return routed.ok();
+  }
+  EXPECT_EQ(routed.ok(), want.has_value()) << link.id;
+  if (!routed.ok() || !want.has_value()) return false;
+  std::vector<std::string> want_links;
+  for (const graph::EdgeId e : want->edges) {
+    want_links.push_back(ctx.index().graph().edge(e).data.link_id);
+  }
+  EXPECT_EQ(routed->links, want_links) << link.id;
+  EXPECT_EQ(routed->delay, model::path_delay(ctx.index(), *want)) << link.id;
+  return true;
 }
 
 TEST(PathCache, RepeatedDistanceHitsCache) {
@@ -171,8 +227,12 @@ TEST(PathCacheProperty, CachedDistanceEqualsFreshDijkstra) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed);
     const int n = static_cast<int>(rng.next_int(5, 16));
+    // Links as wide as the probes' top floor, so the chain's reservations
+    // mask links for some floors and the release unmasks them again.
+    infra::topo::TopoParams params;
+    params.link_bandwidth = 3000;
     const model::Nffg substrate =
-        infra::topo::random_connected(n, 3.0, 2, rng);
+        infra::topo::random_connected(n, 3.0, 2, rng, params);
     const double bw = rng.next_double(100, 2000);
     const ServiceGraph sg =
         sg::make_chain("svc", "sap1", {"fw-lite", "monitor"}, "sap2", bw,
@@ -187,14 +247,13 @@ TEST(PathCacheProperty, CachedDistanceEqualsFreshDijkstra) {
     const auto probe_all = [&] {
       for (const std::string& from : nodes) {
         for (const std::string& to : nodes) {
-          const double floor = rng.next_double(0, 3000);
-          ASSERT_EQ(ctx.distance(from, to, floor),
-                    fresh_distance(ctx, from, to, floor))
-              << "seed " << seed << " " << from << "->" << to << " bw "
-              << floor;
+          // A few discrete floors, so keys recur across the phases and
+          // entries cached before a route or unroute are asked again.
+          const double floor = 500.0 * static_cast<double>(rng.next_below(7));
+          SCOPED_TRACE("seed " + std::to_string(seed));
+          expect_fresh_probe(ctx, from, to, floor);
           // Ask again (likely a hit) and cross-check once more.
-          ASSERT_EQ(ctx.distance(from, to, floor),
-                    fresh_distance(ctx, from, to, floor));
+          expect_fresh_probe(ctx, from, to, floor);
         }
       }
     };
@@ -208,13 +267,100 @@ TEST(PathCacheProperty, CachedDistanceEqualsFreshDijkstra) {
     const auto hosts2 = ctx.candidates(*sg.find_nf("monitor1"));
     if (hosts2.empty()) continue;
     ASSERT_TRUE(ctx.place("monitor1", hosts2.back()).ok());
-    if (ctx.route_all().ok()) {
-      probe_all();
-      for (const sg::SgLink& link : sg.links()) ctx.unroute(link.id);
+    bool routed = true;
+    for (const sg::SgLink& link : sg.links()) {
+      if (!(routed = route_fresh(ctx, link))) break;
     }
+    if (routed) probe_all();
+    for (const sg::SgLink& link : sg.links()) ctx.unroute(link.id);
     probe_all();
     EXPECT_GT(ctx.path_cache_stats().hits, 0u);
   }
+}
+
+/// Property: branch-and-bound's leaf cycle — re-place every NF, route_all
+/// in SG-link order, unroute every link — repeated on one Context, so its
+/// cache carries entries across many reserve/release rounds. Links are
+/// tight (random residuals, bandwidth floors of the same order) and the
+/// delays tie often, so masking and tie-breaking both matter. Every leaf's
+/// route_all must produce exactly the mapping a twin Context with no cache
+/// history routes, link by link, against fresh searches; distance and
+/// delay probes between the phases must match fresh searches too.
+TEST(PathCacheProperty, LeafCyclesRouteTheFreshPaths) {
+  const catalog::NfCatalog cat = catalog::default_catalog();
+  PathCacheStats total;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    infra::topo::TopoParams params;
+    params.link_bandwidth = rng.next_double(1000, 3000);
+    model::Nffg substrate = infra::topo::random_connected(
+        static_cast<int>(rng.next_int(5, 14)), 3.0, 2, rng, params);
+    for (auto& [id, link] : substrate.links()) {
+      link.reserved = rng.next_double(0, 0.6) * link.attrs.bandwidth;
+      if (rng.next_bool(0.5)) link.attrs.delay *= 2;
+    }
+    const ServiceGraph sg = sg::make_chain(
+        "svc", "sap1", {"fw-lite", "monitor", "nat"}, "sap2",
+        rng.next_double(200, 900), 10000);
+    Context ctx(sg, substrate, cat);
+
+    std::vector<std::string> nodes;
+    for (const auto& [id, bb] : ctx.base().bisbis()) nodes.push_back(id);
+    for (const auto& [id, sap] : ctx.base().saps()) nodes.push_back(id);
+    const auto probe_some = [&] {
+      for (int i = 0; i < 8; ++i) {
+        expect_fresh_probe(ctx, nodes[rng.next_below(nodes.size())],
+                           nodes[rng.next_below(nodes.size())],
+                           rng.next_double(0, params.link_bandwidth));
+      }
+    };
+
+    for (int leaf = 0; leaf < 25; ++leaf) {
+      SCOPED_TRACE("leaf " + std::to_string(leaf));
+      for (const auto& [id, nf] : sg.nfs()) ctx.unplace(id);
+      bool placed = true;
+      for (const auto& [id, nf] : sg.nfs()) {
+        const auto hosts = ctx.candidates(nf);
+        if (hosts.empty()) {
+          placed = false;
+          break;
+        }
+        ASSERT_TRUE(
+            ctx.place(id, hosts[rng.next_below(hosts.size())]).ok());
+      }
+      if (!placed) continue;
+      // Chain-DP-style probing warms the keys route() is about to ask for.
+      for (const sg::SgLink& link : sg.links()) {
+        if (rng.next_bool(0.5)) {
+          expect_fresh_probe(ctx, *ctx.node_of(link.from.node),
+                             *ctx.node_of(link.to.node), link.bandwidth);
+        }
+      }
+      probe_some();
+
+      const bool routed = ctx.route_all().ok();
+      Context twin(sg, substrate, cat);
+      for (const auto& [nf, host] : ctx.placements()) {
+        ASSERT_TRUE(twin.place(nf, host).ok());
+      }
+      bool twin_routed = true;
+      for (const sg::SgLink& link : sg.links()) {
+        if (!(twin_routed = route_fresh(twin, link))) break;
+      }
+      ASSERT_EQ(routed, twin_routed);
+      ASSERT_EQ(ctx.finish("leaf"), twin.finish("leaf"));
+      probe_some();
+
+      for (const sg::SgLink& link : sg.links()) ctx.unroute(link.id);
+      probe_some();
+    }
+    total.hits += ctx.path_cache_stats().hits;
+    total.invalidations += ctx.path_cache_stats().invalidations;
+  }
+  // The sweep must actually exercise the cache: warm hits and evictions.
+  EXPECT_GT(total.hits, 0u);
+  EXPECT_GT(total.invalidations, 0u);
 }
 
 }  // namespace

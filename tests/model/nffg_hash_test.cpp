@@ -1,5 +1,6 @@
-// Pins the content_hash() contract (DESIGN.md §11): two NFFGs hash equal
-// iff their JSON configs are byte-identical. The push path's dirty
+// Pins the content_hash() contract (DESIGN.md §11): two NFFGs that hash
+// equal have byte-identical JSON configs, and every serialized field
+// feeds the hash. The push path's dirty
 // tracking decides "clean, skip the push" from this hash alone, so any
 // serialized field the hash misses would silently strand config changes.
 #include <gtest/gtest.h>

@@ -108,12 +108,26 @@ TEST(TopologyIndex, DelayScanChargesInternalDelayInCost) {
   // delay: direct cost = 0.1+0.1(bb1) +1.0+0.1(bb2) +0.1 = 1.4; detour cost
   // = 0.1+0.1 +1.0+0.5(bb3) +1.0+0.1(bb2) +0.1 = 2.9.
   graph::PathWorkspace ws;
-  auto paths = graph::k_shortest_paths(
-      ws, index.graph().node_capacity(), index.node_of("sap1"),
-      index.node_of("sap2"), 2, index.delay_scan(0));
-  ASSERT_EQ(paths.size(), 2u);
-  EXPECT_NEAR(paths[0].cost, 1.4, 1e-9);
-  EXPECT_NEAR(paths[1].cost, 2.9, 1e-9);
+  const auto sap1 = index.node_of("sap1");
+  const auto sap2 = index.node_of("sap2");
+  const auto direct = graph::shortest_path(ws, index.graph().node_capacity(),
+                                           sap1, sap2, index.delay_scan(0));
+  ASSERT_TRUE(direct.has_value());
+  EXPECT_NEAR(direct->cost, 1.4, 1e-9);
+  // Ban the bb1 -> bb2 hop so the search must take the bb3 detour.
+  const auto bb1 = index.node_of("bb1");
+  const auto bb2 = index.node_of("bb2");
+  const auto scan = index.delay_scan(0);
+  const auto detour = graph::shortest_path(
+      ws, index.graph().node_capacity(), sap1, sap2,
+      [&](graph::NodeId node, auto&& visit) {
+        scan(node, [&](graph::EdgeId e, graph::NodeId to, double w) {
+          if (node == bb1 && to == bb2) return;
+          visit(e, to, w);
+        });
+      });
+  ASSERT_TRUE(detour.has_value());
+  EXPECT_NEAR(detour->cost, 2.9, 1e-9);
 }
 
 }  // namespace

@@ -180,7 +180,8 @@ TEST(AdmissionLifecycle, EnqueuePumpDeploys) {
       stack.layer->metrics().find_summary("service.admission.latency_ms");
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->count(), 2u);
-  EXPECT_DOUBLE_EQ(latency->max(), 4.0);
+  EXPECT_DOUBLE_EQ(latency->percentile(1.0), 4.0);
+  EXPECT_DOUBLE_EQ(latency->percentile(0.0), 3.8);
 }
 
 TEST(AdmissionLifecycle, DuplicateActiveIdRejectedTerminalReusable) {

@@ -92,9 +92,9 @@ class HealthManager {
   [[nodiscard]] DomainHealth health(std::size_t index) const noexcept;
   /// Embedding-cost bias for the domain: 0 iff healthy, scaled by the
   /// failure streak while degraded, higher while probing, highest while
-  /// down (constants in health_manager.cpp). The orchestrator projects it onto every BiS-BiS of the
-  /// domain (model::BisBis::health_penalty) so mappers drain flaky domains
-  /// before the breaker trips.
+  /// down (constants in health_manager.cpp). The orchestrator projects it
+  /// onto every BiS-BiS of the domain (model::BisBis::health_penalty) so
+  /// mappers drain flaky domains before the breaker trips.
   [[nodiscard]] double penalty(std::size_t index) const noexcept;
   [[nodiscard]] const DomainRecord& record(std::size_t index) const;
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }

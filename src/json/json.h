@@ -174,9 +174,9 @@ class Value {
 };
 
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected). Errors carry a byte offset in the message. Nesting
-/// deeper than 256 levels and objects with more than 32 distinct keys are
-/// rejected (kProtocol), which keeps the work linear in the input size.
+/// garbage rejected). Errors carry a byte offset in the message. Very deep
+/// nesting and objects with more than 32 distinct keys are rejected
+/// (kProtocol), which keeps the work linear in the input size.
 [[nodiscard]] Result<Value> parse(std::string_view text);
 
 }  // namespace unify::json

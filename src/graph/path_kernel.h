@@ -1,6 +1,8 @@
-// Allocation-free shortest-path kernel: the early-exit point-to-point
-// search the mapping Context routes with, and the single-source tree the
-// virtualizer measures SAP-to-SAP transit delays with.
+// Allocation-free shortest-path kernel: the single-source tree the mapping
+// Context caches per (source, bandwidth floor) and the virtualizer
+// measures SAP-to-SAP transit delays with, and the early-exit
+// point-to-point search that returns the same path to one target (the
+// reference the Context's tree cache is tested against).
 //
 // Both are templates over the scan functor (fully inlinable, no virtual
 // dispatch when the caller passes a concrete functor such as

@@ -53,11 +53,28 @@ Result<void> run_dp(Context& ctx, const sg::E2eRequirement& req,
     }
   }
 
-  // Viterbi. `cost` is the selection objective (health-biased distance()
+  // Substrate node ids and health penalties, resolved once per candidate.
+  const model::TopologyIndex& index = ctx.index();
+  std::vector<std::vector<graph::NodeId>> ids(stages.size());
+  std::vector<std::vector<double>> penalty(stages.size());
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    for (const std::string& host : cands[i]) {
+      ids[i].push_back(index.node_of(host));
+      penalty[i].push_back(ctx.node_penalty(host));
+    }
+  }
+  const graph::NodeId to_sap = index.node_of(req.to_sap);
+  const auto dist_to = [](const graph::ShortestPathTree& tree,
+                          graph::NodeId to) {
+    return to < tree.dist.size() ? tree.dist[to] : kInf;
+  };
+
+  // Viterbi. `cost` is the selection objective (health-biased distance
   // plus per-host penalty, so flaky domains drain before their circuit
-  // trips); `delay` tracks the true wire delay of the same min-cost paths
-  // (delay_between()), so the max_delay bound is checked on what the wire
-  // would actually see, not on the biased weight.
+  // trips); `delay` tracks the true wire delay of the same min-cost paths,
+  // so the max_delay bound is checked on what the wire would actually see,
+  // not on the biased weight. Every hop out of one node at one stage floor
+  // reads the same one-to-all tree.
   std::vector<std::vector<double>> cost(stages.size());
   std::vector<std::vector<double>> delay(stages.size());
   std::vector<std::vector<int>> back(stages.size());
@@ -66,27 +83,34 @@ Result<void> run_dp(Context& ctx, const sg::E2eRequirement& req,
     delay[i].assign(cands[i].size(), kInf);
     back[i].assign(cands[i].size(), -1);
   }
-  for (std::size_t j = 0; j < cands[0].size(); ++j) {
-    const double d =
-        ctx.distance(req.from_sap, cands[0][j], stages[0].in_bandwidth);
-    if (d == kInf) continue;
-    cost[0][j] = d + ctx.node_penalty(cands[0][j]);
-    delay[0][j] =
-        ctx.delay_between(req.from_sap, cands[0][j], stages[0].in_bandwidth);
+  {
+    const graph::ShortestPathTree& tree =
+        ctx.path_tree(index.node_of(req.from_sap), stages[0].in_bandwidth);
+    for (std::size_t j = 0; j < cands[0].size(); ++j) {
+      const double d = dist_to(tree, ids[0][j]);
+      if (d == kInf) continue;
+      cost[0][j] = d + penalty[0][j];
+      delay[0][j] = ctx.tree_delay(tree, ids[0][j]);
+    }
   }
+  std::vector<const graph::ShortestPathTree*> from_prev;
   for (std::size_t i = 1; i < stages.size(); ++i) {
+    // One tree per reachable previous candidate (no route/unroute runs
+    // inside the DP, so the references stay valid).
+    from_prev.assign(cands[i - 1].size(), nullptr);
+    for (std::size_t p = 0; p < cands[i - 1].size(); ++p) {
+      if (cost[i - 1][p] == kInf) continue;
+      from_prev[p] = &ctx.path_tree(ids[i - 1][p], stages[i].in_bandwidth);
+    }
     for (std::size_t j = 0; j < cands[i].size(); ++j) {
-      const double penalty = ctx.node_penalty(cands[i][j]);
       for (std::size_t p = 0; p < cands[i - 1].size(); ++p) {
         if (cost[i - 1][p] == kInf) continue;
-        const double step = ctx.distance(cands[i - 1][p], cands[i][j],
-                                         stages[i].in_bandwidth);
-        const double total = cost[i - 1][p] + step + penalty;
+        const double step = dist_to(*from_prev[p], ids[i][j]);
+        const double total = cost[i - 1][p] + step + penalty[i][j];
         if (total < cost[i][j]) {
           cost[i][j] = total;
-          delay[i][j] = delay[i - 1][p] +
-                        ctx.delay_between(cands[i - 1][p], cands[i][j],
-                                          stages[i].in_bandwidth);
+          delay[i][j] =
+              delay[i - 1][p] + ctx.tree_delay(*from_prev[p], ids[i][j]);
           back[i][j] = static_cast<int>(p);
         }
       }
@@ -99,13 +123,12 @@ Result<void> run_dp(Context& ctx, const sg::E2eRequirement& req,
   int best_j = -1;
   for (std::size_t j = 0; j < cands[tail].size(); ++j) {
     if (cost[tail][j] == kInf) continue;
-    const double hop =
-        ctx.distance(cands[tail][j], req.to_sap, out_bandwidth);
-    const double total = cost[tail][j] + hop;
+    const graph::ShortestPathTree& tree =
+        ctx.path_tree(ids[tail][j], out_bandwidth);
+    const double total = cost[tail][j] + dist_to(tree, to_sap);
     if (total < best) {
       best = total;
-      best_delay = delay[tail][j] +
-                   ctx.delay_between(cands[tail][j], req.to_sap, out_bandwidth);
+      best_delay = delay[tail][j] + ctx.tree_delay(tree, to_sap);
       best_j = static_cast<int>(j);
     }
   }

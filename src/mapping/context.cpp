@@ -184,48 +184,69 @@ Result<std::string> Context::node_of(const std::string& sg_node) const {
   return it->second;
 }
 
-const Context::PathEntry& Context::cached_path(graph::NodeId from,
-                                               graph::NodeId to,
-                                               double min_bw) const {
-  const PathKey key{from, to, min_bw};
-  const auto it = path_cache_.find(key);
-  if (it != path_cache_.end()) {
+const graph::ShortestPathTree& Context::path_tree(graph::NodeId from,
+                                                  double min_bw) const {
+  const TreeKey key{from, min_bw};
+  const auto it = trees_.find(key);
+  if (it != trees_.end()) {
     ++cache_stats_.hits;
     return it->second;
   }
   ++cache_stats_.misses;
-  PathEntry entry;
-  auto path = graph::shortest_path(workspace_,
-                                   index_->graph().node_capacity(), from, to,
-                                   OverlayScan{this, min_bw});
-  if (path.has_value()) {
-    entry.reachable = true;
-    entry.delay = model::path_delay(*index_, *path);
-    entry.path = std::move(*path);
-  }
-  return path_cache_.emplace(key, std::move(entry)).first->second;
+  const std::size_t capacity = index_->graph().node_capacity();
+  graph::shortest_path_tree(workspace_, capacity, from,
+                            OverlayScan{this, min_bw});
+  return trees_
+      .emplace(key, graph::export_shortest_path_tree(workspace_, capacity))
+      .first->second;
 }
 
-void Context::invalidate_paths_crossing(
+double Context::tree_delay(const graph::ShortestPathTree& tree,
+                           graph::NodeId to) const {
+  if (to >= tree.dist.size() || tree.dist[to] == graph::kInf) {
+    return graph::kInf;
+  }
+  walk_.clear();
+  for (graph::NodeId v = to; tree.parent_node[v] != graph::kInvalidId;
+       v = tree.parent_node[v]) {
+    walk_.push_back(v);
+  }
+  // model::path_delay's order, bit for bit: link delays source-first, then
+  // the internal delays of the transited nodes (walk_[1..], source-first).
+  double total = 0;
+  for (auto v = walk_.rbegin(); v != walk_.rend(); ++v) {
+    total += index_->link_of(tree.parent_edge[*v]).attrs.delay;
+  }
+  for (std::size_t i = walk_.size(); i-- > 1;) {
+    total += index_->graph().node(walk_[i]).internal_delay;
+  }
+  return total;
+}
+
+void Context::invalidate_trees_masked_by(
     const std::vector<graph::EdgeId>& edges) {
-  // Reservations only mask edges: an entry whose path avoids every touched
-  // edge is still what a fresh search returns.
-  std::erase_if(path_cache_, [&](const auto& item) {
-    const auto& cached = item.second.path.edges;
-    const bool crosses =
-        std::any_of(cached.begin(), cached.end(), [&](graph::EdgeId e) {
-          return std::binary_search(edges.begin(), edges.end(), e);
+  // Reservations only mask edges: a tree with floor f changes only when an
+  // edge it uses falls below f. Removing an edge a tree does not use
+  // leaves every distance, settle order and strict-< parent choice as is.
+  const auto& graph = index_->graph();
+  std::erase_if(trees_, [&](const auto& item) {
+    const double floor = item.first.second;
+    const graph::ShortestPathTree& tree = item.second;
+    const bool masked =
+        std::any_of(edges.begin(), edges.end(), [&](graph::EdgeId e) {
+          return residual_bandwidth(e) < floor &&
+                 tree.parent_edge[graph.edge(e).to] == e;
         });
-    if (crosses) ++cache_stats_.invalidations;
-    return crosses;
+    if (masked) ++cache_stats_.invalidations;
+    return masked;
   });
 }
 
-void Context::invalidate_paths_above(double min_pre_residual) {
+void Context::invalidate_trees_above(double min_pre_residual) {
   // A release unmasks an edge only for floors above its pre-release
   // residual; every lower floor sees the same masked graph as before.
-  std::erase_if(path_cache_, [&](const auto& item) {
-    const bool stale = std::get<2>(item.first) > min_pre_residual;
+  std::erase_if(trees_, [&](const auto& item) {
+    const bool stale = item.first.second > min_pre_residual;
     if (stale) ++cache_stats_.invalidations;
     return stale;
   });
@@ -241,26 +262,21 @@ Result<PathInfo> Context::route(const sg::SgLink& link) {
   std::vector<graph::EdgeId> edges;
   if (from != to) {
     const auto from_id = index_->node_of(from);
-    const auto to_id = index_->node_of(to);
-    const PathEntry& entry = cached_path(from_id, to_id, link.bandwidth);
-    if (!entry.reachable) {
+    auto path = path_tree(from_id, link.bandwidth)
+                    .path_to(from_id, index_->node_of(to));
+    if (!path.has_value()) {
       return Error{ErrorCode::kInfeasible,
                    "no path " + from + " -> " + to + " with " +
                        strings::format_double(link.bandwidth) + " Mbit/s"};
     }
-    info.delay = entry.delay;
-    // Snapshot before invalidation below evicts the entry we read from.
-    edges = entry.path.edges;
+    info.delay = model::path_delay(*index_, *path);
+    edges = std::move(path->edges);
     for (const graph::EdgeId e : edges) {
       info.links.push_back(index_->graph().edge(e).data.link_id);
       add_extra_reserved(e, link.bandwidth);
     }
     if (link.bandwidth > 0 && !edges.empty()) {
-      // Reservations only shrink residuals: cached paths not crossing the
-      // touched links stay optimal; those crossing them may now be masked.
-      std::vector<graph::EdgeId> sorted = edges;
-      std::sort(sorted.begin(), sorted.end());
-      invalidate_paths_crossing(sorted);
+      invalidate_trees_masked_by(edges);
     }
   }
   routed_edges_.emplace(link.id, std::move(edges));
@@ -284,7 +300,7 @@ void Context::unroute(const std::string& sg_link_id) {
         min_pre_residual = std::min(min_pre_residual, residual_bandwidth(e));
         add_extra_reserved(e, -link->bandwidth);
       }
-      invalidate_paths_above(min_pre_residual);
+      invalidate_trees_above(min_pre_residual);
     }
   }
   routed_edges_.erase(sg_link_id);
@@ -331,8 +347,7 @@ double Context::distance(const std::string& from, const std::string& to,
   if (from_id == graph::kInvalidId || to_id == graph::kInvalidId) {
     return graph::kInf;
   }
-  const PathEntry& entry = cached_path(from_id, to_id, min_bw);
-  return entry.reachable ? entry.path.cost : graph::kInf;
+  return path_tree(from_id, min_bw).dist[to_id];
 }
 
 double Context::delay_between(const std::string& from, const std::string& to,
@@ -343,8 +358,7 @@ double Context::delay_between(const std::string& from, const std::string& to,
   if (from_id == graph::kInvalidId || to_id == graph::kInvalidId) {
     return graph::kInf;
   }
-  const PathEntry& entry = cached_path(from_id, to_id, min_bw);
-  return entry.reachable ? entry.delay : graph::kInf;
+  return tree_delay(path_tree(from_id, min_bw), to_id);
 }
 
 double Context::node_penalty(const std::string& host) const noexcept {

@@ -10,23 +10,39 @@
 // mappers scale on 10^5..10^6-node views — each worker shares one
 // immutable snapshot and owns only its overlay.
 //
-// Path queries (route / distance) run on the allocation-free kernel
-// (graph/path_kernel.h) through a devirtualized overlay scan and are
-// memoized in a per-Context cache keyed by (src, dst, bandwidth).
-// Invalidation follows the monotonicity of reservations: reserving
-// bandwidth (route) can only mask edges, so it evicts exactly the entries
-// whose path crosses the touched links; releasing bandwidth (unroute) can
-// only unmask a link for queries demanding more than its pre-release
-// residual, so it evicts every entry whose floor exceeds the smallest
-// pre-release residual of the released links. Hit/miss/invalidation
-// counters are kept in PathCacheStats.
+// Path queries (route / distance / delay_between / path_tree) read one
+// cache of one-to-all shortest-path trees keyed by (source node, bandwidth
+// floor): a miss runs one full single-source Dijkstra of the
+// allocation-free kernel (graph/path_kernel.h) through a devirtualized
+// overlay scan and keeps the dense tree, which then answers every target.
+// A tree's path to a target is the path the kernel's early-exit search
+// returns (same loop, same tie-breaks; the target's parents are final once
+// it settles). distance() reads dist[target]; route() reads the parent
+// chain; true delays sum in model::path_delay's order — every link delay
+// source-first, then every transited node's internal delay — so they are
+// bit-identical to the point-to-point answer.
+//
+// Eviction follows the monotonicity of reservations:
+//  - route() reserves bandwidth, which can only mask edges. A tree with
+//    floor f changes only if an edge it uses (parent_edge[head(e)] == e)
+//    drops below f; exactly those trees are evicted.
+//  - unroute() releases bandwidth, which can only unmask an edge for
+//    floors above its pre-release residual; every tree whose floor exceeds
+//    the smallest pre-release residual of the released edges is evicted.
+//
+// Memory: one tree costs O(nodes) (a distance, a parent edge and a parent
+// node per node id), and a Context holds at most one tree per distinct
+// (source, floor) pair it was asked for — for chain-DP, the request's SAPs
+// and candidate hosts times the chain's link bandwidths; about 25 trees per
+// call on perfbench's embed_large. The cache dies with the Context.
+// Hit/miss/eviction counters are kept in PathCacheStats.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "catalog/nf_catalog.h"
@@ -39,11 +55,12 @@
 
 namespace unify::mapping {
 
-/// Counters of the per-Context path cache.
+/// Counters of the per-Context path-tree cache: one hit or miss per tree
+/// lookup (distance, delay_between, route, path_tree).
 struct PathCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t invalidations = 0;  ///< entries evicted by route/unroute
+  std::uint64_t invalidations = 0;  ///< trees evicted by route/unroute
 };
 
 class Context {
@@ -136,6 +153,19 @@ class Context {
                                      const std::string& to,
                                      double min_bw) const;
 
+  /// The one-to-all shortest-path tree from `from` under the bandwidth
+  /// floor `min_bw` over the live residuals (cached or freshly built; an
+  /// unknown `from` gives a tree that reaches nothing). dist[v] is the
+  /// distance() cost to v. The reference is valid until the next
+  /// route/unroute.
+  [[nodiscard]] const graph::ShortestPathTree& path_tree(graph::NodeId from,
+                                                         double min_bw) const;
+
+  /// delay_between() read off a tree from path_tree(): the true wire delay
+  /// of the tree path to `to`; +inf when unreachable.
+  [[nodiscard]] double tree_delay(const graph::ShortestPathTree& tree,
+                                  graph::NodeId to) const;
+
   /// Health bias of a substrate node (BisBis::health_penalty, 0 for SAPs
   /// and unknown nodes). Mappers add it to node-selection cost so flaky
   /// domains drain before their circuit trips (DESIGN.md §10).
@@ -156,13 +186,8 @@ class Context {
   }
 
  private:
-  /// (src node, dst node, bandwidth floor) -> memoized shortest path.
-  using PathKey = std::tuple<graph::NodeId, graph::NodeId, double>;
-  struct PathEntry {
-    bool reachable = false;
-    graph::Path path;  ///< empty when !reachable
-    double delay = 0;  ///< path_delay of `path`
-  };
+  /// (source node, bandwidth floor) -> one-to-all shortest-path tree.
+  using TreeKey = std::pair<graph::NodeId, double>;
 
   /// Overlay scan for the path kernel: base residual minus overlay
   /// reservations for masking, health-biased weights.
@@ -181,17 +206,13 @@ class Context {
     }
   };
 
-  /// Returns the cached (or freshly computed) shortest path under the
-  /// current residuals. The reference is valid until the next route/unroute.
-  const PathEntry& cached_path(graph::NodeId from, graph::NodeId to,
-                               double min_bw) const;
-  /// Evicts the entries a reservation on `edges` (sorted ids) can change:
-  /// those whose path crosses one of them.
-  void invalidate_paths_crossing(const std::vector<graph::EdgeId>& edges);
-  /// Evicts the entries a release can change: those whose floor exceeds
+  /// Evicts the trees a reservation on `edges` (already applied) can
+  /// change: those using an edge whose residual fell below their floor.
+  void invalidate_trees_masked_by(const std::vector<graph::EdgeId>& edges);
+  /// Evicts the trees a release can change: those whose floor exceeds
   /// `min_pre_residual`, the smallest pre-release residual of the
   /// released edges.
-  void invalidate_paths_above(double min_pre_residual);
+  void invalidate_trees_above(double min_pre_residual);
 
   /// Overlay reservation on one edge (0 when untouched). Sorted-vector
   /// lookup; empty() fast path keeps pristine scans at base speed.
@@ -216,7 +237,9 @@ class Context {
   std::map<std::string, std::vector<graph::EdgeId>> routed_edges_;
 
   mutable graph::PathWorkspace workspace_;
-  mutable std::map<PathKey, PathEntry> path_cache_;
+  mutable std::map<TreeKey, graph::ShortestPathTree> trees_;
+  /// Scratch for tree_delay()'s parent walk (target-first node ids).
+  mutable std::vector<graph::NodeId> walk_;
   mutable PathCacheStats cache_stats_;
 };
 

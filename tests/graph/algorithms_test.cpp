@@ -4,6 +4,7 @@
 
 #include "graph/graph.h"
 #include "graph/path_kernel.h"
+#include "util/rng.h"
 
 namespace unify::graph {
 namespace {
@@ -184,6 +185,48 @@ TEST(PathKernel, TreeExportMatchesEarlyExitSearch) {
   auto p = tree.path_to(0, 3);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->nodes, (std::vector<NodeId>{0, 1, 3}));
+}
+
+TEST(PathKernel, TreeExportMatchesEarlyExitSearchOnTiedRandomGraphs) {
+  // The mapping Context answers every point-to-point query from one
+  // exported tree per source, so the tree path must equal the early-exit
+  // path for every (source, target) pair — also where equal-cost paths
+  // tie. Small integer weights (zeros included), parallel edges and
+  // masked (negative-weight) edges make ties and alternatives common.
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    G g;
+    const auto n = static_cast<NodeId>(rng.next_int(4, 18));
+    for (NodeId i = 0; i < n; ++i) g.add_node();
+    const int edges = static_cast<int>(rng.next_int(n, 4 * n));
+    for (int i = 0; i < edges; ++i) {
+      const auto a = static_cast<NodeId>(rng.next_below(n));
+      const auto b = static_cast<NodeId>(rng.next_below(n));
+      const double w =
+          rng.next_bool(0.1) ? -1.0 : static_cast<double>(rng.next_below(3));
+      g.add_edge(a, b, {w});
+    }
+    PathWorkspace ws;
+    for (NodeId source = 0; source < n; ++source) {
+      shortest_path_tree(ws, g.node_capacity(), source, weight_scan(g));
+      const ShortestPathTree tree =
+          export_shortest_path_tree(ws, g.node_capacity());
+      for (NodeId target = 0; target < n; ++target) {
+        const auto direct = shortest_path(ws, g.node_capacity(), source,
+                                          target, weight_scan(g));
+        const auto from_tree = tree.path_to(source, target);
+        ASSERT_EQ(direct.has_value(), from_tree.has_value())
+            << source << "->" << target;
+        if (!direct) continue;
+        EXPECT_EQ(direct->cost, from_tree->cost) << source << "->" << target;
+        EXPECT_EQ(direct->nodes, from_tree->nodes)
+            << source << "->" << target;
+        EXPECT_EQ(direct->edges, from_tree->edges)
+            << source << "->" << target;
+      }
+    }
+  }
 }
 
 TEST(PathKernel, TreeExportMarksUnreachableFromStaleEpochs) {

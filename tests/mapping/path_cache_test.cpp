@@ -1,10 +1,13 @@
-// Coverage for the Context path cache: hits, route/unroute invalidation,
-// and property sweeps asserting that every cached answer — distance, delay
-// and the routed edge sequence — equals a fresh Dijkstra over the live
-// residuals, across route/unroute churn and branch-and-bound-style leaf
-// cycles.
+// Coverage for the Context path cache (one shortest-path tree per source
+// and bandwidth floor): hits, one miss per (source, floor), route/unroute
+// eviction, and property sweeps asserting that every cached answer — tree
+// distances, paths and delay bits, distance(), delay_between() and the
+// routed edge sequence — equals a fresh Dijkstra over the live residuals,
+// across route/unroute churn and branch-and-bound-style leaf cycles.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -118,6 +121,33 @@ bool route_fresh(Context& ctx, const sg::SgLink& link) {
   return true;
 }
 
+/// Every answer of the cached tree from `from` under `min_bw` — distance,
+/// parent-chain path and delay bits — against a fresh search per target.
+void expect_fresh_tree(const Context& ctx, const std::string& from,
+                       double min_bw) {
+  const model::TopologyIndex& index = ctx.index();
+  const graph::NodeId source = index.node_of(from);
+  const graph::ShortestPathTree& tree = ctx.path_tree(source, min_bw);
+  for (graph::NodeId target = 0; target < index.graph().node_capacity();
+       ++target) {
+    const std::string& to = index.id_of(target);
+    SCOPED_TRACE(from + "->" + to + " bw " + std::to_string(min_bw));
+    const auto want = fresh_path(ctx, from, to, min_bw);
+    const auto got = tree.path_to(source, target);
+    ASSERT_EQ(got.has_value(), want.has_value());
+    if (!want.has_value()) {
+      ASSERT_EQ(tree.dist[target], graph::kInf);
+      ASSERT_EQ(ctx.tree_delay(tree, target), graph::kInf);
+      continue;
+    }
+    ASSERT_EQ(tree.dist[target], want->cost);
+    ASSERT_EQ(got->edges, want->edges);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(ctx.tree_delay(tree, target)),
+              std::bit_cast<std::uint64_t>(model::path_delay(index, *want)));
+    expect_fresh_probe(ctx, from, to, min_bw);
+  }
+}
+
 TEST(PathCache, RepeatedDistanceHitsCache) {
   const catalog::NfCatalog cat = catalog::default_catalog();
   const ServiceGraph sg = chain(100);
@@ -217,6 +247,37 @@ TEST(PathCache, PublishesCounters) {
   (void)ctx.distance("sap1", "sap2", 100);
   EXPECT_EQ(ctx.path_cache_stats().misses, 1u);
   EXPECT_EQ(ctx.path_cache_stats().hits, 1u);
+}
+
+TEST(PathCache, OneTreePerSourceAndFloor) {
+  // Chain-DP's query shape: every candidate host asks for every other
+  // node at each stage floor. The cache builds one tree per distinct
+  // (source, floor) and answers every other query from it.
+  const catalog::NfCatalog cat = catalog::default_catalog();
+  Rng rng(7);
+  const Nffg substrate = infra::topo::random_connected(12, 3.0, 2, rng);
+  const ServiceGraph sg = chain(100);
+  Context ctx(sg, substrate, cat);
+  std::vector<std::string> nodes;
+  for (const auto& [id, bb] : ctx.base().bisbis()) nodes.push_back(id);
+  for (const auto& [id, sap] : ctx.base().saps()) nodes.push_back(id);
+
+  const std::vector<double> floors{0, 100, 250};
+  std::uint64_t lookups = 0;
+  for (const double floor : floors) {
+    for (const std::string& from : nodes) {
+      for (const std::string& to : nodes) {
+        if (from == to) continue;  // answered without a lookup
+        (void)ctx.distance(from, to, floor);
+        (void)ctx.delay_between(from, to, floor);
+        lookups += 2;
+      }
+    }
+  }
+  EXPECT_EQ(ctx.path_cache_stats().misses, nodes.size() * floors.size());
+  EXPECT_EQ(ctx.path_cache_stats().hits,
+            lookups - ctx.path_cache_stats().misses);
+  EXPECT_EQ(ctx.path_cache_stats().invalidations, 0u);
 }
 
 /// Property: across random topologies and interleaved route/unroute churn,
@@ -359,6 +420,85 @@ TEST(PathCacheProperty, LeafCyclesRouteTheFreshPaths) {
     total.invalidations += ctx.path_cache_stats().invalidations;
   }
   // The sweep must actually exercise the cache: warm hits and evictions.
+  EXPECT_GT(total.hits, 0u);
+  EXPECT_GT(total.invalidations, 0u);
+}
+
+/// Property: warm trees for a fixed set of (source, floor) pairs stay
+/// equal to fresh searches — distances, parent-chain paths, delay bits,
+/// distance(), delay_between() and route()'s links — after every single
+/// route() and unroute() of several placement rounds on tight links, so a
+/// tree that either eviction rule wrongly keeps is caught at the next
+/// step.
+TEST(PathCacheProperty, TreesMatchFreshSearchesAfterEveryRouteAndUnroute) {
+  const catalog::NfCatalog cat = catalog::default_catalog();
+  PathCacheStats total;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    infra::topo::TopoParams params;
+    params.link_bandwidth = 3000;
+    model::Nffg substrate = infra::topo::random_connected(
+        static_cast<int>(rng.next_int(6, 14)), 3.0, 2, rng, params);
+    for (auto& [id, link] : substrate.links()) {
+      link.reserved = rng.next_double(0, 0.5) * link.attrs.bandwidth;
+      if (rng.next_bool(0.5)) link.attrs.delay *= 2;
+    }
+    const ServiceGraph sg = sg::make_chain(
+        "svc", "sap1", {"fw-lite", "monitor", "nat"}, "sap2",
+        rng.next_double(300, 1200), 10000);
+    Context ctx(sg, substrate, cat);
+
+    std::vector<std::string> nodes;
+    for (const auto& [id, bb] : ctx.base().bisbis()) nodes.push_back(id);
+    for (const auto& [id, sap] : ctx.base().saps()) nodes.push_back(id);
+    std::vector<std::pair<std::string, double>> probes;
+    for (int i = 0; i < 4; ++i) {
+      for (int k = 0; k < 3; ++k) {
+        probes.emplace_back(
+            nodes[rng.next_below(nodes.size())],
+            500.0 * static_cast<double>(rng.next_below(7)));
+      }
+    }
+    const auto check_trees = [&] {
+      for (const auto& [from, floor] : probes) {
+        expect_fresh_tree(ctx, from, floor);
+      }
+    };
+
+    for (int round = 0; round < 6; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      for (const auto& [id, nf] : sg.nfs()) ctx.unplace(id);
+      bool placed = true;
+      for (const auto& [id, nf] : sg.nfs()) {
+        const auto hosts = ctx.candidates(nf);
+        if (hosts.empty()) {
+          placed = false;
+          break;
+        }
+        ASSERT_TRUE(
+            ctx.place(id, hosts[rng.next_below(hosts.size())]).ok());
+      }
+      if (!placed) continue;
+      check_trees();
+      for (const sg::SgLink& link : sg.links()) {
+        if (!route_fresh(ctx, link)) break;
+        check_trees();
+      }
+      std::vector<std::string> routed;
+      for (const sg::SgLink& link : sg.links()) {
+        if (ctx.is_routed(link.id)) routed.push_back(link.id);
+      }
+      while (!routed.empty()) {
+        const std::size_t pick = rng.next_below(routed.size());
+        ctx.unroute(routed[pick]);
+        routed.erase(routed.begin() + static_cast<std::ptrdiff_t>(pick));
+        check_trees();
+      }
+    }
+    total.hits += ctx.path_cache_stats().hits;
+    total.invalidations += ctx.path_cache_stats().invalidations;
+  }
   EXPECT_GT(total.hits, 0u);
   EXPECT_GT(total.invalidations, 0u);
 }

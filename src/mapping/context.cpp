@@ -229,8 +229,13 @@ void Context::invalidate_trees_masked_by(
   // edge it uses falls below f. Removing an edge a tree does not use
   // leaves every distance, settle order and strict-< parent choice as is.
   const auto& graph = index_->graph();
+  double lowest = graph::kInf;
+  for (const graph::EdgeId e : edges) {
+    lowest = std::min(lowest, residual_bandwidth(e));
+  }
   std::erase_if(trees_, [&](const auto& item) {
     const double floor = item.first.second;
+    if (floor <= lowest) return false;  // no edge fell below this floor
     const graph::ShortestPathTree& tree = item.second;
     const bool masked =
         std::any_of(edges.begin(), edges.end(), [&](graph::EdgeId e) {

@@ -149,7 +149,7 @@ Result<TranslatedConfig> config_to_service_graph(const model::Nffg& config,
   for (const model::ServiceHint& hint : config.hints()) {
     UNIFY_RETURN_IF_ERROR(out.sg.add_requirement(sg::E2eRequirement{
         hint.id, hint.from_sap, hint.to_sap, hint.max_delay,
-        hint.min_bandwidth}));
+        hint.min_bandwidth, hint.via}));
   }
 
   // Constraints ride along; pin/forbid constraints whose host is a node of
@@ -223,7 +223,7 @@ Result<model::Nffg> service_graph_to_config(const sg::ServiceGraph& sg,
   for (const sg::E2eRequirement& req : sg.requirements()) {
     UNIFY_RETURN_IF_ERROR(config.add_hint(model::ServiceHint{
         req.id, req.from_sap, req.to_sap, req.max_delay,
-        req.min_bandwidth}));
+        req.min_bandwidth, req.via}));
   }
   for (const sg::PlacementConstraint& c : sg.constraints()) {
     UNIFY_RETURN_IF_ERROR(config.add_constraint(c));

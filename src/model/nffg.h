@@ -145,16 +145,20 @@ struct Link {
 /// paper's "bandwidth or delay constraints between arbitrary elements"):
 /// annotates the config so a lower-layer orchestrator can re-map the
 /// placement at its own granularity while honouring the constraint.
+/// `via` is the id of the flowrule (SG link) by which the constrained chain
+/// leaves `from_sap`; empty when the hint does not name its chain.
 struct ServiceHint {
   std::string id;
   std::string from_sap;
   std::string to_sap;
   double max_delay = std::numeric_limits<double>::infinity();  ///< ms
   double min_bandwidth = 0;                                    ///< Mbit/s
+  std::string via = {};
 
   friend bool operator==(const ServiceHint& a, const ServiceHint& b) noexcept {
     return a.id == b.id && a.from_sap == b.from_sap && a.to_sap == b.to_sap &&
-           a.max_delay == b.max_delay && a.min_bandwidth == b.min_bandwidth;
+           a.max_delay == b.max_delay && a.min_bandwidth == b.min_bandwidth &&
+           a.via == b.via;
   }
 };
 

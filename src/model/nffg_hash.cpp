@@ -102,6 +102,7 @@ std::uint64_t content_hash(const Nffg& nffg) noexcept {
     h.str(hint.to_sap);
     h.f64(hint.max_delay);
     h.f64(hint.min_bandwidth);
+    h.str(hint.via);
   }
   h.u64(nffg.constraints().size());
   for (const PlacementConstraint& c : nffg.constraints()) {

@@ -187,7 +187,7 @@ json::Value to_json(const Nffg& nffg) {
     hints.reserve(nffg.hints().size());
     for (const ServiceHint& hint : nffg.hints()) {
       Object o;
-      o.reserve(5);
+      o.reserve(6);
       o.set("id", hint.id);
       o.set("from", hint.from_sap);
       o.set("to", hint.to_sap);
@@ -195,6 +195,7 @@ json::Value to_json(const Nffg& nffg) {
         o.set("max_delay", hint.max_delay);
       }
       if (hint.min_bandwidth != 0) o.set("min_bandwidth", hint.min_bandwidth);
+      if (!hint.via.empty()) o.set("via", hint.via);
       hints.emplace_back(std::move(o));
     }
     root.set("hints", std::move(hints));
@@ -370,6 +371,7 @@ Result<Nffg> nffg_from_json(const json::Value& value) {
       hint.max_delay = hv.get_number(
           "max_delay", std::numeric_limits<double>::infinity());
       hint.min_bandwidth = hv.get_number("min_bandwidth");
+      hint.via = string_at(hv, "via");
       UNIFY_RETURN_IF_ERROR(nffg.add_hint(std::move(hint)));
     }
   }

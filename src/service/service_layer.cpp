@@ -67,6 +67,7 @@ sg::ServiceGraph prefix_elements(const sg::ServiceGraph& graph,
   for (const sg::E2eRequirement& req : graph.requirements()) {
     sg::E2eRequirement copy = req;
     copy.id = prefix + "." + req.id;
+    if (!req.via.empty()) copy.via = prefix + "." + req.via;
     (void)out.add_requirement(std::move(copy));
   }
   for (const sg::PlacementConstraint& c : graph.constraints()) {
@@ -335,8 +336,10 @@ bool ServiceLayer::commit(const std::vector<sg::ServiceGraph>& requests,
   const bool bisecting = !top && !single;
   if (bisecting) metrics_.add("service.batch.bisect_probes");
   for (const std::size_t i : indices) {
+    sg::ServiceGraph graph = requests[i];
+    graph.anchor_requirements();
     requests_.emplace(requests[i].id(),
-                      ServiceRequest{requests[i].id(), requests[i],
+                      ServiceRequest{requests[i].id(), std::move(graph),
                                      RequestState::kDeployed, ""});
   }
   bool diverged = false;
@@ -602,6 +605,7 @@ Result<void> ServiceLayer::update(const sg::ServiceGraph& request) {
     return *std::move(invalid);
   }
   sg::ServiceGraph previous = std::exchange(it->second.graph, request);
+  it->second.graph.anchor_requirements();
   bool diverged = false;
   const auto pushed = push_or_restore(
       "update",

@@ -297,9 +297,9 @@ class ServiceLayer {
   telemetry::Registry metrics_;
 };
 
-/// Clones `graph` with every NF, link and requirement id prefixed by
-/// "<prefix>."; SAP ids are left untouched (SAPs are shared
-/// infrastructure).
+/// Clones `graph` with every NF, link and requirement id (and every
+/// requirement's `via`) prefixed by "<prefix>."; SAP ids are left
+/// untouched (SAPs are shared infrastructure).
 [[nodiscard]] sg::ServiceGraph prefix_elements(const sg::ServiceGraph& graph,
                                                const std::string& prefix);
 

@@ -213,7 +213,7 @@ std::vector<std::string> ServiceGraph::validate() const {
 Result<std::vector<const SgLink*>> ServiceGraph::chain_for(
     const E2eRequirement& req) const {
   // BFS over directed links from from_sap to to_sap; nodes are SAP/NF ids.
-  std::map<std::string, const SgLink*> via;  // node -> link we arrived by
+  std::map<std::string, const SgLink*> reached_by;  // node -> link in
   std::queue<std::string> frontier;
   frontier.push(req.from_sap);
   std::set<std::string> seen{req.from_sap};
@@ -223,12 +223,15 @@ Result<std::vector<const SgLink*>> ServiceGraph::chain_for(
     if (node == req.to_sap) break;
     for (const SgLink& l : links_) {
       if (l.from.node != node || seen.count(l.to.node) != 0) continue;
+      if (node == req.from_sap && !req.via.empty() && l.id != req.via) {
+        continue;
+      }
       seen.insert(l.to.node);
-      via[l.to.node] = &l;
+      reached_by[l.to.node] = &l;
       frontier.push(l.to.node);
     }
   }
-  if (via.count(req.to_sap) == 0) {
+  if (reached_by.count(req.to_sap) == 0) {
     return Error{ErrorCode::kInfeasible,
                  "no directed chain from " + req.from_sap + " to " +
                      req.to_sap};
@@ -236,12 +239,21 @@ Result<std::vector<const SgLink*>> ServiceGraph::chain_for(
   std::vector<const SgLink*> chain;
   std::string cur = req.to_sap;
   while (cur != req.from_sap) {
-    const SgLink* l = via.at(cur);
+    const SgLink* l = reached_by.at(cur);
     chain.push_back(l);
     cur = l->from.node;
   }
   std::reverse(chain.begin(), chain.end());
   return chain;
+}
+
+void ServiceGraph::anchor_requirements() {
+  for (E2eRequirement& req : requirements_) {
+    if (!req.via.empty()) continue;
+    if (const auto chain = chain_for(req); chain.ok()) {
+      req.via = chain->front()->id;
+    }
+  }
 }
 
 Result<std::vector<std::string>> ServiceGraph::nf_sequence_for(

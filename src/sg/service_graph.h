@@ -53,18 +53,22 @@ struct SgLink {
 };
 
 /// End-to-end requirement between two SAPs, evaluated along the chain.
+/// `via` names the link by which the chain leaves `from_sap` (ESCAPEv2's
+/// `sg_path`, cut to its first hop): it ties the requirement to one chain
+/// when several share the SAP pair. Empty = any chain between the SAPs.
 struct E2eRequirement {
   std::string id;
   std::string from_sap;
   std::string to_sap;
   double max_delay = std::numeric_limits<double>::infinity();  ///< ms
   double min_bandwidth = 0;                                    ///< Mbit/s
+  std::string via = {};
 
   friend bool operator==(const E2eRequirement& a,
                          const E2eRequirement& b) noexcept {
     return a.id == b.id && a.from_sap == b.from_sap &&
            a.to_sap == b.to_sap && a.max_delay == b.max_delay &&
-           a.min_bandwidth == b.min_bandwidth;
+           a.min_bandwidth == b.min_bandwidth && a.via == b.via;
   }
 };
 
@@ -128,10 +132,17 @@ class ServiceGraph {
   [[nodiscard]] std::vector<std::string> validate() const;
 
   /// The chain serving a requirement: the sequence of SgLinks on the
-  /// (hop-minimal) directed path from `from_sap` to `to_sap`. Fails with
-  /// kInfeasible when no directed path exists in the service graph.
+  /// (hop-minimal) directed path from `from_sap` to `to_sap`, leaving
+  /// `from_sap` by link `via` when the requirement names one. Fails with
+  /// kInfeasible when no such directed path exists in the service graph.
   [[nodiscard]] Result<std::vector<const SgLink*>> chain_for(
       const E2eRequirement& req) const;
+
+  /// Sets the empty `via` of every requirement to the first link of its
+  /// chain_for in this graph, so the requirement keeps naming its own
+  /// chain once the graph is merged with others on the same SAP pair.
+  /// Requirements without a chain keep an empty `via`.
+  void anchor_requirements();
 
   /// NF ids in chain order for a requirement (derived from chain_for).
   [[nodiscard]] Result<std::vector<std::string>> nf_sequence_for(

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "adapters/faulty_adapter.h"
@@ -35,15 +36,19 @@ class AcceptAllAdapter final : public adapters::DomainAdapter {
   model::Nffg view_;
 };
 
+model::Nffg one_node_view() {
+  model::Nffg view{"infra-view"};
+  EXPECT_TRUE(
+      view.add_bisbis(model::make_bisbis("bb", {16, 16384, 200}, 4)).ok());
+  model::attach_sap(view, "sap1", "bb", 0, {1000, 0.1});
+  model::attach_sap(view, "sap2", "bb", 1, {1000, 0.1});
+  return view;
+}
+
 /// Minimal one-RO stack: service layer -> unify -> virtualizer -> RO ->
-/// fake infra domain.
+/// fake infra domain (one BiS-BiS unless `view` says otherwise).
 struct Stack {
-  Stack() {
-    model::Nffg view{"infra-view"};
-    EXPECT_TRUE(
-        view.add_bisbis(model::make_bisbis("bb", {16, 16384, 200}, 4)).ok());
-    model::attach_sap(view, "sap1", "bb", 0, {1000, 0.1});
-    model::attach_sap(view, "sap2", "bb", 1, {1000, 0.1});
+  explicit Stack(model::Nffg view = one_node_view()) {
     ro = std::make_unique<core::ResourceOrchestrator>(
         "ro", std::make_shared<mapping::ChainDpMapper>(),
         catalog::default_catalog());
@@ -381,6 +386,53 @@ TEST(ServiceLayer, FailedSingletonWaveCostsTwoPushes) {
   EXPECT_EQ(stack.layer->requests().at("greedy").state,
             RequestState::kFailed);
   EXPECT_TRUE(stack.ro->global_view().find_nf("ok.nat0").has_value());
+}
+
+// ---------------------------------------------------- requirement owners
+
+/// sap1 - bb1 ==5 ms== bb2 - sap2, where only bb1 hosts nat and only bb2
+/// hosts monitor: sap1 -> nat -> sap2 takes 7 ms, while
+/// sap1 -> monitor -> nat -> sap2 crosses the 5 ms link three times (17 ms).
+model::Nffg two_node_line() {
+  model::Nffg view{"line"};
+  model::BisBis bb1 = model::make_bisbis("bb1", {16, 16384, 200}, 4);
+  bb1.nf_types = {"nat"};
+  model::BisBis bb2 = model::make_bisbis("bb2", {16, 16384, 200}, 4);
+  bb2.nf_types = {"monitor"};
+  EXPECT_TRUE(view.add_bisbis(std::move(bb1)).ok());
+  EXPECT_TRUE(view.add_bisbis(std::move(bb2)).ok());
+  EXPECT_TRUE(view.add_bidirectional_link("l12", {"bb1", 2}, {"bb2", 2},
+                                          model::LinkAttrs{1000, 5})
+                  .ok());
+  model::attach_sap(view, "sap1", "bb1", 0, {1000, 1});
+  model::attach_sap(view, "sap2", "bb2", 1, {1000, 1});
+  return view;
+}
+
+TEST(RequirementOwnership, RemovingASapPairNeighbourLeavesTheOtherAlone) {
+  Stack stack(two_node_line());
+  const auto results = stack.layer->submit_batch(
+      {sg::make_chain("a", "sap1", {"nat"}, "sap2", 10, 100),
+       sg::make_chain("b", "sap1", {"nat"}, "sap2", 10, 100)});
+  ASSERT_TRUE(results[0].ok()) << results[0].error().to_string();
+  ASSERT_TRUE(results[1].ok()) << results[1].error().to_string();
+  const std::vector<std::string> before = stack.virtualizer->active_requests();
+  ASSERT_EQ(before.size(), 2u);
+  std::map<std::string, mapping::Mapping> mappings;
+  for (const std::string& id : before) {
+    mappings.emplace(id, stack.ro->deployments().at(id).mapping);
+  }
+
+  // b's requirement belongs to b's chain only: removing b must neither
+  // tear down nor re-map a.
+  ASSERT_TRUE(stack.layer->remove("b").ok());
+  const std::vector<std::string> after = stack.virtualizer->active_requests();
+  ASSERT_EQ(after.size(), 1u);
+  ASSERT_EQ(mappings.count(after.front()), 1u)
+      << after.front() << " is a re-mapped copy of a";
+  EXPECT_EQ(stack.ro->deployments().at(after.front()).mapping,
+            mappings.at(after.front()));
+  EXPECT_TRUE(stack.ro->global_view().find_nf("a.nat0").has_value());
 }
 
 // ------------------------------------------------------------ sync_health

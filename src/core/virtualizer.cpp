@@ -9,6 +9,34 @@
 
 namespace unify::core {
 
+namespace {
+
+/// `config` without the client elements named in `ids`: their NFs (with
+/// the flowrules and constraints Nffg::remove_nf drops along), the
+/// flowrules realizing their links (an untagged rule by its id, chain
+/// segments by their tag) and their hints.
+model::Nffg without(const model::Nffg& config,
+                    const std::set<std::string>& ids) {
+  model::Nffg out = config;
+  for (const auto& [bb_id, bb] : config.bisbis()) {
+    for (const auto& [nf_id, nf] : bb.nfs) {
+      if (ids.count(nf_id) != 0) (void)out.remove_nf(bb_id, nf_id);
+    }
+  }
+  for (auto& [bb_id, bb] : out.bisbis()) {
+    std::erase_if(bb.flowrules, [&](const model::Flowrule& rule) {
+      const std::string& link = !rule.match_tag.empty() ? rule.match_tag
+                                : !rule.set_tag.empty() ? rule.set_tag
+                                                        : rule.id;
+      return ids.count(link) != 0;
+    });
+  }
+  for (const std::string& id : ids) (void)out.remove_hint(id);
+  return out;
+}
+
+}  // namespace
+
 Virtualizer::Virtualizer(ResourceOrchestrator& ro, ViewPolicy policy,
                          std::string big_node_id)
     : ro_(&ro),
@@ -344,12 +372,6 @@ Result<void> Virtualizer::edit_config(const model::Nffg& desired) {
   for (const auto& [c, nfs] : nfs_by_component) components.insert(c);
   std::vector<sg::ServiceGraph> subs;
   std::vector<ClientService> sub_services;
-  // Request numbers appear in installed flowrule ids and steering tags, so
-  // numbers consumed by components that end up NOT deployed must be
-  // recycled: a client that retries after a failed edit (the service
-  // layer's batch fallback does exactly that) has to produce the same data
-  // plane as one that never attempted the failed edit.
-  const int first_request = next_request_;
   for (const int component : components) {
     sg::ServiceGraph sub{ro_->name() + "-r" + std::to_string(next_request_)};
     ClientService service;
@@ -392,39 +414,49 @@ Result<void> Virtualizer::edit_config(const model::Nffg& desired) {
     sub_services.push_back(std::move(service));
   }
 
+  // A component that did not deploy (it did not map, or the southbound
+  // push rolled it back) is left out; every client element it held is
+  // named in the error, and the others stay deployed.
+  std::optional<Error> failure;
+  std::set<std::string> failed_ids;
   if (!subs.empty()) {
     const std::vector<Result<std::string>> deployed = ro_->map_batch(
         subs,
         policy_ == ViewPolicy::kFull ? &incoming.pinned_hosts : nullptr);
-    std::optional<Error> first_failure;
-    for (std::size_t i = 0; i < deployed.size(); ++i) {
-      if (deployed[i].ok()) continue;
-      first_failure = deployed[i].error();
-      break;
-    }
-    if (first_failure.has_value()) {
-      // edit-config is all-or-nothing over its wave of new services: undo
-      // the components that did deploy, then report the first failure.
-      std::vector<std::string> undo;
-      for (const Result<std::string>& result : deployed) {
-        if (result.ok()) undo.push_back(*result);
-      }
-      if (!undo.empty()) (void)ro_->remove_batch(undo);
-      next_request_ = first_request;
-      return *first_failure;
-    }
     for (std::size_t i = 0; i < subs.size(); ++i) {
-      services_.emplace(sub_services[i].ro_request,
-                        std::move(sub_services[i]));
+      ClientService& service = sub_services[i];
+      if (deployed[i].ok()) {
+        services_.emplace(service.ro_request, std::move(service));
+        continue;
+      }
+      const Error& error = deployed[i].error();
+      if (!failure.has_value()) failure = Error{error.code, error.message};
+      for (const std::set<std::string>* ids :
+           {&service.nf_ids, &service.link_ids, &service.req_ids}) {
+        for (const std::string& id : *ids) {
+          failure->causes.push_back({id, error.code, error.message});
+          failed_ids.insert(id);
+        }
+      }
     }
   }
 
-  accepted_ = desired;
-  accepted_hash_ = desired_hash;
+  // What was accepted is the desired config minus the failed elements.
+  if (failure.has_value()) {
+    model::Nffg kept = without(desired, failed_ids);
+    UNIFY_ASSIGN_OR_RETURN(incoming,
+                           config_to_service_graph(kept, *skeleton_, "accepted"));
+    accepted_hash_ = model::content_hash(kept);
+    accepted_ = std::move(kept);
+  } else {
+    accepted_ = desired;
+    accepted_hash_ = desired_hash;
+  }
   accepted_translated_ = std::move(incoming);
   UNIFY_LOG(kInfo, "orch.virt")
       << ro_->name() << ": edit-config accepted (" << services_.size()
-      << " active services)";
+      << " active services, " << failed_ids.size() << " elements failed)";
+  if (failure.has_value()) return *std::move(failure);
   return Result<void>::success();
 }
 

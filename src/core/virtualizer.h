@@ -12,7 +12,11 @@
 //
 // edit-config is declarative: the client sends its full desired config; the
 // virtualizer diffs it against the accepted config at service-graph level,
-// removes/redeploys affected services and deploys new ones through the RO.
+// removes/redeploys affected services and deploys new ones through the RO,
+// one RO request per connected component of new elements. Components that
+// map are committed even when others fail: the error then names every
+// client element of each failed component, and the accepted config is the
+// desired one minus those elements.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +50,13 @@ class Virtualizer {
   /// running iff all its components are).
   [[nodiscard]] Result<model::Nffg> get_config();
 
-  /// Accepts a full desired configuration over the view.
+  /// Accepts a full desired configuration over the view. When some new
+  /// components fail (they do not map, or a failed southbound push rolled
+  /// them back), the others stay deployed and the error carries the first
+  /// failure's code and message plus one cause per NF, link and
+  /// requirement id of every failed component (`Error::causes`, path =
+  /// client element id). An error without causes (a removal that did not
+  /// happen, an untranslatable config) concerns the edit as a whole.
   Result<void> edit_config(const model::Nffg& desired);
 
   [[nodiscard]] ViewPolicy policy() const noexcept { return policy_; }
@@ -81,13 +91,15 @@ class Virtualizer {
   model::Nffg accepted_;  ///< last accepted client config
   /// content_hash(accepted_): lets edit_config() short-circuit a desired
   /// config identical to the accepted one without translating/diffing it.
-  /// Invalidated (nullopt) while an edit is mutating books/RO state: a
-  /// failed edit leaves the deployed state diverged from accepted_, and
-  /// the client's recovery push of the accepted config must re-diff, not
-  /// short-circuit.
+  /// Invalidated (nullopt) while an edit is mutating books/RO state: an
+  /// edit that stops midway leaves the deployed state diverged from
+  /// accepted_, and the client's recovery push of the accepted config must
+  /// re-diff, not short-circuit.
   std::optional<std::uint64_t> accepted_hash_;
   std::optional<TranslatedConfig> accepted_translated_;
   std::map<std::string, ClientService> services_;
+  /// Number of the next component's RO request; a failed component uses
+  /// its number up, so numbers depend only on the sequence of components.
   int next_request_ = 1;
   std::uint64_t edits_ = 0;
 };

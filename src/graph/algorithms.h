@@ -1,14 +1,14 @@
-// Path types and reachability over Digraph-shaped data.
+// Path types over Digraph-shaped data: Path, the dense ShortestPathTree a
+// one-to-all search exports, and the EdgeScanFn adapter.
 //
-// The algorithms are decoupled from Digraph<N,E> through a tiny adapter
-// (EdgeScanFn) so callers can weight edges by delay, by hop count, or by a
-// residual-capacity-aware cost without copying the graph. Edges reported
-// with a negative weight are treated as unusable (filtered out), which is
-// how mappers mask links without residual bandwidth.
-//
-// The shortest-path searches (shortest_path, shortest_path_tree) live in
-// path_kernel.h as templates over the scan functor, run on a caller-owned
-// PathWorkspace.
+// The searches (shortest_path, shortest_path_tree) live in path_kernel.h
+// as templates over a scan functor, run on a caller-owned PathWorkspace;
+// a scan reports (edge id, head node, weight) per out-edge, so callers
+// weight edges by delay, by hop count or by residual-aware cost without
+// copying the graph. An edge reported with a negative weight is unusable
+// (filtered out), which is how mappers mask links without residual
+// bandwidth. EdgeScanFn is the type-erased scan, for callers that do not
+// need the kernel's inlined functors.
 #pragma once
 
 #include <functional>
@@ -65,12 +65,6 @@ struct ShortestPathTree {
   [[nodiscard]] std::optional<Path> path_to(NodeId source,
                                             NodeId target) const;
 };
-
-/// BFS reachability (edge weights ignored; masked edges still skipped).
-/// `node_capacity` bounds node ids (Digraph::node_capacity()).
-[[nodiscard]] std::vector<bool> reachable_from(std::size_t node_capacity,
-                                               NodeId source,
-                                               const EdgeScanFn& scan);
 
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
 

@@ -256,7 +256,7 @@ Result<void> Nffg::remove_nf(const std::string& bisbis_id,
   if (bb->nfs.erase(nf_id) == 0) {
     return Error{ErrorCode::kNotFound, "NF " + nf_id + " on " + bisbis_id};
   }
-  // Remove flowrules touching the NF's ports.
+  // Remove flowrules touching the NF's ports, and constraints naming it.
   auto& rules = bb->flowrules;
   rules.erase(std::remove_if(rules.begin(), rules.end(),
                              [&](const Flowrule& fr) {
@@ -264,6 +264,9 @@ Result<void> Nffg::remove_nf(const std::string& bisbis_id,
                                       fr.out.node == nf_id;
                              }),
               rules.end());
+  std::erase_if(constraints_, [&](const PlacementConstraint& c) {
+    return c.nf_a == nf_id || c.nf_b == nf_id;
+  });
   return Result<void>::success();
 }
 

@@ -256,6 +256,8 @@ class Nffg {
   /// node's NFs and (unless `force`) residual capacity and type support.
   Result<void> place_nf(const std::string& bisbis_id, NfInstance nf,
                         bool force = false);
+  /// Removes the NF with the flowrules touching its ports and the
+  /// placement constraints naming it.
   Result<void> remove_nf(const std::string& bisbis_id, const std::string& nf_id);
   /// Locates an NF anywhere in the graph; returns its host's id too.
   [[nodiscard]] std::optional<std::pair<std::string, const NfInstance*>>

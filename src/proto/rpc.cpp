@@ -12,21 +12,35 @@ json::Value error_to_json(const Error& error) {
   json::Object o;
   o.set("code", to_string(error.code));
   o.set("message", error.message);
+  if (!error.causes.empty()) {
+    json::Array causes;
+    causes.reserve(error.causes.size());
+    for (const Error::Cause& cause : error.causes) {
+      json::Object c;
+      c.reserve(3);
+      c.set("path", cause.path);
+      c.set("code", to_string(cause.code));
+      c.set("message", cause.message);
+      causes.emplace_back(std::move(c));
+    }
+    o.set("causes", std::move(causes));
+  }
   return json::Value{std::move(o)};
 }
 
+/// The code named by member "code" of `v`; kInternal when absent or unknown.
+ErrorCode code_from_json(const json::Value& v) {
+  return error_code_from_string(v.get_string("code", "internal"))
+      .value_or(ErrorCode::kInternal);
+}
+
 Error error_from_json(const json::Value& v) {
-  Error e;
-  e.message = v.get_string("message");
-  const std::string code = v.get_string("code", "internal");
-  for (const ErrorCode c :
-       {ErrorCode::kInvalidArgument, ErrorCode::kNotFound,
-        ErrorCode::kAlreadyExists, ErrorCode::kResourceExhausted,
-        ErrorCode::kInfeasible, ErrorCode::kUnavailable, ErrorCode::kProtocol,
-        ErrorCode::kRejected, ErrorCode::kTimeout, ErrorCode::kInternal}) {
-    if (code == to_string(c)) {
-      e.code = c;
-      break;
+  Error e{code_from_json(v), v.get_string("message")};
+  if (const json::Value* causes = v.get("causes");
+      causes != nullptr && causes->is_array()) {
+    for (const json::Value& c : causes->as_array()) {
+      e.causes.push_back(Error::Cause{c.get_string("path"), code_from_json(c),
+                                      c.get_string("message")});
     }
   }
   return e;

@@ -43,6 +43,50 @@ bool holds_id(RequestState state) noexcept {
   return is_active(state) || state == RequestState::kQueued ||
          state == RequestState::kPostponed;
 }
+
+/// The wave requests an edit-config error's causes name.
+struct NamedFailures {
+  std::map<std::size_t, Error> failed;  ///< wave position -> first cause
+  /// Some named request holds an element no cause named.
+  bool partial = false;
+};
+
+/// Matches every cause of `error` to the wave request (`requests[i]`,
+/// i in `indices`) holding its path, by exact membership of the request's
+/// prefixed NF, link and requirement ids. nullopt when the error has no
+/// causes or a cause names anything outside the wave.
+std::optional<NamedFailures> name_failures(
+    const Error& error, const std::vector<sg::ServiceGraph>& requests,
+    const std::vector<std::size_t>& indices) {
+  if (error.causes.empty()) return std::nullopt;
+  std::map<std::string, std::size_t> holder;
+  for (const std::size_t i : indices) {
+    const std::string prefix = requests[i].id() + ".";
+    for (const auto& [nf_id, nf] : requests[i].nfs()) {
+      holder.emplace(prefix + nf_id, i);
+    }
+    for (const sg::SgLink& link : requests[i].links()) {
+      holder.emplace(prefix + link.id, i);
+    }
+    for (const sg::E2eRequirement& req : requests[i].requirements()) {
+      holder.emplace(prefix + req.id, i);
+    }
+  }
+  NamedFailures out;
+  std::map<std::size_t, std::size_t> named;  // wave position -> causes
+  for (const Error::Cause& cause : error.causes) {
+    const auto it = holder.find(cause.path);
+    if (it == holder.end()) return std::nullopt;
+    out.failed.emplace(it->second, Error{cause.code, cause.message});
+    ++named[it->second];
+  }
+  for (const auto& [i, count] : named) {
+    const sg::ServiceGraph& graph = requests[i];
+    out.partial |= count < graph.nfs().size() + graph.links().size() +
+                               graph.requirements().size();
+  }
+  return out;
+}
 }  // namespace
 
 sg::ServiceGraph prefix_elements(const sg::ServiceGraph& graph,
@@ -160,11 +204,11 @@ Result<void> ServiceLayer::push_config() {
 }
 
 Result<void> ServiceLayer::push_or_restore(
-    const char* op, const std::function<void(const Error&)>& undo,
+    const char* op, const std::function<bool(const Error&)>& undo,
     bool* diverged) {
   auto pushed = push_config();
   if (pushed.ok()) return pushed;
-  undo(pushed.error());
+  if (!undo(pushed.error())) return pushed;
   const auto restore = push_config();
   if (restore.ok()) return pushed;
   // The restore push did not land: whatever the layer below is actually
@@ -297,30 +341,16 @@ std::vector<Result<std::string>> ServiceLayer::submit_batch(
     client_failures_ = 0;
   }
 
-  // Phase 2 — optimistic wave commit: one merged edit-config carries every
+  // Phase 2 — the wave commit: one merged edit-config carries every
   // admitted request; the virtualizer below deploys the wave's services
   // through ResourceOrchestrator::map_batch (parallel embedding on the
-  // same shared pool). A failed wave bisects in request order, so
-  // per-request outcomes (and final state, byte for byte) are exactly what
-  // a sequential submit() loop would produce.
+  // same shared pool) and names the elements of those that failed.
   std::vector<std::size_t> indices;
   indices.reserve(admitted_count);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     if (admitted[i]) indices.push_back(i);
   }
-  if (!commit(requests, indices, results, /*top=*/true)) {
-    // A restore push failed mid-bisection: everything not yet decided
-    // fails with the divergence context instead of committing against a
-    // data plane in an unknown state.
-    const Error aborted{ErrorCode::kRollbackFailed,
-                        "batch aborted: a restore push failed mid-fallback "
-                        "(data plane may diverge from the service books)"};
-    for (const std::size_t i : indices) {
-      if (!results[i].ok() && results[i].error().code == ErrorCode::kInternal) {
-        results[i] = aborted;
-      }
-    }
-  }
+  commit(requests, indices, results);
   std::size_t committed = 0;
   for (const std::size_t i : indices) committed += results[i].ok() ? 1 : 0;
   metrics_.add("service.batch.committed", committed);
@@ -328,13 +358,9 @@ std::vector<Result<std::string>> ServiceLayer::submit_batch(
   return finish();
 }
 
-bool ServiceLayer::commit(const std::vector<sg::ServiceGraph>& requests,
+void ServiceLayer::commit(const std::vector<sg::ServiceGraph>& requests,
                           const std::vector<std::size_t>& indices,
-                          std::vector<Result<std::string>>& results,
-                          bool top) {
-  const bool single = indices.size() == 1;
-  const bool bisecting = !top && !single;
-  if (bisecting) metrics_.add("service.batch.bisect_probes");
+                          std::vector<Result<std::string>>& results) {
   for (const std::size_t i : indices) {
     sg::ServiceGraph graph = requests[i];
     graph.anchor_requirements();
@@ -342,47 +368,55 @@ bool ServiceLayer::commit(const std::vector<sg::ServiceGraph>& requests,
                       ServiceRequest{requests[i].id(), std::move(graph),
                                      RequestState::kDeployed, ""});
   }
+  // The first cause naming each failed request (by wave position).
+  std::map<std::size_t, Error> failed;
   bool diverged = false;
   const auto pushed = push_or_restore(
-      single ? "deployment" : "batch wave",
+      "deployment",
       [&](const Error& error) {
-        // Withdraw: a singleton stays on the books as kFailed, a sub-wave
-        // leaves them for its halves to re-enter.
-        if (!single) {
-          for (const std::size_t i : indices) requests_.erase(requests[i].id());
-          return;
+        if (auto named = name_failures(error, requests, indices)) {
+          failed = std::move(named->failed);
+          for (const auto& [i, cause] : failed) {
+            ServiceRequest& request = requests_.at(requests[i].id());
+            request.state = RequestState::kFailed;
+            request.error = cause.to_string();
+          }
+          // The layer below already runs the books, unless a failed request
+          // got part of itself deployed (another of its components).
+          return named->partial;
         }
-        ServiceRequest& failed = requests_.at(requests[indices.front()].id());
-        failed.state = RequestState::kFailed;
-        failed.error = error.to_string();
+        // Anything else withdraws the whole wave: a lone request stays on
+        // the books as kFailed (the failure is its own), a larger wave
+        // leaves them.
+        for (const std::size_t i : indices) {
+          failed.emplace(i, Error{error.code, error.message});
+          if (indices.size() > 1) {
+            requests_.erase(requests[i].id());
+            continue;
+          }
+          ServiceRequest& request = requests_.at(requests[i].id());
+          request.state = RequestState::kFailed;
+          request.error = error.to_string();
+        }
+        return true;
       },
       &diverged);
   if (pushed.ok()) {
-    for (const std::size_t i : indices) results[i] = requests[i].id();
-    if (bisecting) metrics_.add("service.batch.bisect_waves");
     UNIFY_LOG(kInfo, "service")
         << indices.size() << " request(s) deployed in one push";
-    return true;
   }
-  if (top) metrics_.add("service.batch.wave_fallbacks");
-  if (single) {
-    const std::size_t i = indices.front();
-    results[i] = diverged ? pushed.error()
-                          : Error{pushed.error().code,
-                                  "deployment of " + requests[i].id() +
-                                      " failed: " + pushed.error().message};
-    return true;
+  for (const std::size_t i : indices) {
+    const auto it = failed.find(i);
+    if (it == failed.end()) {
+      results[i] = requests[i].id();
+    } else if (diverged) {
+      results[i] = pushed.error();
+    } else {
+      results[i] = Error{it->second.code, "deployment of " + requests[i].id() +
+                                              " failed: " +
+                                              it->second.message};
+    }
   }
-  if (diverged) {
-    for (const std::size_t i : indices) results[i] = pushed.error();
-    return false;
-  }
-  // The merged push of `indices` failed and the books are restored: go
-  // straight to the ordered halves (re-pushing the whole set would fail
-  // again), each on top of whatever the first half committed.
-  const auto half = indices.begin() + static_cast<long>(indices.size() / 2);
-  return commit(requests, {indices.begin(), half}, results, false) &&
-         commit(requests, {half, indices.end()}, results, false);
 }
 
 void ServiceLayer::record_outcome(const AdmissionEntry& entry,
@@ -505,8 +539,8 @@ PumpReport ServiceLayer::pump(SimTime now) {
   }
   report.shed += expired.size();
 
-  // 3. Dispatch one bounded wave through submit_batch (merged push with
-  //    bisection fallback — the same pipeline inline submissions ride).
+  // 3. Dispatch one bounded wave through submit_batch (one merged push —
+  //    the same pipeline inline submissions ride).
   std::vector<AdmissionEntry> wave = queue_.pop_wave(admission_.max_wave);
   report.dispatched = wave.size();
   if (!wave.empty()) {
@@ -582,6 +616,7 @@ std::vector<Result<void>> ServiceLayer::remove_batch(
     for (const auto& [i, prior] : flipped) {
       requests_.at(request_ids[i]).state = prior;  // keep books consistent
     }
+    return true;
   });
   for (const auto& [i, prior] : flipped) {
     if (pushed.ok()) {
@@ -609,7 +644,10 @@ Result<void> ServiceLayer::update(const sg::ServiceGraph& request) {
   bool diverged = false;
   const auto pushed = push_or_restore(
       "update",
-      [&](const Error&) { it->second.graph = std::move(previous); },
+      [&](const Error&) {
+        it->second.graph = std::move(previous);
+        return true;
+      },
       &diverged);
   if (pushed.ok() || diverged) return pushed;
   return Error{pushed.error().code, "update of " + request.id() +

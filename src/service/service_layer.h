@@ -125,20 +125,22 @@ class ServiceLayer {
   /// Admits, validates and deploys a whole wave of service requests.
   ///
   /// Structural validation fans out on the shared OrchestrationPool, then
-  /// the wave is committed optimistically with ONE merged edit-config —
-  /// the virtualizer below hands the new services to
-  /// ResourceOrchestrator::map_batch, which embeds them in parallel on the
-  /// same pool. A failed push is withdrawn and restored, then the wave is
-  /// BISECTED: its ordered halves are retried as merged pushes, recursing
-  /// until the poisonous requests are isolated as singletons (recorded
-  /// kFailed) — typically O(bad * log n) pushes instead of n, with outcomes
-  /// and final state byte-identical to a sequential submit() loop
-  /// (batch_golden_test). A failed wave of one costs two pushes.
+  /// the wave is committed with ONE merged edit-config — the virtualizer
+  /// below hands the new services to ResourceOrchestrator::map_batch,
+  /// which embeds them in parallel on the same pool, commits those that
+  /// map and names, element by element, those that did not
+  /// (Error::causes). Each request the causes name is recorded kFailed
+  /// ("deployment of <id> failed: ..." with the cause's code); the rest
+  /// stay deployed, with outcomes and final state byte-identical to a
+  /// sequential submit() loop (batch_golden_test). A second push happens
+  /// only to take down what a failed request got deployed beyond its
+  /// named elements. An error that names anything else (transport,
+  /// removal, unknown element) withdraws the whole wave and pushes the
+  /// restored books.
   ///
   /// Returns one Result per request, index-aligned with `requests`.
-  /// Telemetry: service.batch.{requests,admitted,committed,rolled_back,
-  /// wave_fallbacks,bisect_probes,bisect_waves} counters and the
-  /// service.batch.wall_ms summary in metrics().
+  /// Telemetry: service.batch.{requests,admitted,committed,rolled_back}
+  /// counters and the service.batch.wall_ms summary in metrics().
   std::vector<Result<std::string>> submit_batch(
       const std::vector<sg::ServiceGraph>& requests);
 
@@ -242,24 +244,21 @@ class ServiceLayer {
   Result<void> ensure_view();
   Result<void> push_config();
   /// The one book transaction: pushes the books; on failure runs `undo`
-  /// (given the push error), pushes the restored books and returns the
-  /// push error. When the restore push fails too, the layer below may
-  /// diverge from the books: the cached view is dropped (the next push
-  /// re-fetches ground truth), `*diverged` is set and both failures
-  /// surface as kRollbackFailed for `op`.
+  /// (given the push error) and, when it returns true, pushes the restored
+  /// books; returns the push error. When the restore push fails too, the
+  /// layer below may diverge from the books: the cached view is dropped
+  /// (the next push re-fetches ground truth), `*diverged` is set and both
+  /// failures surface as kRollbackFailed for `op`.
   Result<void> push_or_restore(const char* op,
-                               const std::function<void(const Error&)>& undo,
+                               const std::function<bool(const Error&)>& undo,
                                bool* diverged = nullptr);
   /// Commits `indices` (admitted, ascending request order) on top of the
-  /// current books as one merged push; a failed push is withdrawn — a
-  /// singleton recorded kFailed — and, with more than one index, retried
-  /// as its ordered halves. `top` marks the whole wave (counted as a
-  /// wave_fallback on failure) against a bisection probe. Fills `results`
-  /// for every index; returns false when a multi-request restore push
-  /// failed (the caller stops committing).
-  bool commit(const std::vector<sg::ServiceGraph>& requests,
+  /// current books as one merged push and records the per-request outcomes
+  /// the push error's causes name (see submit_batch). Fills `results` for
+  /// every index.
+  void commit(const std::vector<sg::ServiceGraph>& requests,
               const std::vector<std::size_t>& indices,
-              std::vector<Result<std::string>>& results, bool top);
+              std::vector<Result<std::string>>& results);
   /// True when `error` should park the request (kPostponed) rather than
   /// fail it: transient transport errors always, capacity errors while the
   /// substrate below reports impaired.

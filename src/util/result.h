@@ -7,9 +7,12 @@
 // errors.
 #pragma once
 
+#include <array>
 #include <cassert>
+#include <cstddef>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -32,29 +35,50 @@ enum class ErrorCode {
   kInternal,          ///< invariant violation inside the library
 };
 
+/// Stable ASCII name of every ErrorCode, indexed by the code's value: the
+/// one table both to_string() and error_code_from_string() read.
+inline constexpr std::array<std::string_view, 11> kErrorCodeNames{
+    "invalid_argument", "not_found", "already_exists", "resource_exhausted",
+    "infeasible",       "unavailable", "protocol",     "rejected",
+    "timeout",          "rollback_failed", "internal"};
+static_assert(kErrorCodeNames.size() ==
+                  static_cast<std::size_t>(ErrorCode::kInternal) + 1,
+              "every ErrorCode needs a name");
+
 /// Returns a stable ASCII name for an ErrorCode ("infeasible", ...).
 constexpr const char* to_string(ErrorCode code) noexcept {
-  switch (code) {
-    case ErrorCode::kInvalidArgument:   return "invalid_argument";
-    case ErrorCode::kNotFound:          return "not_found";
-    case ErrorCode::kAlreadyExists:     return "already_exists";
-    case ErrorCode::kResourceExhausted: return "resource_exhausted";
-    case ErrorCode::kInfeasible:        return "infeasible";
-    case ErrorCode::kUnavailable:       return "unavailable";
-    case ErrorCode::kProtocol:          return "protocol";
-    case ErrorCode::kRejected:          return "rejected";
-    case ErrorCode::kTimeout:           return "timeout";
-    case ErrorCode::kRollbackFailed:    return "rollback_failed";
-    case ErrorCode::kInternal:          return "internal";
+  const auto index = static_cast<std::size_t>(code);
+  return index < kErrorCodeNames.size() ? kErrorCodeNames[index].data()
+                                        : "unknown";
+}
+
+/// The ErrorCode named `name` (the inverse of to_string), if any.
+constexpr std::optional<ErrorCode> error_code_from_string(
+    std::string_view name) noexcept {
+  for (std::size_t i = 0; i < kErrorCodeNames.size(); ++i) {
+    if (kErrorCodeNames[i] == name) return static_cast<ErrorCode>(i);
   }
-  return "unknown";
+  return std::nullopt;
 }
 
 /// An error: category plus a human-readable message assembled at the
 /// failure site (include ids of the entities involved).
 struct Error {
+  /// One element an operation could not apply, named by its id (NETCONF's
+  /// error-path, RFC 6241 §4.3), with why it failed.
+  struct Cause {
+    std::string path;
+    ErrorCode code = ErrorCode::kInternal;
+    std::string message;
+
+    friend bool operator==(const Cause&, const Cause&) = default;
+  };
+
   ErrorCode code = ErrorCode::kInternal;
   std::string message;
+  /// Per-element outcomes of a partly applied operation; empty when the
+  /// error concerns the operation as a whole.
+  std::vector<Cause> causes = {};
 
   /// "infeasible: no path from sap1 to fw0 within 5ms"
   [[nodiscard]] std::string to_string() const {
@@ -66,9 +90,7 @@ struct Error {
     return out;
   }
 
-  friend bool operator==(const Error& a, const Error& b) {
-    return a.code == b.code && a.message == b.message;
-  }
+  friend bool operator==(const Error&, const Error&) = default;
 };
 
 /// Aggregates errors from a fan-out (one slice push per domain, one view

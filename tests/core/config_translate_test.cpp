@@ -78,6 +78,20 @@ TEST(ConfigToSg, RoundTripsThroughConfig) {
   }
 }
 
+TEST(ConfigToSg, RequirementViaSurvivesBothDirections) {
+  sg::ServiceGraph original =
+      sg::make_chain("svc", "sap1", {"nat"}, "sap2", 100, 30);
+  original.anchor_requirements();
+  ASSERT_EQ(original.requirements()[0].via, "cl0");
+  const model::Nffg view = single_view();
+  auto config = service_graph_to_config(original, view, "big");
+  ASSERT_TRUE(config.ok());
+  EXPECT_EQ(config->hints()[0].via, "cl0");
+  auto translated = config_to_service_graph(*config, view, "svc");
+  ASSERT_TRUE(translated.ok()) << translated.error().to_string();
+  EXPECT_EQ(translated->sg.requirements(), original.requirements());
+}
+
 TEST(ConfigToSg, ReconstructsTaggedChains) {
   // Build a multi-node substrate, map a chain onto it with a real mapper
   // (tagged rules across nodes), then translate the configured NFFG back.

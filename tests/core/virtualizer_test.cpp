@@ -290,25 +290,39 @@ void place_looped(model::Nffg& config, const std::string& nf,
                   .ok());
 }
 
-TEST(VirtualizerFull, ComponentsDeployAsOneWaveAllOrNothing) {
+TEST(VirtualizerFull, ComponentsCommitIndependently) {
   RoFixture fx;
   Virtualizer virt(*fx.ro, ViewPolicy::kFull);
   auto view = virt.get_config();
   ASSERT_TRUE(view.ok());
   ASSERT_TRUE(fx.ro->resync_domains().ok());  // every domain acked once
 
-  // Second component infeasible: neither stays deployed, and the request
-  // numbers are recycled.
+  // Second component infeasible: the first stays deployed, and the error
+  // names every client element of the second, with its code.
   model::Nffg doomed = *view;
   place_looped(doomed, "a", {1, 512, 1});
   place_looped(doomed, "b", {999, 512, 1}, /*force=*/true);
-  ASSERT_FALSE(virt.edit_config(doomed).ok());
-  EXPECT_TRUE(fx.ro->deployments().empty());
-  EXPECT_TRUE(virt.active_requests().empty());
-  EXPECT_FALSE(fx.ro->global_view().find_nf("a").has_value());
+  const auto partial = virt.edit_config(doomed);
+  ASSERT_FALSE(partial.ok());
+  std::vector<std::string> paths;
+  for (const Error::Cause& cause : partial.error().causes) {
+    paths.push_back(cause.path);
+    EXPECT_EQ(cause.code, partial.error().code) << cause.path;
+    EXPECT_EQ(cause.message, partial.error().message) << cause.path;
+  }
+  EXPECT_EQ(paths, (std::vector<std::string>{"b", "b-in", "b-out"}));
+  EXPECT_EQ(virt.active_requests(), (std::vector<std::string>{"ro-r1"}));
+  EXPECT_EQ(fx.ro->global_view().find_nf("a")->first, "bb1");
+  EXPECT_FALSE(fx.ro->global_view().find_nf("b").has_value());
+  // The accepted config is the desired one minus the failed elements.
+  const auto accepted = virt.get_config();
+  ASSERT_TRUE(accepted.ok());
+  EXPECT_TRUE(accepted->find_nf("a").has_value());
+  EXPECT_FALSE(accepted->find_nf("b").has_value());
+  EXPECT_EQ(accepted->find_bisbis("bb1")->flowrules.size(), 2u);
 
-  // Two feasible components: one southbound fan-out (d1 only), and the
-  // request numbers start where the failed edit started.
+  // Both feasible: a is untouched, only b deploys (one southbound fan-out,
+  // d1 only), and the failed component's request number stays used up.
   model::Nffg two = *view;
   place_looped(two, "a", {1, 512, 1});
   place_looped(two, "b", {1, 512, 1});
@@ -316,7 +330,7 @@ TEST(VirtualizerFull, ComponentsDeployAsOneWaveAllOrNothing) {
   ASSERT_TRUE(virt.edit_config(two).ok());
   EXPECT_EQ(fx.ro->metrics().counter("ro.push.fanout") - fanout, 1u);
   EXPECT_EQ(virt.active_requests(),
-            (std::vector<std::string>{"ro-r1", "ro-r2"}));
+            (std::vector<std::string>{"ro-r1", "ro-r3"}));
   EXPECT_EQ(fx.ro->global_view().find_nf("a")->first, "bb1");
   EXPECT_EQ(fx.ro->global_view().find_nf("b")->first, "bb1");
 }

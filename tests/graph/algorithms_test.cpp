@@ -120,28 +120,6 @@ TEST(ShortestPathTree, UnreachableIsInf) {
   EXPECT_FALSE(tree.path_to(0, 1).has_value());
 }
 
-TEST(Reachability, ForwardOnly) {
-  G g;
-  for (int i = 0; i < 4; ++i) g.add_node();
-  g.add_edge(0, 1, {1});
-  g.add_edge(1, 2, {1});
-  g.add_edge(3, 0, {1});
-  auto seen = reachable_from(g.node_capacity(), 0, weight_scan(g));
-  EXPECT_TRUE(seen[0]);
-  EXPECT_TRUE(seen[1]);
-  EXPECT_TRUE(seen[2]);
-  EXPECT_FALSE(seen[3]);  // only reaches 0 via out-edge, not vice versa
-}
-
-TEST(Reachability, MaskedEdgesBlock) {
-  G g;
-  g.add_node();
-  g.add_node();
-  g.add_edge(0, 1, {-1});
-  auto seen = reachable_from(g.node_capacity(), 0, weight_scan(g));
-  EXPECT_FALSE(seen[1]);
-}
-
 // Property sweep: on a ring of n nodes with unit weights, the distance from
 // 0 to m is min(m, n-m) when edges go both directions.
 class RingShortest : public ::testing::TestWithParam<int> {};

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/algorithms.h"
+#include "graph/path_kernel.h"
 #include "model/topology_index.h"
 
 namespace unify::infra::topo {
@@ -12,10 +12,13 @@ bool fully_reachable(const model::Nffg& g) {
   model::TopologyIndex index(g);
   const auto ids = index.graph().node_ids();
   if (ids.empty()) return true;
-  const auto seen = graph::reachable_from(index.graph().node_capacity(),
-                                          ids[0], index.delay_scan(0));
+  graph::PathWorkspace workspace;
+  graph::shortest_path_tree(workspace, index.graph().node_capacity(), ids[0],
+                            index.delay_scan(0));
+  const auto tree = graph::export_shortest_path_tree(
+      workspace, index.graph().node_capacity());
   for (const auto id : ids) {
-    if (!seen[id]) return false;
+    if (tree.dist[id] == graph::kInf) return false;
   }
   return true;
 }

@@ -1,9 +1,7 @@
 // Tests for the extension features: placement constraints (anti-affinity
-// / pin / forbid) across the ranking mappers, and the JSON-loadable NF
-// catalog.
+// / pin / forbid) across the ranking mappers.
 #include <gtest/gtest.h>
 
-#include "catalog/catalog_json.h"
 #include "catalog/decomposition.h"
 #include "mapping/bnb_mapper.h"
 #include "mapping/chain_dp_mapper.h"
@@ -163,64 +161,6 @@ TEST(Constraints, RegistrationChecks) {
                 .error()
                 .code,
             ErrorCode::kInvalidArgument);
-}
-
-// ----------------------------------------------------------- catalog JSON
-
-TEST(CatalogJson, DefaultCatalogRoundTrips) {
-  const NfCatalog original = catalog::default_catalog();
-  const auto decoded =
-      catalog::catalog_from_json_string(catalog::to_json_string(original));
-  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
-  EXPECT_EQ(decoded->types().size(), original.types().size());
-  EXPECT_EQ(decoded->decomposition_count(), original.decomposition_count());
-  // A decomposition still expands correctly after the round trip.
-  ServiceGraph sg = sg::make_chain("svc", "a", {"secure-gw"}, "b", 10, 100);
-  auto applied = catalog::expand_all(sg, *decoded);
-  ASSERT_TRUE(applied.ok());
-  EXPECT_EQ(*applied, 2u);
-}
-
-TEST(CatalogJson, ParsesHandWrittenCatalog) {
-  const char* doc = R"({
-    "types": [
-      {"name": "proxy", "cpu": 2, "mem": 1024, "storage": 4, "ports": 2},
-      {"name": "half-proxy", "cpu": 1, "mem": 512, "storage": 2}
-    ],
-    "decompositions": [
-      {"id": "proxy-split", "target": "proxy",
-       "components": [{"suffix": "a", "type": "half-proxy"},
-                      {"suffix": "b", "type": "half-proxy"}],
-       "links": [{"from": "a:1", "to": "b:0", "factor": 0.5}],
-       "port_map": {"0": "a:0", "1": "b:1"}}
-    ]})";
-  auto cat = catalog::catalog_from_json_string(doc);
-  ASSERT_TRUE(cat.ok()) << cat.error().to_string();
-  ASSERT_TRUE(cat->has("proxy"));
-  EXPECT_EQ(cat->find("proxy")->requirement.cpu, 2);
-  ASSERT_EQ(cat->decompositions_of("proxy").size(), 1u);
-  const auto& rule = cat->decompositions_of("proxy")[0];
-  EXPECT_EQ(rule.components.size(), 2u);
-  EXPECT_EQ(rule.internal_links[0].bandwidth_factor, 0.5);
-  EXPECT_EQ(rule.port_map.at(1), (model::PortRef{"b", 1}));
-}
-
-TEST(CatalogJson, RejectsMalformed) {
-  EXPECT_FALSE(catalog::catalog_from_json_string("[]").ok());
-  EXPECT_FALSE(catalog::catalog_from_json_string(R"({"types":3})").ok());
-  // Decomposition referencing an unregistered type.
-  const char* bad = R"({"types":[{"name":"a","cpu":1,"mem":1,"storage":1}],
-    "decompositions":[{"id":"r","target":"a",
-      "components":[{"suffix":"x","type":"ghost"}],
-      "port_map":{"0":"x:0"}}]})";
-  EXPECT_FALSE(catalog::catalog_from_json_string(bad).ok());
-  // port_map key not a number.
-  const char* bad_port = R"({"types":[{"name":"a","cpu":1,"mem":1,"storage":1},
-      {"name":"b","cpu":1,"mem":1,"storage":1}],
-    "decompositions":[{"id":"r","target":"a",
-      "components":[{"suffix":"x","type":"b"}],
-      "port_map":{"zero":"x:0"}}]})";
-  EXPECT_FALSE(catalog::catalog_from_json_string(bad_port).ok());
 }
 
 }  // namespace

@@ -131,6 +131,15 @@ TEST(NffgHash, StructuralMutationsChangeTheHash) {
   EXPECT_NE(content_hash(with_sap), base_hash);
 }
 
+TEST(NffgHash, HintViaFeedsTheHash) {
+  Nffg a = base_graph();
+  attach_sap(a, "sap2", "bb2", 0, {1000, 0.1});
+  Nffg b = a;
+  ASSERT_TRUE(a.add_hint(ServiceHint{"h", "sap1", "sap2", 5, 0, "l1"}).ok());
+  ASSERT_TRUE(b.add_hint(ServiceHint{"h", "sap1", "sap2", 5, 0, "l2"}).ok());
+  EXPECT_NE(content_hash(a), content_hash(b));
+}
+
 TEST(NffgHash, HealthPenaltyIsExcluded) {
   // health_penalty is an orchestrator-local annotation to_json() never
   // emits: it must not dirty a slice (DESIGN.md §11).

@@ -132,6 +132,21 @@ TEST(NffgJson, OmitsDefaults) {
   EXPECT_EQ(wire.find("\"name\""), std::string::npos);
 }
 
+TEST(NffgJson, HintViaRoundTripsAndIsOmittedWhenEmpty) {
+  Nffg g{"x"};
+  ASSERT_TRUE(g.add_bisbis(make_bisbis("bb", {1, 1, 1}, 2)).ok());
+  attach_sap(g, "sap1", "bb", 0);
+  attach_sap(g, "sap2", "bb", 1);
+  ASSERT_TRUE(g.add_hint(ServiceHint{"plain", "sap1", "sap2", 5, 0}).ok());
+  EXPECT_EQ(to_json_string(g).find("\"via\""), std::string::npos);
+  ASSERT_TRUE(
+      g.add_hint(ServiceHint{"named", "sap1", "sap2", 5, 0, "svc.cl0"}).ok());
+  const auto decoded = nffg_from_json_string(to_json_string(g));
+  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+  EXPECT_EQ(decoded->hints(), g.hints());
+  EXPECT_EQ(decoded->hints()[1].via, "svc.cl0");
+}
+
 /// A churn-sized edit-config: 200 chains of one to three NFs on the
 /// single BiS-BiS view of the four-domain churn line, written the way the
 /// service layer writes them (NFs on the big node, one untagged flowrule

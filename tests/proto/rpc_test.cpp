@@ -46,6 +46,23 @@ TEST_F(RpcFixture, ServerErrorPropagates) {
   EXPECT_EQ(result.error().message, "nope");
 }
 
+TEST_F(RpcFixture, EveryErrorCodeAndItsCausesSurviveTheWire) {
+  // Codes travel by name, so each one must decode to itself; the causes of
+  // a partly applied call travel with it, element by element.
+  for (std::size_t i = 0; i < kErrorCodeNames.size(); ++i) {
+    const auto code = static_cast<ErrorCode>(i);
+    const Error sent{code,
+                     "failed with " + std::string(kErrorCodeNames[i]),
+                     {{"svc.nat0", code, "placed nowhere"},
+                      {"svc.e2e", ErrorCode::kInfeasible, "too slow"}}};
+    server->on_request("fail", [sent](const json::Value&)
+                                   -> Result<json::Value> { return sent; });
+    auto result = client->call_and_wait("fail", json::Value{});
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error(), sent) << kErrorCodeNames[i];
+  }
+}
+
 TEST_F(RpcFixture, UnknownMethodIsNotFound) {
   auto result = client->call_and_wait("missing", json::Value{});
   ASSERT_FALSE(result.ok());

@@ -1,9 +1,11 @@
 // Golden equivalence: submitting the Fig. 1 demo services as ONE batch
 // must leave the orchestration stack in a byte-identical state to
 // submitting them one by one — same deployed NFFG (serialized JSON), same
-// per-request mappings, same data-plane behaviour. This pins the whole
-// batch pipeline (service layer wave -> merged edit-config -> virtualizer
-// component wave -> RO map_batch) to the sequential semantics.
+// per-request mappings, same data-plane behaviour — and cost one
+// edit-config, failed members included. This pins the whole batch
+// pipeline (service layer wave -> merged edit-config -> virtualizer
+// component wave -> RO map_batch -> per-element causes) to the sequential
+// semantics.
 #include <gtest/gtest.h>
 
 #include "model/nffg_json.h"
@@ -47,6 +49,7 @@ TEST(BatchGolden, BatchEqualsSequentialByteForByte) {
   auto batched = make_fig1_stack();
   ASSERT_TRUE(batched.ok());
   Fig1Stack& bat = **batched;
+  const std::uint64_t edits_before = bat.virtualizer->edits();
   const auto results = bat.service_layer->submit_batch(services);
   ASSERT_EQ(results.size(), services.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -85,13 +88,13 @@ TEST(BatchGolden, BatchEqualsSequentialByteForByte) {
     EXPECT_EQ(*bat_ready, *seq_ready) << service.id();
   }
 
-  // The wave committed in one push: no fallback, no rollbacks.
+  // The wave committed in one push, with no rollbacks.
+  EXPECT_EQ(bat.virtualizer->edits() - edits_before, 1u);
   telemetry::Registry& m = bat.service_layer->metrics();
   EXPECT_EQ(m.counter("service.batch.requests"), services.size());
   EXPECT_EQ(m.counter("service.batch.admitted"), services.size());
   EXPECT_EQ(m.counter("service.batch.committed"), services.size());
   EXPECT_EQ(m.counter("service.batch.rolled_back"), 0u);
-  EXPECT_EQ(m.counter("service.batch.wave_fallbacks"), 0u);
   ASSERT_NE(m.find_summary("service.batch.wall_ms"), nullptr);
 
   // Removing the batch-deployed services restores a pristine plane, just
@@ -129,6 +132,7 @@ TEST(BatchGolden, MixedOutcomeBatchMatchesSequentialSubmits) {
   auto batched = make_fig1_stack();
   ASSERT_TRUE(batched.ok());
   Fig1Stack& bat = **batched;
+  const std::uint64_t edits_before = bat.virtualizer->edits();
   const auto results = bat.service_layer->submit_batch(services);
   bat.clock.run_until_idle();
 
@@ -151,15 +155,15 @@ TEST(BatchGolden, MixedOutcomeBatchMatchesSequentialSubmits) {
   EXPECT_EQ(m.counter("service.batch.admitted"), services.size() - 1);
   EXPECT_EQ(m.counter("service.batch.committed"), 3u);
   EXPECT_EQ(m.counter("service.batch.rolled_back"), 1u);
-  EXPECT_EQ(m.counter("service.batch.wave_fallbacks"), 1u);
+  // The infeasible member was named by the one edit-config's causes.
+  EXPECT_EQ(bat.virtualizer->edits() - edits_before, 1u);
 }
 
-TEST(BatchGolden, BisectionFallbackMatchesSequentialByteForByte) {
+TEST(BatchGolden, PoisonedWaveCostsOneEditConfigAndMatchesSequential) {
   // A larger wave with poison scattered through it: two infeasible members
-  // (absurd bandwidth) at non-adjacent positions force the fallback to
-  // actually bisect — merged half-waves, recursion, singleton isolation —
-  // instead of degenerating into one sequential replay. Outcomes and final
-  // state must STILL be byte-identical to a sequential submit() loop.
+  // (absurd bandwidth) at non-adjacent positions. The one edit-config
+  // commits the seven that map and names the two that do not; outcomes
+  // and final state must be byte-identical to a sequential submit() loop.
   const std::vector<std::pair<std::string, std::string>> routes{
       {"sap1", "sap2"}, {"sap2", "sap3"}, {"sap3", "sap1"}};
   std::vector<sg::ServiceGraph> services;
@@ -183,6 +187,7 @@ TEST(BatchGolden, BisectionFallbackMatchesSequentialByteForByte) {
   auto batched = make_fig1_stack();
   ASSERT_TRUE(batched.ok());
   Fig1Stack& bat = **batched;
+  const std::uint64_t edits_before = bat.virtualizer->edits();
   const auto results = bat.service_layer->submit_batch(services);
   bat.clock.run_until_idle();
 
@@ -206,13 +211,10 @@ TEST(BatchGolden, BisectionFallbackMatchesSequentialByteForByte) {
     EXPECT_EQ(it->second.mapping, deployment.mapping) << id;
   }
 
-  // The fallback went through bisection, not a sequential replay: merged
-  // half-wave probes happened, at least one merged sub-wave landed, and
-  // the bookkeeping adds up (7 committed, 2 rolled back).
+  // One edit-config for the whole wave, no retries, and the bookkeeping
+  // adds up (7 committed, 2 rolled back).
+  EXPECT_EQ(bat.virtualizer->edits() - edits_before, 1u);
   telemetry::Registry& m = bat.service_layer->metrics();
-  EXPECT_EQ(m.counter("service.batch.wave_fallbacks"), 1u);
-  EXPECT_GE(m.counter("service.batch.bisect_probes"), 2u);
-  EXPECT_GE(m.counter("service.batch.bisect_waves"), 1u);
   EXPECT_EQ(m.counter("service.batch.committed"), 7u);
   EXPECT_EQ(m.counter("service.batch.rolled_back"), 2u);
 
@@ -221,6 +223,8 @@ TEST(BatchGolden, BisectionFallbackMatchesSequentialByteForByte) {
     const auto it = bat.service_layer->requests().find(id);
     ASSERT_NE(it, bat.service_layer->requests().end());
     EXPECT_EQ(it->second.state, RequestState::kFailed);
+    EXPECT_EQ(it->second.error,
+              seq.service_layer->requests().at(id).error);
   }
 }
 

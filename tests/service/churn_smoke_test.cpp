@@ -25,11 +25,15 @@ infra::churn::ScenarioSpec smoke_spec() {
   return spec;
 }
 
-ChurnRunReport run_once(std::uint64_t seed) {
+AdmissionPolicy smoke_policy() {
   AdmissionPolicy policy;
   policy.queue_capacity = 64;
   policy.max_wave = 8;
-  ChurnStack stack(3, policy);
+  return policy;
+}
+
+ChurnRunReport run_once(std::uint64_t seed) {
+  ChurnStack stack(3, smoke_policy());
   return run_churn(stack, smoke_spec(), seed);
 }
 
@@ -37,7 +41,8 @@ TEST(ChurnSmoke, SmallScenarioMeetsSlos) {
   for (const std::uint64_t seed :
        unify::test::soak_seeds("CHURN_SEED", {5})) {
     UNIFY_SEED_TRACE("CHURN_SEED", seed);
-    const ChurnRunReport report = run_once(seed);
+    ChurnStack stack(3, smoke_policy());
+    const ChurnRunReport report = run_churn(stack, smoke_spec(), seed);
     EXPECT_GT(report.arrivals, 200u);
     EXPECT_GT(report.deployed, report.arrivals / 2);
     EXPECT_GT(report.removed, 0u);
@@ -53,6 +58,10 @@ TEST(ChurnSmoke, SmallScenarioMeetsSlos) {
     // at most 5s): late requests are shed, never deployed late.
     EXPECT_LE(report.adm_latency_p99_ms, 5000.0);
     EXPECT_GE(report.adm_latency_p50_ms, 0.0);
+    // Every withdrawn book edit was restored below: no service's
+    // requirement wedged a component that every later push re-failed on.
+    EXPECT_EQ(stack.layer->metrics().counter("service.rollback_failures"),
+              0u);
   }
 }
 

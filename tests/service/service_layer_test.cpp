@@ -108,7 +108,12 @@ TEST(PrefixElements, PrefixesEverythingButSaps) {
   EXPECT_NE(prefixed.find_link("r1.cl0"), nullptr);
   ASSERT_EQ(prefixed.requirements().size(), 1u);
   EXPECT_EQ(prefixed.requirements()[0].id, "r1.e2e");
+  EXPECT_TRUE(prefixed.requirements()[0].via.empty());
   EXPECT_TRUE(prefixed.validate().empty());
+
+  sg::ServiceGraph anchored = sg;
+  anchored.anchor_requirements();
+  EXPECT_EQ(prefix_elements(anchored, "r1").requirements()[0].via, "r1.cl0");
 }
 
 TEST(ServiceLayer, SubmitDeploysAndTracks) {
@@ -360,14 +365,15 @@ TEST(ServiceLayer, SuspectClientProbeRejectsBatchUpFront) {
   ASSERT_TRUE(retried[0].ok()) << retried[0].error().to_string();
 }
 
-TEST(ServiceLayer, FailedSingletonWaveCostsTwoPushes) {
+TEST(ServiceLayer, FailedSingletonWaveCostsOnePush) {
   FaultyStack stack;
   ASSERT_TRUE(stack.layer
                   ->submit(sg::make_chain("ok", "sap1", {"nat"}, "sap2", 10,
                                           100))
                   .ok());
-  // Infeasible below (CPU far beyond the substrate): the push fails, the
-  // restore lands, and nothing is pushed again.
+  // Infeasible below (CPU far beyond the substrate): the push fails and
+  // its causes name every element of the request, so the layer below
+  // already runs the books without it — nothing is pushed again.
   sg::ServiceGraph greedy{"greedy"};
   ASSERT_TRUE(greedy.add_sap("sap1").ok());
   ASSERT_TRUE(greedy.add_sap("sap2").ok());
@@ -382,7 +388,11 @@ TEST(ServiceLayer, FailedSingletonWaveCostsTwoPushes) {
   const std::uint64_t before = stack.fault->operations_seen();
   const auto results = stack.layer->submit_batch({greedy});
   ASSERT_FALSE(results[0].ok());
-  EXPECT_EQ(stack.fault->operations_seen() - before, 2u);
+  EXPECT_EQ(stack.fault->operations_seen() - before, 1u);
+  EXPECT_EQ(results[0].error().message.rfind("deployment of greedy failed: ",
+                                             0),
+            0u)
+      << results[0].error().message;
   EXPECT_EQ(stack.layer->requests().at("greedy").state,
             RequestState::kFailed);
   EXPECT_TRUE(stack.ro->global_view().find_nf("ok.nat0").has_value());
@@ -433,6 +443,26 @@ TEST(RequirementOwnership, RemovingASapPairNeighbourLeavesTheOtherAlone) {
   EXPECT_EQ(stack.ro->deployments().at(after.front()).mapping,
             mappings.at(after.front()));
   EXPECT_TRUE(stack.ro->global_view().find_nf("a.nat0").has_value());
+}
+
+TEST(RequirementOwnership, TightNeighbourRequirementDoesNotBindTheOther) {
+  Stack stack(two_node_line());
+  // a's 10 ms bound is met by a's own chain (7 ms) but not by b's (17 ms);
+  // b's 30 ms bound is loose. Each requirement binds its own chain only,
+  // so both deploy from the one edit-config.
+  const std::uint64_t edits_before = stack.virtualizer->edits();
+  const auto results = stack.layer->submit_batch(
+      {sg::make_chain("a", "sap1", {"nat"}, "sap2", 10, 10),
+       sg::make_chain("b", "sap1", {"monitor", "nat"}, "sap2", 10, 30)});
+  ASSERT_TRUE(results[0].ok()) << results[0].error().to_string();
+  ASSERT_TRUE(results[1].ok()) << results[1].error().to_string();
+  EXPECT_EQ(stack.virtualizer->edits() - edits_before, 1u);
+  std::set<std::string> requirements;
+  for (const auto& [id, deployment] : stack.ro->deployments()) {
+    ASSERT_EQ(deployment.mapping.requirement_delay.size(), 1u) << id;
+    requirements.insert(deployment.mapping.requirement_delay.begin()->first);
+  }
+  EXPECT_EQ(requirements, (std::set<std::string>{"a.e2e", "b.e2e"}));
 }
 
 // ------------------------------------------------------------ sync_health

@@ -97,6 +97,40 @@ TEST(ServiceGraph, ChainForFailsWithoutDirectedPath) {
   EXPECT_EQ(chain.error().code, ErrorCode::kInfeasible);
 }
 
+TEST(ServiceGraph, ViaTiesARequirementToItsOwnChain) {
+  // Two one-NF chains on the same SAP pair, as two services merged into
+  // one graph: without `via` the search takes whichever chain comes
+  // first; with it, the requirement follows its own first hop.
+  ServiceGraph sg{"s"};
+  ASSERT_TRUE(sg.add_sap("a").ok());
+  ASSERT_TRUE(sg.add_sap("b").ok());
+  for (const std::string svc : {"x", "y"}) {
+    ASSERT_TRUE(sg.add_nf(SgNf{svc + ".nat", "nat", 2, {}}).ok());
+    ASSERT_TRUE(
+        sg.add_link(SgLink{svc + ".in", {"a", 0}, {svc + ".nat", 0}, 1})
+            .ok());
+    ASSERT_TRUE(
+        sg.add_link(SgLink{svc + ".out", {svc + ".nat", 1}, {"b", 0}, 1})
+            .ok());
+  }
+  E2eRequirement req{"y.e2e", "a", "b", 10, 1};
+  EXPECT_EQ((*sg.nf_sequence_for(req)), std::vector<std::string>{"x.nat"});
+  req.via = "y.in";
+  EXPECT_EQ((*sg.nf_sequence_for(req)), std::vector<std::string>{"y.nat"});
+  req.via = "y.out";  // does not leave `a`: no chain
+  EXPECT_EQ(sg.chain_for(req).error().code, ErrorCode::kInfeasible);
+}
+
+TEST(ServiceGraph, AnchorRequirementsNamesTheFirstHop) {
+  ServiceGraph sg = fw_nat_chain();
+  ASSERT_TRUE(sg.add_requirement({"loose", "sap1", "sap2", 100, 0}).ok());
+  sg.anchor_requirements();
+  for (const E2eRequirement& req : sg.requirements()) {
+    EXPECT_EQ(req.via, (*sg.chain_for(req)).front()->id) << req.id;
+    EXPECT_FALSE(req.via.empty()) << req.id;
+  }
+}
+
 TEST(ServiceGraph, ChainForBranchingGraphPicksShortest) {
   // a -> nf1 -> b and a -> nf1 -> nf2 -> b: BFS returns the short one.
   ServiceGraph sg{"s"};

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
+#include <random>
 
 #include "core/config_translate.h"
 #include "mapping/chain_dp_mapper.h"
 #include "model/nffg_builder.h"
+#include "model/nffg_json.h"
+#include "sg/sg_json.h"
+#include "util/strings.h"
 
 namespace unify::core {
 namespace {
@@ -513,6 +518,377 @@ TEST(VirtualizerSingle, StatusRollupMatchesExactIdAndDotPrefixOnly) {
             (std::map<std::string, NfStatus>{{"a", NfStatus::kStopped},
                                              {"a-b", NfStatus::kRunning},
                                              {"ab", NfStatus::kRunning}}));
+}
+
+TEST(VirtualizerSingle, ResentConfigCallsNothingBelow) {
+  RoFixture fx;
+  Virtualizer virt(*fx.ro, ViewPolicy::kSingleBisBis);
+  auto view = virt.get_config();
+  ASSERT_TRUE(view.ok());
+  auto desired = service_graph_to_config(parallel_chains(2), *view, "ro.big");
+  ASSERT_TRUE(desired.ok());
+  ASSERT_TRUE(virt.edit_config(*desired).ok());
+
+  const auto counters = [&] {
+    return std::vector<std::uint64_t>{
+        fx.ro->metrics().counter("ro.batch_requests"),
+        fx.ro->metrics().counter("ro.removals"),
+        fx.ro->metrics().counter("ro.slice_pushes")};
+  };
+  const auto before = counters();
+  const std::uint64_t edits = virt.edits();
+  ASSERT_TRUE(virt.edit_config(*desired).ok());
+  EXPECT_EQ(virt.edits(), edits + 1);
+  EXPECT_EQ(counters(), before);
+  EXPECT_EQ(virt.active_requests().size(), 2u);
+}
+
+/// FNV-1a fold of what a client and the RO below it can observe.
+class EditDigest {
+ public:
+  void word(std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(w >> (8 * i)));
+  }
+  void text(std::string_view s) {
+    word(s.size());
+    for (const char c : s) byte(static_cast<unsigned char>(c));
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return state_; }
+
+ private:
+  void byte(unsigned char b) {
+    state_ ^= b;
+    state_ *= 0x100000001B3ULL;
+  }
+  std::uint64_t state_ = 0xCBF29CE484222325ULL;
+};
+
+/// A chain the golden sequence wrote: from_sap -> nfs... -> to_sap, link
+/// i joining hop i to hop i + 1, plus one hint "<id>.e2e". The config
+/// itself is the record of what is placed where; this keeps the shape.
+struct GoldenChain {
+  std::string id;
+  std::string from_sap;
+  std::string to_sap;
+  std::vector<std::string> nfs;
+
+  [[nodiscard]] std::string link(std::size_t i) const {
+    return id + ".l" + std::to_string(i);
+  }
+};
+
+/// Writes the flowrules of `chain` onto `config`, with NFs wherever the
+/// config holds them. On the single view every rule sits on ro.big (port
+/// 0 faces sap1, port 1 sap2). On the full view bb1 port 0 faces sap1,
+/// bb2 port 0 faces sap2 and port 1 joins the two, so a hop between
+/// BiS-BiS nodes becomes a tag chain of two segments.
+void write_chain_rules(model::Nffg& config, ViewPolicy policy,
+                       const GoldenChain& chain,
+                       const std::map<std::string, double>& bandwidth) {
+  struct Hop {
+    std::string host;
+    model::PortRef in;
+    model::PortRef out;
+  };
+  const auto sap_hop = [&](const std::string& sap) {
+    if (policy == ViewPolicy::kSingleBisBis) {
+      const model::PortRef ref{"ro.big", sap == "sap1" ? 0 : 1};
+      return Hop{"ro.big", ref, ref};
+    }
+    const std::string host = sap == "sap1" ? "bb1" : "bb2";
+    return Hop{host, {host, 0}, {host, 0}};
+  };
+  std::vector<Hop> hops{sap_hop(chain.from_sap)};
+  for (const std::string& nf : chain.nfs) {
+    hops.push_back(Hop{config.find_nf(nf)->first, {nf, 0}, {nf, 1}});
+  }
+  hops.push_back(sap_hop(chain.to_sap));
+  for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
+    const Hop& from = hops[i];
+    const Hop& to = hops[i + 1];
+    const std::string id = chain.link(i);
+    const double bw = bandwidth.at(id);
+    if (from.host == to.host) {
+      EXPECT_TRUE(config
+                      .add_flowrule(from.host, model::Flowrule{
+                                                   id, from.out, to.in, "",
+                                                   "", bw})
+                      .ok())
+          << id;
+      continue;
+    }
+    EXPECT_TRUE(config
+                    .add_flowrule(from.host,
+                                  model::Flowrule{id, from.out,
+                                                  {from.host, 1}, "", id, bw})
+                    .ok())
+        << id;
+    EXPECT_TRUE(config
+                    .add_flowrule(to.host,
+                                  model::Flowrule{id + "@", {to.host, 1},
+                                                  to.in, id, "-", bw})
+                    .ok())
+        << id;
+  }
+}
+
+/// Erases every flowrule of `chain` (its ids all start with "<id>.").
+void erase_chain_rules(model::Nffg& config, const GoldenChain& chain) {
+  for (auto& [bb_id, bb] : config.bisbis()) {
+    std::erase_if(bb.flowrules, [&](const model::Flowrule& rule) {
+      return strings::starts_with(rule.id, chain.id + ".");
+    });
+  }
+}
+
+/// Link id -> bandwidth of the chain's rules as `config` holds them.
+std::map<std::string, double> chain_bandwidth(const model::Nffg& config,
+                                              const GoldenChain& chain) {
+  std::map<std::string, double> out;
+  for (const auto& [bb_id, bb] : config.bisbis()) {
+    for (const model::Flowrule& rule : bb.flowrules) {
+      if (strings::starts_with(rule.id, chain.id + ".")) {
+        out[rule.match_tag.empty() ? rule.id : rule.match_tag] =
+            rule.bandwidth;
+      }
+    }
+  }
+  return out;
+}
+
+/// Moves NF `nf_id` to `host`, keeping its instance, its constraints but
+/// `dropped` (when set) and the rules of `chain`, which holds it.
+void replace_nf(model::Nffg& config, ViewPolicy policy,
+                const GoldenChain& chain, const std::string& nf_id,
+                const std::string& host,
+                const model::PlacementConstraint* dropped = nullptr) {
+  const auto found = config.find_nf(nf_id);
+  ASSERT_TRUE(found.has_value()) << nf_id;
+  const model::NfInstance nf = *found->second;
+  const std::string old_host = found->first;
+  std::vector<model::PlacementConstraint> kept;
+  bool skipped = false;
+  for (const model::PlacementConstraint& c : config.constraints()) {
+    if (c.nf_a != nf_id && c.nf_b != nf_id) continue;
+    if (dropped != nullptr && !skipped && c == *dropped) {
+      skipped = true;
+      continue;
+    }
+    kept.push_back(c);
+  }
+  const std::map<std::string, double> bandwidth =
+      chain_bandwidth(config, chain);
+  erase_chain_rules(config, chain);
+  ASSERT_TRUE(config.remove_nf(old_host, nf_id).ok());
+  ASSERT_TRUE(config.place_nf(host, nf, /*force=*/true).ok());
+  write_chain_rules(config, policy, chain, bandwidth);
+  for (const model::PlacementConstraint& c : kept) {
+    ASSERT_TRUE(config.add_constraint(c).ok());
+  }
+}
+
+/// The "same behaviour" gate of the virtualizer's books: a seeded
+/// sequence of declarative edits, each deriving from the last accepted
+/// config by one operation (add/remove a chain, change an NF, a link or a
+/// requirement, add/drop a constraint, move an NF, re-send the config,
+/// add a chain that cannot map), folded into one digest per view policy
+/// over each edit's outcome, the client's requests, every RO deployment
+/// and the accepted config. A digest may only move together with a
+/// deliberate change of what edit-config does, and the commit doing so
+/// must say which.
+TEST(VirtualizerGolden, SeededEditSequenceDigestIsPinned) {
+  struct Run {
+    ViewPolicy policy;
+    const char* label;
+    std::uint64_t pinned;
+  };
+  const Run kRuns[] = {
+      {ViewPolicy::kSingleBisBis, "single", 0x74FABFA505594F26ULL},
+      {ViewPolicy::kFull, "full", 0x33612FD50955BD35ULL},
+  };
+  constexpr int kEdits = 150;
+  const char* const kTypes[] = {"nat", "dpi", "fw-lite", "monitor"};
+  for (const Run& run : kRuns) {
+    RoFixture fx;
+    Virtualizer virt(*fx.ro, run.policy);
+    const bool full = run.policy == ViewPolicy::kFull;
+    std::mt19937_64 rng(2025);
+    const auto pick = [&](std::size_t n) {
+      return static_cast<std::size_t>(rng() % n);
+    };
+    const auto other_host = [&](const std::string& host) {
+      return std::string(host == "bb1" ? "bb2" : "bb1");
+    };
+    std::vector<GoldenChain> chains;
+    int next_chain = 0;
+    EditDigest digest;
+    const double kDelays[] = {2.0, 5.0, 50.0};
+    // Adds a chain of 0-3 NFs (1-3 and a first NF no host can take when
+    // `too_big`). NF ids are "<letter><chain number>" with the letters in
+    // a shuffled order, so the NF ids of chains added in one wave
+    // interleave and a chain's head may sort after its later NFs: the
+    // order of a wave's components depends on which NF roots each.
+    const auto add_chain = [&](model::Nffg& config, bool too_big) {
+      GoldenChain chain;
+      chain.id = "k" + std::to_string(next_chain++);
+      chain.from_sap = pick(2) == 0 ? "sap1" : "sap2";
+      chain.to_sap = chain.from_sap == "sap1" ? "sap2" : "sap1";
+      std::string letters = "abc";
+      std::shuffle(letters.begin(), letters.end(), rng);
+      const std::size_t length = too_big ? 1 + pick(3) : pick(4);
+      for (std::size_t i = 0; i < length; ++i) {
+        const std::string nf_id = letters[i] + chain.id.substr(1);
+        model::Resources demand;
+        if (too_big && i == 0) demand = {999, 512, 1};
+        ASSERT_TRUE(
+            config
+                .place_nf(full ? (pick(2) == 0 ? "bb1" : "bb2") : "ro.big",
+                          model::make_nf(nf_id, kTypes[pick(4)], demand, 2),
+                          /*force=*/true)
+                .ok());
+        chain.nfs.push_back(nf_id);
+      }
+      std::map<std::string, double> bandwidth;
+      for (std::size_t i = 0; i <= length; ++i) {
+        bandwidth[chain.link(i)] = static_cast<double>(5 * (1 + pick(4)));
+      }
+      write_chain_rules(config, run.policy, chain, bandwidth);
+      ASSERT_TRUE(config
+                      .add_hint(model::ServiceHint{
+                          chain.id + ".e2e", chain.from_sap, chain.to_sap,
+                          kDelays[pick(3)], 0,
+                          pick(2) == 0 ? std::string{} : chain.link(0)})
+                      .ok());
+      chains.push_back(std::move(chain));
+    };
+
+    for (int step = 0; step < kEdits; ++step) {
+      auto accepted = virt.get_config();
+      ASSERT_TRUE(accepted.ok());
+      model::Nffg config = *std::move(accepted);
+      // Chains whose NFs the accepted config still holds in full.
+      std::vector<const GoldenChain*> alive;
+      for (const GoldenChain& chain : chains) {
+        const bool all = std::all_of(
+            chain.nfs.begin(), chain.nfs.end(), [&](const std::string& nf) {
+              return config.find_nf(nf).has_value();
+            });
+        if (all && !chain_bandwidth(config, chain).empty()) {
+          alive.push_back(&chain);
+        }
+      }
+      std::vector<std::string> nf_ids;
+      for (const auto& [bb_id, bb] : config.bisbis()) {
+        for (const auto& [nf_id, nf] : bb.nfs) nf_ids.push_back(nf_id);
+      }
+      std::vector<model::Flowrule*> rules;
+      for (auto& [bb_id, bb] : config.bisbis()) {
+        for (model::Flowrule& rule : bb.flowrules) rules.push_back(&rule);
+      }
+
+      const std::size_t op = pick(12);
+      if (op <= 1 || alive.empty()) {
+        add_chain(config, /*too_big=*/false);
+      } else if (op == 11) {
+        // Two new components in one wave, one of which cannot map.
+        const bool big_first = pick(2) == 0;
+        add_chain(config, big_first);
+        add_chain(config, !big_first);
+      } else if (op <= 3) {
+        const GoldenChain& chain = *alive[pick(alive.size())];
+        for (const std::string& nf : chain.nfs) {
+          ASSERT_TRUE(config.remove_nf(config.find_nf(nf)->first, nf).ok());
+        }
+        erase_chain_rules(config, chain);
+        (void)config.remove_hint(chain.id + ".e2e");
+      } else if (op == 4 && !nf_ids.empty()) {
+        const std::string& nf_id = nf_ids[pick(nf_ids.size())];
+        model::NfInstance& nf = config.find_bisbis(config.find_nf(nf_id)->first)
+                                    ->nfs.at(nf_id);
+        if (pick(2) == 0) {
+          nf.type = kTypes[pick(4)];
+        } else {
+          const double cpu = static_cast<double>(pick(3));
+          nf.requirement = {cpu, 512 * cpu, cpu};
+        }
+      } else if (op == 5 && !rules.empty()) {
+        model::Flowrule& rule = *rules[pick(rules.size())];
+        rule.bandwidth = static_cast<double>(5 * (1 + pick(4)));
+      } else if (op == 6 && !config.hints().empty()) {
+        model::ServiceHint hint =
+            config.hints()[pick(config.hints().size())];
+        hint.max_delay = kDelays[pick(3)];
+        ASSERT_TRUE(config.remove_hint(hint.id).ok());
+        ASSERT_TRUE(config.add_hint(hint).ok());
+      } else if (op == 7) {
+        // Anti-affinity inside a chain, or a pin/forbid (a full view
+        // drops those on translation: its placement already says it).
+        const GoldenChain& chain = *alive[pick(alive.size())];
+        if (!chain.nfs.empty()) {
+          model::PlacementConstraint c;
+          c.nf_a = chain.nfs[pick(chain.nfs.size())];
+          if (chain.nfs.size() >= 2 && pick(2) == 0) {
+            c.nf_b = chain.nfs[0] == c.nf_a ? chain.nfs[1] : chain.nfs[0];
+          } else {
+            c.kind = pick(2) == 0 ? model::ConstraintKind::kPin
+                                  : model::ConstraintKind::kForbid;
+            c.host = pick(2) == 0 ? "bb1" : "bb2";
+          }
+          (void)config.add_constraint(c);
+        }
+      } else if (op == 8 && !config.constraints().empty()) {
+        const model::PlacementConstraint c =
+            config.constraints()[pick(config.constraints().size())];
+        for (const GoldenChain* chain : alive) {
+          if (std::find(chain->nfs.begin(), chain->nfs.end(), c.nf_a) !=
+              chain->nfs.end()) {
+            replace_nf(config, run.policy, *chain, c.nf_a,
+                       config.find_nf(c.nf_a)->first, &c);
+            break;
+          }
+        }
+      } else if (op == 9 && full) {
+        const GoldenChain& chain = *alive[pick(alive.size())];
+        if (!chain.nfs.empty()) {
+          const std::string& nf_id = chain.nfs[pick(chain.nfs.size())];
+          replace_nf(config, run.policy, chain, nf_id,
+                     other_host(config.find_nf(nf_id)->first));
+        }
+      }
+      // Everything else re-sends the accepted config unchanged.
+
+      const Result<void> result = virt.edit_config(config);
+      digest.word(result.ok() ? 0
+                              : 1 + static_cast<std::uint64_t>(
+                                        result.error().code));
+      if (!result.ok()) {
+        digest.word(result.error().causes.size());
+        for (const Error::Cause& cause : result.error().causes) {
+          digest.text(cause.path);
+          digest.word(static_cast<std::uint64_t>(cause.code));
+        }
+      }
+      const std::vector<std::string> requests = virt.active_requests();
+      digest.word(requests.size());
+      for (const std::string& request : requests) digest.text(request);
+      digest.word(fx.ro->deployments().size());
+      for (const auto& [id, deployment] : fx.ro->deployments()) {
+        digest.text(id);
+        digest.text(sg::to_json_string(deployment.original));
+        digest.word(deployment.mapping.nf_host.size());
+        for (const auto& [nf, host] : deployment.mapping.nf_host) {
+          digest.text(nf);
+          digest.text(host);
+        }
+      }
+      const auto now = virt.get_config();
+      ASSERT_TRUE(now.ok());
+      digest.text(model::to_json_string(*now));
+    }
+    EXPECT_EQ(digest.value(), run.pinned)
+        << run.label << " digest is 0x" << std::hex << std::uppercase
+        << digest.value();
+  }
 }
 
 TEST(Virtualizer, RequiresInitializedRo) {

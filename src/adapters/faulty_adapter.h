@@ -1,6 +1,5 @@
 // Fault-injecting decorator around any DomainAdapter: fails the next N
-// operations, every n-th operation, or every operation with a seeded
-// probability. Used to test the orchestration stack's behaviour under
+// operations, or every operation with a seeded probability. Used to test the orchestration stack's behaviour under
 // domain failures (rejected configs, unreachable controllers) and its
 // retry/backoff paths deterministically, without special-casing the
 // simulators.
@@ -27,13 +26,6 @@ class FaultyAdapter final : public DomainAdapter {
   }
   /// Every operation fails independently with this probability.
   void set_failure_rate(double rate) { failure_rate_ = rate; }
-  /// Every n-th operation fails with `code` (transient-then-recover: the
-  /// operations in between succeed, so a retrying caller converges).
-  /// n <= 0 disables.
-  void flaky_every(int n, ErrorCode code = ErrorCode::kUnavailable) {
-    flaky_every_ = n;
-    code_ = code;
-  }
 
   [[nodiscard]] const std::string& domain() const noexcept override {
     return inner_->domain();
@@ -90,13 +82,6 @@ class FaultyAdapter final : public DomainAdapter {
       return Error{code_, std::string(op) + " failed (injected) in domain " +
                               inner_->domain()};
     }
-    if (flaky_every_ > 0 &&
-        operations_ % static_cast<std::uint64_t>(flaky_every_) == 0) {
-      ++injected_;
-      return Error{code_, std::string(op) + " failed (injected, every " +
-                              std::to_string(flaky_every_) + "th) in " +
-                              inner_->domain()};
-    }
     if (failure_rate_ > 0 && rng_.next_bool(failure_rate_)) {
       ++injected_;
       return Error{code_, std::string(op) + " failed (injected, random) in " +
@@ -108,7 +93,6 @@ class FaultyAdapter final : public DomainAdapter {
   std::unique_ptr<DomainAdapter> inner_;
   Rng rng_;
   int fail_next_ = 0;
-  int flaky_every_ = 0;
   double failure_rate_ = 0;
   ErrorCode code_ = ErrorCode::kUnavailable;
   std::uint64_t injected_ = 0;

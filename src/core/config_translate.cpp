@@ -22,8 +22,7 @@ std::optional<std::string> sap_behind_port(const model::Nffg& skeleton,
 }
 
 /// Maps a flowrule endpoint to an SG endpoint. `bb` is the rule's node.
-Result<model::PortRef> map_endpoint(const model::Nffg& config,
-                                    const model::Nffg& skeleton,
+Result<model::PortRef> map_endpoint(const model::Nffg& skeleton,
                                     const model::BisBis& bb,
                                     const model::PortRef& ref) {
   if (bb.nfs.count(ref.node) != 0) {
@@ -37,7 +36,6 @@ Result<model::PortRef> map_endpoint(const model::Nffg& config,
                  "chain endpoint " + ref.to_string() +
                      " does not face a SAP"};
   }
-  (void)config;
   return Error{ErrorCode::kInvalidArgument,
                "unresolvable flowrule endpoint " + ref.to_string()};
 }
@@ -75,9 +73,9 @@ Result<TranslatedConfig> config_to_service_graph(const model::Nffg& config,
     for (const model::Flowrule& rule : bb.flowrules) {
       if (rule.match_tag.empty() && rule.set_tag.empty()) {
         UNIFY_ASSIGN_OR_RETURN(const model::PortRef from,
-                               map_endpoint(config, skeleton, bb, rule.in));
+                               map_endpoint(skeleton, bb, rule.in));
         UNIFY_ASSIGN_OR_RETURN(const model::PortRef to,
-                               map_endpoint(config, skeleton, bb, rule.out));
+                               map_endpoint(skeleton, bb, rule.out));
         UNIFY_RETURN_IF_ERROR(
             out.sg.add_link(sg::SgLink{rule.id, from, to, rule.bandwidth}));
       } else {
@@ -137,10 +135,10 @@ Result<TranslatedConfig> config_to_service_graph(const model::Nffg& config,
     }
     UNIFY_ASSIGN_OR_RETURN(
         const model::PortRef from,
-        map_endpoint(config, skeleton, *head->bb, head->rule->in));
+        map_endpoint(skeleton, *head->bb, head->rule->in));
     UNIFY_ASSIGN_OR_RETURN(
         const model::PortRef to,
-        map_endpoint(config, skeleton, *tail->bb, tail->rule->out));
+        map_endpoint(skeleton, *tail->bb, tail->rule->out));
     UNIFY_RETURN_IF_ERROR(
         out.sg.add_link(sg::SgLink{tag, from, to, bandwidth}));
   }

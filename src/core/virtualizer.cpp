@@ -1,9 +1,11 @@
 #include "core/virtualizer.h"
 
 #include <algorithm>
+#include <numeric>
+#include <set>
 
+#include "core/config_translate.h"
 #include "graph/path_kernel.h"
-#include "model/nffg_hash.h"
 #include "model/topology_index.h"
 #include "util/log.h"
 
@@ -33,6 +35,87 @@ model::Nffg without(const model::Nffg& config,
   }
   for (const std::string& id : ids) (void)out.remove_hint(id);
   return out;
+}
+
+/// The client element ids `graph` holds: its NF ids, then its link ids,
+/// then its requirement ids, each group sorted.
+std::vector<std::string> element_ids(const sg::ServiceGraph& graph) {
+  std::vector<std::string> out;
+  for (const auto& [id, nf] : graph.nfs()) out.push_back(id);
+  const auto links = static_cast<std::ptrdiff_t>(out.size());
+  for (const sg::SgLink& link : graph.links()) out.push_back(link.id);
+  const auto reqs = static_cast<std::ptrdiff_t>(out.size());
+  for (const sg::E2eRequirement& req : graph.requirements()) {
+    out.push_back(req.id);
+  }
+  std::sort(out.begin() + links, out.begin() + reqs);
+  std::sort(out.begin() + reqs, out.end());
+  return out;
+}
+
+/// NF id -> the placement constraints naming it, in graph order.
+using ConstraintsByNf =
+    std::map<std::string_view, std::vector<const sg::PlacementConstraint*>>;
+
+ConstraintsByNf constraints_by_nf(const sg::ServiceGraph& graph) {
+  ConstraintsByNf out;
+  for (const sg::PlacementConstraint& c : graph.constraints()) {
+    out[c.nf_a].push_back(&c);
+    if (!c.nf_b.empty() && c.nf_b != c.nf_a) out[c.nf_b].push_back(&c);
+  }
+  return out;
+}
+
+/// True when `desired` still holds every element of a deployed `graph`
+/// unchanged: each NF (on the same host, when `pins` are kept), each NF's
+/// ordered constraint list, each link and each requirement. `accepted` is
+/// the config the last edit accepted.
+bool holds_unchanged(const TranslatedConfig& desired,
+                     const ConstraintsByNf& desired_constraints,
+                     const sg::ServiceGraph& graph,
+                     const ResourceOrchestrator::Pins& pins,
+                     const model::Nffg& accepted) {
+  static const std::vector<const sg::PlacementConstraint*> kNone;
+  const auto of = [](const ConstraintsByNf& index, const std::string& nf)
+      -> const std::vector<const sg::PlacementConstraint*>& {
+    const auto it = index.find(nf);
+    return it == index.end() ? kNone : it->second;
+  };
+  const ConstraintsByNf own = constraints_by_nf(graph);
+  for (const auto& [id, nf] : graph.nfs()) {
+    const sg::SgNf* now = desired.sg.find_nf(id);
+    if (now == nullptr || !(*now == nf)) return false;
+    if (!pins.empty() && desired.pinned_hosts.at(id) != pins.at(id)) {
+      return false;
+    }
+    const auto& before = of(own, id);
+    const auto& after = of(desired_constraints, id);
+    if (!std::equal(before.begin(), before.end(), after.begin(), after.end(),
+                    [](const auto* a, const auto* b) { return *a == *b; })) {
+      return false;
+    }
+  }
+  for (const sg::SgLink& link : graph.links()) {
+    const sg::SgLink* now = desired.sg.find_link(link.id);
+    if (now == nullptr || !(*now == link)) return false;
+  }
+  for (const sg::E2eRequirement& req : graph.requirements()) {
+    const sg::E2eRequirement* now = desired.sg.find_requirement(req.id);
+    if (now != nullptr) {
+      if (!(*now == req)) return false;
+      continue;
+    }
+    // Gone from the desired config. That is no change when the accepted
+    // config had already dropped it: a failed sibling of this component's
+    // wave claimed it too and named it.
+    if (std::any_of(accepted.hints().begin(), accepted.hints().end(),
+                    [&](const model::ServiceHint& hint) {
+                      return hint.id == req.id;
+                    })) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -127,10 +210,6 @@ Result<void> Virtualizer::ensure_skeleton() {
     skeleton_ = std::move(view);
   }
   accepted_ = *skeleton_;
-  accepted_hash_ = model::content_hash(accepted_);
-  UNIFY_ASSIGN_OR_RETURN(
-      accepted_translated_,
-      config_to_service_graph(accepted_, *skeleton_, "accepted"));
   return Result<void>::success();
 }
 
@@ -189,97 +268,33 @@ Result<model::Nffg> Virtualizer::get_config() {
 
 std::vector<std::string> Virtualizer::active_requests() const {
   std::vector<std::string> out;
-  for (const auto& [id, service] : services_) out.push_back(service.ro_request);
+  for (const auto& [request, component] : services_) out.push_back(request);
   return out;
 }
 
 Result<void> Virtualizer::edit_config(const model::Nffg& desired) {
   UNIFY_RETURN_IF_ERROR(ensure_skeleton());
   ++edits_;
-
-  // Declarative no-op: a desired config hashing identically to the last
-  // accepted one changes nothing — skip the translate/diff entirely (a
-  // polling client would otherwise pay a full config diff per poll).
-  const std::uint64_t desired_hash = model::content_hash(desired);
-  if (accepted_hash_ == desired_hash) {
-    ro_->metrics().add("virt.edit.noop_skips");
-    return Result<void>::success();
-  }
-
   UNIFY_ASSIGN_OR_RETURN(
       TranslatedConfig incoming,
       config_to_service_graph(desired, *skeleton_, "desired"));
   const sg::ServiceGraph& new_sg = incoming.sg;
-  const sg::ServiceGraph& old_sg = accepted_translated_->sg;
-  // From here on the edit may remove/deploy services; if it fails midway
-  // the deployed state no longer matches accepted_, so a recovery push of
-  // the accepted config must run the full diff. Re-armed on acceptance.
-  accepted_hash_.reset();
 
-  // --- 1. find client-level elements that disappeared or changed.
-  std::set<std::string> dirty_nfs;
-  std::set<std::string> dirty_links;
-  for (const auto& [nf_id, nf] : old_sg.nfs()) {
-    const sg::SgNf* now = new_sg.find_nf(nf_id);
-    if (now == nullptr || !(*now == nf)) dirty_nfs.insert(nf_id);
-    // Full-view clients may also move an NF: that is a placement change.
-    if (policy_ == ViewPolicy::kFull && now != nullptr &&
-        incoming.pinned_hosts.at(nf_id) !=
-            accepted_translated_->pinned_hosts.at(nf_id)) {
-      dirty_nfs.insert(nf_id);
+  // --- 1. remove every component the desired config no longer holds
+  // unchanged, with one southbound fan-out for all of them.
+  const ConstraintsByNf desired_constraints = constraints_by_nf(new_sg);
+  std::vector<std::string> gone;
+  for (const auto& [request, component] : services_) {
+    if (!holds_unchanged(incoming, desired_constraints, component.graph,
+                         component.pins, accepted_)) {
+      gone.push_back(request);
     }
   }
-  for (const sg::SgLink& link : old_sg.links()) {
-    const sg::SgLink* now = new_sg.find_link(link.id);
-    if (now == nullptr || !(*now == link)) dirty_links.insert(link.id);
-  }
-  // An NF whose constraint set changed must be redeployed.
-  const auto constraints_of = [](const sg::ServiceGraph& graph,
-                                 const std::string& nf) {
-    std::vector<sg::PlacementConstraint> out;
-    for (const sg::PlacementConstraint& c : graph.constraints()) {
-      if (c.nf_a == nf || c.nf_b == nf) out.push_back(c);
-    }
-    return out;
-  };
-  for (const auto& [nf_id, nf] : old_sg.nfs()) {
-    if (new_sg.find_nf(nf_id) != nullptr &&
-        constraints_of(old_sg, nf_id) != constraints_of(new_sg, nf_id)) {
-      dirty_nfs.insert(nf_id);
-    }
-  }
-  std::set<std::string> dirty_reqs;
-  for (const sg::E2eRequirement& req : old_sg.requirements()) {
-    const sg::E2eRequirement* now = new_sg.find_requirement(req.id);
-    if (now == nullptr || !(*now == req)) dirty_reqs.insert(req.id);
-  }
-
-  // --- 2. remove affected services from the RO, with one southbound
-  // fan-out for all of them.
-  std::vector<std::map<std::string, ClientService>::iterator> affected;
-  std::vector<std::string> affected_requests;
-  const auto any_dirty = [](const std::set<std::string>& ids,
-                            const std::set<std::string>& dirty) {
-    return std::any_of(ids.begin(), ids.end(), [&](const std::string& id) {
-      return dirty.count(id) != 0;
-    });
-  };
-  for (auto it = services_.begin(); it != services_.end(); ++it) {
-    const ClientService& service = it->second;
-    if (any_dirty(service.nf_ids, dirty_nfs) ||
-        any_dirty(service.link_ids, dirty_links) ||
-        any_dirty(service.req_ids, dirty_reqs)) {
-      affected.push_back(it);
-      affected_requests.push_back(service.ro_request);
-    }
-  }
-  if (!affected.empty()) {
-    const std::vector<Result<void>> removed =
-        ro_->remove_batch(affected_requests);
+  if (!gone.empty()) {
+    const std::vector<Result<void>> removed = ro_->remove_batch(gone);
     std::optional<Error> survivor_error;
-    for (std::size_t k = 0; k < affected.size(); ++k) {
-      if (!removed[k].ok() &&
-          ro_->deployments().count(affected_requests[k]) != 0) {
+    for (std::size_t k = 0; k < gone.size(); ++k) {
+      if (!removed[k].ok() && ro_->deployments().count(gone[k]) != 0) {
         // The deployment survived (removal really did not happen): keep
         // its books so the whole edit can be retried.
         if (!survivor_error.has_value()) survivor_error = removed[k].error();
@@ -291,127 +306,107 @@ Result<void> Virtualizer::edit_config(const model::Nffg& desired) {
       // a kNotFound means it was already gone. Treating either as removed
       // keeps this virtualizer's books aligned with the RO instead of
       // wedging every future edit on a phantom service.
-      services_.erase(affected[k]);
+      const auto it = services_.find(gone[k]);
+      for (const std::string& id : element_ids(it->second.graph)) {
+        auto [first, last] = owner_.equal_range(id);
+        while (first != last && first->second != gone[k]) ++first;
+        if (first != last) owner_.erase(first);
+      }
+      services_.erase(it);
     }
     if (survivor_error.has_value()) return *survivor_error;
   }
 
-  // --- 3. pool of elements needing (re)deployment: everything in the new
-  // config not owned by a surviving service.
-  std::set<std::string> owned;
-  std::set<std::string> owned_reqs;
-  for (const auto& [id, service] : services_) {
-    owned.insert(service.nf_ids.begin(), service.nf_ids.end());
-    owned.insert(service.link_ids.begin(), service.link_ids.end());
-    owned_reqs.insert(service.req_ids.begin(), service.req_ids.end());
-  }
-  std::vector<const sg::SgLink*> pool_links;
-  std::set<std::string> pool_nfs;
-  for (const sg::SgLink& link : new_sg.links()) {
-    if (owned.count(link.id) == 0) pool_links.push_back(&link);
-  }
+  // --- 2. group the elements no component owns into connected
+  // components: one union-find pass over the free links in config order
+  // puts the `to` end's root under the `from` end's (SAPs are shared
+  // infrastructure and do not merge services). A component's key is its
+  // root's position among the free NFs in id order; a free link with no
+  // free NF end comes after all of them, one component each.
+  std::vector<const sg::SgNf*> free_nfs;
+  std::map<std::string_view, std::size_t> position;
   for (const auto& [nf_id, nf] : new_sg.nfs()) {
-    if (owned.count(nf_id) == 0) pool_nfs.insert(nf_id);
+    if (owner_.count(nf_id) != 0) continue;
+    position.emplace(nf_id, free_nfs.size());
+    free_nfs.push_back(&nf);
+  }
+  std::vector<std::size_t> root(free_nfs.size());
+  std::iota(root.begin(), root.end(), std::size_t{0});
+  constexpr std::size_t kNoNf = static_cast<std::size_t>(-1);
+  // The root of a free NF's component, or kNoNf for any other node.
+  const auto root_of = [&](const std::string& node) {
+    const auto it = position.find(node);
+    if (it == position.end()) return kNoNf;
+    std::size_t i = it->second;
+    while (root[i] != i) i = root[i] = root[root[i]];
+    return i;
+  };
+  std::vector<const sg::SgLink*> free_links;
+  for (const sg::SgLink& link : new_sg.links()) {
+    if (owner_.count(link.id) != 0) continue;
+    free_links.push_back(&link);
+    const std::size_t from = root_of(link.from.node);
+    const std::size_t to = root_of(link.to.node);
+    if (from != kNoNf && to != kNoNf) root[to] = from;
+  }
+  struct Part {
+    std::vector<const sg::SgNf*> nfs;
+    std::vector<const sg::SgLink*> links;
+  };
+  std::map<std::size_t, Part> parts;
+  for (const sg::SgNf* nf : free_nfs) parts[root_of(nf->id)].nfs.push_back(nf);
+  std::size_t next_loose = free_nfs.size();
+  for (const sg::SgLink* link : free_links) {
+    std::size_t key = root_of(link->from.node);
+    if (key == kNoNf) key = root_of(link->to.node);
+    if (key == kNoNf) key = next_loose++;
+    parts[key].links.push_back(link);
   }
 
-  // --- 4. group the pool into connected components (links join their NF
-  // endpoints; SAPs are shared infrastructure and do not merge services).
-  std::map<std::string, int> component_of;  // nf -> component
-  int next_component = 0;
-  for (const std::string& nf : pool_nfs) {
-    component_of[nf] = next_component++;
-  }
-  // Merge components via links (simple iterate-to-fixpoint; pools are
-  // small).
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const sg::SgLink* link : pool_links) {
-      const bool from_nf = component_of.count(link->from.node) != 0;
-      const bool to_nf = component_of.count(link->to.node) != 0;
-      if (from_nf && to_nf &&
-          component_of[link->from.node] != component_of[link->to.node]) {
-        const int victim = component_of[link->to.node];
-        const int winner = component_of[link->from.node];
-        for (auto& [nf, c] : component_of) {
-          if (c == victim) c = winner;
-        }
-        changed = true;
-      }
-    }
-  }
-  // Links -> owning component (via an NF endpoint; SAP-SAP links get their
-  // own singleton component).
-  std::map<int, std::vector<const sg::SgLink*>> links_by_component;
-  for (const sg::SgLink* link : pool_links) {
-    int component = -1;
-    if (component_of.count(link->from.node) != 0) {
-      component = component_of[link->from.node];
-    } else if (component_of.count(link->to.node) != 0) {
-      component = component_of[link->to.node];
-    } else {
-      component = next_component++;
-    }
-    links_by_component[component].push_back(link);
-  }
-  // NFs with no links still need a component entry so validation flags
-  // them at deploy time.
-  std::map<int, std::vector<std::string>> nfs_by_component;
-  for (const auto& [nf, component] : component_of) {
-    nfs_by_component[component].push_back(nf);
-  }
-
-  // --- 5. deploy every component as one service. Components are built
+  // --- 3. deploy every component as one service. Components are built
   // first and then handed to the RO as one wave: map_batch embeds them in
   // parallel on the pool (a one-component wave runs inline on the caller),
   // installs them sequentially in component order and pushes the wave
   // south once. A full-view client already did the embedding, so its
   // components carry the client's placements as pins.
-  std::set<int> components;
-  for (const auto& [c, links] : links_by_component) components.insert(c);
-  for (const auto& [c, nfs] : nfs_by_component) components.insert(c);
   std::vector<sg::ServiceGraph> subs;
-  std::vector<ClientService> sub_services;
-  for (const int component : components) {
+  std::vector<ResourceOrchestrator::Pins> sub_pins;
+  for (const auto& [key, part] : parts) {
     sg::ServiceGraph sub{ro_->name() + "-r" + std::to_string(next_request_)};
-    ClientService service;
-    std::set<std::string> sub_saps;
-    for (const std::string& nf_id : nfs_by_component[component]) {
-      const sg::SgNf* nf = new_sg.find_nf(nf_id);
+    ResourceOrchestrator::Pins pins;
+    for (const sg::SgNf* nf : part.nfs) {
       UNIFY_RETURN_IF_ERROR(sub.add_nf(*nf));
-      service.nf_ids.insert(nf_id);
+      if (policy_ == ViewPolicy::kFull) {
+        pins.emplace(nf->id, incoming.pinned_hosts.at(nf->id));
+      }
     }
-    for (const sg::SgLink* link : links_by_component[component]) {
+    for (const sg::SgLink* link : part.links) {
       for (const model::PortRef* ref : {&link->from, &link->to}) {
-        if (new_sg.has_sap(ref->node) && sub_saps.insert(ref->node).second) {
+        if (new_sg.has_sap(ref->node) && !sub.has_sap(ref->node)) {
           UNIFY_RETURN_IF_ERROR(sub.add_sap(ref->node));
         }
       }
       UNIFY_RETURN_IF_ERROR(sub.add_link(*link));
-      service.link_ids.insert(link->id);
     }
     for (const sg::PlacementConstraint& c : new_sg.constraints()) {
-      if (service.nf_ids.count(c.nf_a) != 0 ||
-          (!c.nf_b.empty() && service.nf_ids.count(c.nf_b) != 0)) {
+      if (sub.find_nf(c.nf_a) != nullptr ||
+          (!c.nf_b.empty() && sub.find_nf(c.nf_b) != nullptr)) {
         UNIFY_RETURN_IF_ERROR(sub.add_constraint(c));
       }
     }
     for (const sg::E2eRequirement& req : new_sg.requirements()) {
-      // A requirement belongs to this component when it is not owned by a
-      // surviving service, both its SAPs are here, and the component
-      // actually realizes a directed chain between them (several services
-      // may share the same SAP pair).
-      if (owned_reqs.count(req.id) == 0 &&
-          sub_saps.count(req.from_sap) != 0 &&
-          sub_saps.count(req.to_sap) != 0 && sub.chain_for(req).ok()) {
+      // A requirement belongs to this component when no deployed component
+      // owns it, both its SAPs are here, and the component actually
+      // realizes a directed chain between them (several services may share
+      // the same SAP pair).
+      if (owner_.count(req.id) == 0 && sub.has_sap(req.from_sap) &&
+          sub.has_sap(req.to_sap) && sub.chain_for(req).ok()) {
         UNIFY_RETURN_IF_ERROR(sub.add_requirement(req));
-        service.req_ids.insert(req.id);
       }
     }
-    service.ro_request = sub.id();
     ++next_request_;
     subs.push_back(std::move(sub));
-    sub_services.push_back(std::move(service));
+    sub_pins.push_back(std::move(pins));
   }
 
   // A component that did not deploy (it did not map, or the southbound
@@ -424,35 +419,25 @@ Result<void> Virtualizer::edit_config(const model::Nffg& desired) {
         subs,
         policy_ == ViewPolicy::kFull ? &incoming.pinned_hosts : nullptr);
     for (std::size_t i = 0; i < subs.size(); ++i) {
-      ClientService& service = sub_services[i];
+      const std::vector<std::string> ids = element_ids(subs[i]);
       if (deployed[i].ok()) {
-        services_.emplace(service.ro_request, std::move(service));
+        std::string request = subs[i].id();
+        for (const std::string& id : ids) owner_.emplace(id, request);
+        services_.emplace(std::move(request),
+                          Component{std::move(subs[i]), std::move(sub_pins[i])});
         continue;
       }
       const Error& error = deployed[i].error();
       if (!failure.has_value()) failure = Error{error.code, error.message};
-      for (const std::set<std::string>* ids :
-           {&service.nf_ids, &service.link_ids, &service.req_ids}) {
-        for (const std::string& id : *ids) {
-          failure->causes.push_back({id, error.code, error.message});
-          failed_ids.insert(id);
-        }
+      for (const std::string& id : ids) {
+        failure->causes.push_back({id, error.code, error.message});
+        failed_ids.insert(id);
       }
     }
   }
 
   // What was accepted is the desired config minus the failed elements.
-  if (failure.has_value()) {
-    model::Nffg kept = without(desired, failed_ids);
-    UNIFY_ASSIGN_OR_RETURN(incoming,
-                           config_to_service_graph(kept, *skeleton_, "accepted"));
-    accepted_hash_ = model::content_hash(kept);
-    accepted_ = std::move(kept);
-  } else {
-    accepted_ = desired;
-    accepted_hash_ = desired_hash;
-  }
-  accepted_translated_ = std::move(incoming);
+  accepted_ = failure.has_value() ? without(desired, failed_ids) : desired;
   UNIFY_LOG(kInfo, "orch.virt")
       << ro_->name() << ": edit-config accepted (" << services_.size()
       << " active services, " << failed_ids.size() << " elements failed)";

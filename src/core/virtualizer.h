@@ -10,25 +10,25 @@
 //  * kFull — the client sees the complete topology and decides placements
 //    itself; this RO only routes and enforces.
 //
-// edit-config is declarative: the client sends its full desired config; the
-// virtualizer diffs it against the accepted config at service-graph level,
-// removes/redeploys affected services and deploys new ones through the RO,
-// one RO request per connected component of new elements. Components that
-// map are committed even when others fail: the error then names every
-// client element of each failed component, and the accepted config is the
-// desired one minus those elements.
+// edit-config is declarative: the client sends its full desired config.
+// The virtualizer keeps one set of books: every deployed component (one RO
+// request) keeps the client-level service graph it was deployed from. An
+// edit translates the desired config once, removes every component whose
+// elements the desired config no longer holds unchanged, and deploys the
+// elements no component owns through the RO, one request per connected
+// component. Components that map are committed even when others fail: the
+// error then names every client element of each failed component, and the
+// accepted config is the desired one minus those elements.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "core/config_translate.h"
 #include "core/resource_orchestrator.h"
 #include "model/nffg.h"
 #include "util/result.h"
@@ -77,11 +77,13 @@ class Virtualizer {
   [[nodiscard]] static model::NfStatus rolled_up_status(
       const std::string& nf_id, const StatusIndex& index);
 
-  struct ClientService {
-    std::string ro_request;
-    std::set<std::string> nf_ids;    ///< client-level NF ids
-    std::set<std::string> link_ids;  ///< client-level SG link ids
-    std::set<std::string> req_ids;   ///< client-level requirement ids
+  /// One deployed RO request: the client-level graph handed to map_batch
+  /// and, for kFull, the client's placement of its NFs. An edit keeps the
+  /// component only while the desired config holds each of its elements
+  /// unchanged.
+  struct Component {
+    sg::ServiceGraph graph;
+    ResourceOrchestrator::Pins pins;
   };
 
   ResourceOrchestrator* ro_;
@@ -89,15 +91,12 @@ class Virtualizer {
   std::string big_node_id_;
   std::optional<model::Nffg> skeleton_;
   model::Nffg accepted_;  ///< last accepted client config
-  /// content_hash(accepted_): lets edit_config() short-circuit a desired
-  /// config identical to the accepted one without translating/diffing it.
-  /// Invalidated (nullopt) while an edit is mutating books/RO state: an
-  /// edit that stops midway leaves the deployed state diverged from
-  /// accepted_, and the client's recovery push of the accepted config must
-  /// re-diff, not short-circuit.
-  std::optional<std::uint64_t> accepted_hash_;
-  std::optional<TranslatedConfig> accepted_translated_;
-  std::map<std::string, ClientService> services_;
+  /// RO request id -> the component deployed under it.
+  std::map<std::string, Component> services_;
+  /// Client NF, link and requirement id -> RO request id of each component
+  /// holding it. Only a requirement can have several: every component of
+  /// one wave that realizes its chain claims it.
+  std::multimap<std::string, std::string> owner_;
   /// Number of the next component's RO request; a failed component uses
   /// its number up, so numbers depend only on the sequence of components.
   int next_request_ = 1;

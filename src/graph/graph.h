@@ -120,9 +120,6 @@ class Digraph {
   }
 
   [[nodiscard]] std::size_t edge_count() const noexcept { return edge_count_; }
-  [[nodiscard]] std::size_t edge_capacity() const noexcept {
-    return edges_.size();
-  }
 
   [[nodiscard]] std::vector<EdgeId> edge_ids() const {
     std::vector<EdgeId> out;

@@ -75,13 +75,6 @@ class Cloud {
                                 const std::string& set_tag);
   Result<void> remove_steering(const std::string& rule_id);
 
-  [[nodiscard]] const std::map<std::string, Hypervisor>& hypervisors()
-      const noexcept {
-    return hypervisors_;
-  }
-  [[nodiscard]] const std::map<std::string, Vm>& vms() const noexcept {
-    return vms_;
-  }
   [[nodiscard]] model::Resources total_capacity() const noexcept;
   [[nodiscard]] model::Resources total_allocated() const noexcept;
   [[nodiscard]] Fabric& fabric() noexcept { return fabric_; }

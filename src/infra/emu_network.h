@@ -76,10 +76,6 @@ class EmuNetwork {
       const noexcept {
     return ees_;
   }
-  [[nodiscard]] const std::map<std::string, ClickProcess>& clicks()
-      const noexcept {
-    return clicks_;
-  }
 
   struct WireInfo {
     std::string a;

@@ -208,7 +208,6 @@ class Nffg {
   [[nodiscard]] const std::string& id() const noexcept { return id_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   void set_id(std::string id) { id_ = std::move(id); }
-  void set_name(std::string name) { name_ = std::move(name); }
 
   // ----------------------------------------------------------- BiS-BiS
 

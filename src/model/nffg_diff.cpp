@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "model/nffg_json.h"
-
 namespace unify::model {
 
 namespace {
@@ -99,164 +97,6 @@ Result<void> apply(Nffg& nffg, const ConfigDelta& delta) {
     run = it;
   }
   return Result<void>::success();
-}
-
-json::Value delta_to_json(const ConfigDelta& delta) {
-  using json::Array;
-  using json::Object;
-  using json::Value;
-
-  Object root;
-  Array rule_removals;
-  for (const RuleRemoval& rr : delta.rule_removals) {
-    Object o;
-    o.set("bisbis", rr.bisbis);
-    o.set("rule", rr.rule_id);
-    rule_removals.emplace_back(std::move(o));
-  }
-  root.set("rule_removals", std::move(rule_removals));
-
-  Array nf_removals;
-  for (const NfRemoval& nr : delta.nf_removals) {
-    Object o;
-    o.set("bisbis", nr.bisbis);
-    o.set("nf", nr.nf_id);
-    nf_removals.emplace_back(std::move(o));
-  }
-  root.set("nf_removals", std::move(nf_removals));
-
-  Array placements;
-  for (const NfPlacement& np : delta.nf_placements) {
-    Object o;
-    o.set("bisbis", np.bisbis);
-    Object nf;
-    nf.set("id", np.nf.id);
-    nf.set("type", np.nf.type);
-    Object res;
-    res.set("cpu", np.nf.requirement.cpu);
-    res.set("mem", np.nf.requirement.mem);
-    res.set("storage", np.nf.requirement.storage);
-    nf.set("resources", std::move(res));
-    Array ports;
-    for (const Port& p : np.nf.ports) {
-      Object po;
-      po.set("id", p.id);
-      if (!p.name.empty()) po.set("name", p.name);
-      ports.emplace_back(std::move(po));
-    }
-    nf.set("ports", std::move(ports));
-    nf.set("status", to_string(np.nf.status));
-    o.set("nf", std::move(nf));
-    placements.emplace_back(std::move(o));
-  }
-  root.set("nf_placements", std::move(placements));
-
-  Array installs;
-  for (const RuleInstall& ri : delta.rule_installs) {
-    Object o;
-    o.set("bisbis", ri.bisbis);
-    Object r;
-    r.set("id", ri.rule.id);
-    r.set("in", ri.rule.in.to_string());
-    r.set("out", ri.rule.out.to_string());
-    if (!ri.rule.match_tag.empty()) r.set("match_tag", ri.rule.match_tag);
-    if (!ri.rule.set_tag.empty()) r.set("set_tag", ri.rule.set_tag);
-    if (ri.rule.bandwidth != 0) r.set("bandwidth", ri.rule.bandwidth);
-    o.set("rule", std::move(r));
-    installs.emplace_back(std::move(o));
-  }
-  root.set("rule_installs", std::move(installs));
-  return Value{std::move(root)};
-}
-
-Result<ConfigDelta> delta_from_json(const json::Value& value) {
-  if (!value.is_object()) {
-    return Error{ErrorCode::kProtocol, "delta must be a JSON object"};
-  }
-  ConfigDelta delta;
-
-  const auto each = [&](const char* key, auto fn) -> Result<void> {
-    const json::Value* arr = value.get(key);
-    if (arr == nullptr) return Result<void>::success();
-    if (!arr->is_array()) {
-      return Error{ErrorCode::kProtocol,
-                   std::string(key) + " must be an array"};
-    }
-    for (const json::Value& item : arr->as_array()) {
-      if (!item.is_object()) {
-        return Error{ErrorCode::kProtocol,
-                     std::string(key) + " entries must be objects"};
-      }
-      UNIFY_RETURN_IF_ERROR(fn(item));
-    }
-    return Result<void>::success();
-  };
-
-  UNIFY_RETURN_IF_ERROR(
-      each("rule_removals", [&](const json::Value& item) -> Result<void> {
-        delta.rule_removals.push_back(
-            RuleRemoval{item.get_string("bisbis"), item.get_string("rule")});
-        return Result<void>::success();
-      }));
-  UNIFY_RETURN_IF_ERROR(
-      each("nf_removals", [&](const json::Value& item) -> Result<void> {
-        delta.nf_removals.push_back(
-            NfRemoval{item.get_string("bisbis"), item.get_string("nf")});
-        return Result<void>::success();
-      }));
-  UNIFY_RETURN_IF_ERROR(
-      each("nf_placements", [&](const json::Value& item) -> Result<void> {
-        const json::Value* nf_json = item.get("nf");
-        if (nf_json == nullptr || !nf_json->is_object()) {
-          return Error{ErrorCode::kProtocol, "nf_placement missing nf"};
-        }
-        NfInstance nf;
-        nf.id = nf_json->get_string("id");
-        nf.type = nf_json->get_string("type");
-        if (const json::Value* res = nf_json->get("resources")) {
-          nf.requirement.cpu = res->get_number("cpu");
-          nf.requirement.mem = res->get_number("mem");
-          nf.requirement.storage = res->get_number("storage");
-        }
-        if (const json::Value* ports = nf_json->get("ports")) {
-          if (!ports->is_array()) {
-            return Error{ErrorCode::kProtocol, "nf ports must be an array"};
-          }
-          for (const json::Value& pv : ports->as_array()) {
-            nf.ports.push_back(Port{static_cast<int>(pv.get_int("id")),
-                                    pv.get_string("name")});
-          }
-        }
-        const std::string status = nf_json->get_string("status", "requested");
-        const auto parsed = nf_status_from_string(status);
-        if (!parsed.has_value()) {
-          return Error{ErrorCode::kProtocol, "unknown NF status " + status};
-        }
-        nf.status = *parsed;
-        delta.nf_placements.push_back(
-            NfPlacement{item.get_string("bisbis"), std::move(nf)});
-        return Result<void>::success();
-      }));
-  UNIFY_RETURN_IF_ERROR(
-      each("rule_installs", [&](const json::Value& item) -> Result<void> {
-        const json::Value* rule_json = item.get("rule");
-        if (rule_json == nullptr || !rule_json->is_object()) {
-          return Error{ErrorCode::kProtocol, "rule_install missing rule"};
-        }
-        Flowrule fr;
-        fr.id = rule_json->get_string("id");
-        UNIFY_ASSIGN_OR_RETURN(
-            fr.in, port_ref_from_string(rule_json->get_string("in")));
-        UNIFY_ASSIGN_OR_RETURN(
-            fr.out, port_ref_from_string(rule_json->get_string("out")));
-        fr.match_tag = rule_json->get_string("match_tag");
-        fr.set_tag = rule_json->get_string("set_tag");
-        fr.bandwidth = rule_json->get_number("bandwidth");
-        delta.rule_installs.push_back(
-            RuleInstall{item.get_string("bisbis"), std::move(fr)});
-        return Result<void>::success();
-      }));
-  return delta;
 }
 
 }  // namespace unify::model

@@ -1,16 +1,17 @@
-// Configuration deltas: the payload of edit-config on the Unify interface.
+// Configuration deltas: the NF placements and flowrules that turn one NFFG
+// configuration into another.
 //
-// A manager does not re-send the full virtualizer tree on every change — it
-// computes the difference between the config it wants and the config it last
-// saw, and sends only that (DESIGN.md §6.4). A delta only carries the parts
-// a manager owns: NF placements and flowrules. Infrastructure topology and
+// Northbound edit-config carries full desired trees; deltas exist only
+// inside the domain adapters, where BaseAdapter::apply diffs the desired
+// slice against the domain's current one and executes the difference as
+// native operations (DESIGN.md §6.4). A delta only carries the parts a
+// manager owns: NF placements and flowrules. Infrastructure topology and
 // link reservations are derived/owned by the layer below.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "json/json.h"
 #include "model/nffg.h"
 #include "util/result.h"
 
@@ -60,9 +61,5 @@ struct ConfigDelta {
 /// capacity/reference checks. On failure the NFFG may be partially updated;
 /// callers that need atomicity apply to a copy first.
 [[nodiscard]] Result<void> apply(Nffg& nffg, const ConfigDelta& delta);
-
-/// Wire format (JSON) of a delta.
-[[nodiscard]] json::Value delta_to_json(const ConfigDelta& delta);
-[[nodiscard]] Result<ConfigDelta> delta_from_json(const json::Value& value);
 
 }  // namespace unify::model

@@ -98,18 +98,6 @@ Result<void> Reactor::add_fd(int fd, std::uint32_t events, IoFn fn) {
   return Result<void>::success();
 }
 
-Result<void> Reactor::mod_fd(int fd, std::uint32_t events) {
-  epoll_event ev{};
-  ev.events = events;
-  ev.data.fd = fd;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) != 0) {
-    return Error{ErrorCode::kInternal,
-                 std::string("epoll_ctl(MOD) failed: ") +
-                     std::strerror(errno)};
-  }
-  return Result<void>::success();
-}
-
 void Reactor::del_fd(int fd) {
   if (handlers_.erase(fd) == 0) return;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);

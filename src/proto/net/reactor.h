@@ -52,13 +52,9 @@ class Reactor final : public Driver {
   /// Registers `fd` for `events` (caller picks EPOLLET). One handler per
   /// fd; the reactor never owns the fd.
   Result<void> add_fd(int fd, std::uint32_t events, IoFn fn);
-  Result<void> mod_fd(int fd, std::uint32_t events);
   /// Safe to call from inside the fd's own callback.
   void del_fd(int fd);
 
-  [[nodiscard]] std::size_t watched_fds() const noexcept {
-    return handlers_.size();
-  }
   [[nodiscard]] std::size_t pending_timers() const noexcept {
     return timers_.size();
   }

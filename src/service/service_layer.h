@@ -183,9 +183,6 @@ class ServiceLayer {
     admission_ = policy;
     queue_.set_capacity(policy.queue_capacity);
   }
-  [[nodiscard]] const AdmissionPolicy& admission_policy() const noexcept {
-    return admission_;
-  }
   /// Wires the admission lifecycle to the health of the layers below
   /// (normally {HealthManager::state_fingerprint(), any_unhealthy()}):
   /// parked requests retry on fingerprint transitions, and capacity

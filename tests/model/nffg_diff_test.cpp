@@ -154,37 +154,5 @@ TEST(Apply, RespectsCapacityChecks) {
   EXPECT_EQ(apply(g, delta).error().code, ErrorCode::kResourceExhausted);
 }
 
-TEST(DeltaJson, RoundTrip) {
-  Nffg a = base_graph();
-  Nffg b = base_graph();
-  ASSERT_TRUE(b.place_nf("bb1", make_nf("fw", "fw", {1, 64, 1}, 2)).ok());
-  ASSERT_TRUE(
-      b.add_flowrule("bb1", Flowrule{"r", {"bb1", 0}, {"fw", 0}, "in", "out",
-                                     7})
-          .ok());
-  auto delta = diff(a, b);
-  ASSERT_TRUE(delta.ok());
-
-  auto decoded = delta_from_json(delta_to_json(*delta));
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_TRUE(apply(a, *decoded).ok());
-  auto check = diff(a, b);
-  ASSERT_TRUE(check.ok());
-  EXPECT_TRUE(check->empty());
-}
-
-TEST(DeltaJson, EmptyDeltaRoundTrips) {
-  auto decoded = delta_from_json(delta_to_json(ConfigDelta{}));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->empty());
-}
-
-TEST(DeltaJson, RejectsMalformed) {
-  EXPECT_FALSE(delta_from_json(json::Value{1}).ok());
-  auto parsed = json::parse(R"({"rule_installs":[{"bisbis":"b"}]})");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_FALSE(delta_from_json(*parsed).ok());  // missing rule body
-}
-
 }  // namespace
 }  // namespace unify::model

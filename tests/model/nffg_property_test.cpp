@@ -77,20 +77,6 @@ TEST_P(NffgProperty, JsonRoundTripExact) {
   }
 }
 
-TEST_P(NffgProperty, DeltaJsonRoundTripExact) {
-  Rng rng(GetParam() ^ 0xCAFE);
-  Nffg base = random_config(rng);
-  const Nffg target = random_config(rng);
-  const auto delta = diff(base, target);
-  ASSERT_TRUE(delta.ok());
-  const auto decoded = delta_from_json(delta_to_json(*delta));
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_TRUE(apply(base, *decoded).ok());
-  const auto check = diff(base, target);
-  ASSERT_TRUE(check.ok());
-  EXPECT_TRUE(check->empty());
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, NffgProperty,
                          ::testing::Values(101u, 202u, 303u, 404u));
 

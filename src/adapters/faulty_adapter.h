@@ -1,8 +1,8 @@
 // Fault-injecting decorator around any DomainAdapter: fails the next N
-// operations, or every operation with a seeded probability. Used to test the orchestration stack's behaviour under
-// domain failures (rejected configs, unreachable controllers) and its
-// retry/backoff paths deterministically, without special-casing the
-// simulators.
+// operations, or every operation with a seeded probability. Used to test
+// the orchestration stack's behaviour under domain failures (rejected
+// configs, unreachable controllers) and its retry/backoff paths
+// deterministically, without special-casing the simulators.
 #pragma once
 
 #include <memory>

@@ -6,11 +6,11 @@
 // converse does not hold: doubles are hashed by bit pattern but printed
 // at six significant digits ("%.6g"), so values that differ only past the
 // sixth digit serialize alike and hash differently. The orchestrator's
-// push path and the virtualizer use the hash for dirty tracking, which
-// needs only the first direction: an unchanged hash proves nothing needs
-// pushing, and a spurious change costs one redundant push. A clean
-// section is detected without building the JSON string, which on large
-// views is the dominant cost of a no-op push.
+// push path uses the hash for dirty tracking, which needs only the first
+// direction: an unchanged hash proves nothing needs pushing, and a
+// spurious change costs one redundant push. A clean section is detected
+// without building the JSON string, which on large views is the dominant
+// cost of a no-op push.
 //
 // Contract (DESIGN.md §11): every field to_json() emits — including fields
 // it omits conditionally, since the omission is a deterministic function of

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <map>
 #include <random>
 

@@ -218,11 +218,14 @@ Result<model::Nffg> service_graph_to_config(const sg::ServiceGraph& sg,
     rules.push_back(std::move(rule));
   }
   UNIFY_RETURN_IF_ERROR(config.add_flowrules(big_node, std::move(rules)));
+  std::vector<model::ServiceHint> hints;
+  hints.reserve(sg.requirements().size());
   for (const sg::E2eRequirement& req : sg.requirements()) {
-    UNIFY_RETURN_IF_ERROR(config.add_hint(model::ServiceHint{
-        req.id, req.from_sap, req.to_sap, req.max_delay,
-        req.min_bandwidth, req.via}));
+    hints.push_back(model::ServiceHint{req.id, req.from_sap, req.to_sap,
+                                       req.max_delay, req.min_bandwidth,
+                                       req.via});
   }
+  UNIFY_RETURN_IF_ERROR(config.add_hints(std::move(hints)));
   for (const sg::PlacementConstraint& c : sg.constraints()) {
     UNIFY_RETURN_IF_ERROR(config.add_constraint(c));
   }

@@ -83,6 +83,48 @@ Result<std::vector<std::string>> path_nodes(const model::Nffg& nffg,
   return nodes;
 }
 
+/// Where one SG link's flowrules live: the path's nodes (from -> to) and
+/// the index range [first_bb, last_bb] of those that host a rule (SAP
+/// endpoints are passive). install_mapping and uninstall_mapping both
+/// place rules from here, so an uninstall erases exactly what the install
+/// made.
+struct LinkRoute {
+  ResolvedEndpoints ep;
+  std::vector<std::string> nodes;
+  std::size_t first_bb = 0;
+  std::size_t last_bb = 0;
+};
+
+Result<LinkRoute> route_link(const model::Nffg& nffg,
+                             const sg::ServiceGraph& sg,
+                             const Mapping& mapping, const sg::SgLink& link,
+                             const PathInfo& path) {
+  LinkRoute out;
+  UNIFY_ASSIGN_OR_RETURN(out.ep, resolve_endpoints(sg, mapping, link));
+  UNIFY_ASSIGN_OR_RETURN(
+      out.nodes, path_nodes(nffg, path, out.ep.from_node, out.ep.to_node));
+  if (!out.ep.from_is_nf && !out.ep.to_is_nf && out.nodes.size() == 1) {
+    return Error{ErrorCode::kInvalidArgument,
+                 "SG link " + link.id + " connects a SAP to itself"};
+  }
+  const std::size_t last = out.nodes.size() - 1;
+  out.first_bb = out.ep.from_is_nf ? 0 : 1;
+  out.last_bb = out.ep.to_is_nf ? last : last - 1;
+  return out;
+}
+
+/// Tag of the rules realizing SG link `link_id` of `sg`: qualified by the
+/// request so concurrent services may reuse SG link ids without colliding
+/// in the substrate.
+std::string link_tag(const sg::ServiceGraph& sg, const std::string& link_id) {
+  return sg.id() + ":" + link_id;
+}
+
+/// Id of the rule carrying `tag` on BiS-BiS `node`.
+std::string rule_id(const std::string& tag, const std::string& node) {
+  return tag + "@" + node;
+}
+
 }  // namespace
 
 Result<void> verify_mapping(const sg::ServiceGraph& sg,
@@ -235,36 +277,22 @@ Result<void> install_mapping(model::Nffg& target, const sg::ServiceGraph& sg,
                    "SG link " + link.id + " unrouted"};
     }
     const PathInfo& path = path_it->second;
-    // Qualify rule ids and tags by the request so concurrent services may
-    // reuse SG link ids without colliding in the substrate.
-    const std::string qualified = sg.id() + ":" + link.id;
-    UNIFY_ASSIGN_OR_RETURN(const ResolvedEndpoints ep,
-                           resolve_endpoints(sg, mapping, link));
-    UNIFY_ASSIGN_OR_RETURN(
-        const std::vector<std::string> nodes,
-        path_nodes(target, path, ep.from_node, ep.to_node));
-
+    UNIFY_ASSIGN_OR_RETURN(const LinkRoute route,
+                           route_link(target, sg, mapping, link, path));
     for (const std::string& substrate_link : path.links) {
       target.find_link(substrate_link)->reserved += link.bandwidth;
     }
 
-    // Which path indices host flowrules? BiS-BiS nodes only (SAP endpoints
-    // are passive).
-    const std::size_t last = nodes.size() - 1;
-    std::size_t first_bb = ep.from_is_nf ? 0 : 1;
-    std::size_t last_bb = ep.to_is_nf ? last : last - 1;
-    if (!ep.from_is_nf && !ep.to_is_nf && nodes.size() == 1) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "SG link " + link.id + " connects a SAP to itself"};
-    }
-    const bool multi_node = first_bb < last_bb;
-    for (std::size_t i = first_bb; i <= last_bb; ++i) {
+    const std::string qualified = link_tag(sg, link.id);
+    const std::vector<std::string>& nodes = route.nodes;
+    const bool multi_node = route.first_bb < route.last_bb;
+    for (std::size_t i = route.first_bb; i <= route.last_bb; ++i) {
       const std::string& node = nodes[i];
       model::Flowrule rule;
-      rule.id = qualified + "@" + node;
+      rule.id = rule_id(qualified, node);
       rule.bandwidth = link.bandwidth;
       // Ingress side.
-      if (i == 0 && ep.from_is_nf) {
+      if (i == 0 && route.ep.from_is_nf) {
         rule.in = model::PortRef{link.from.node, link.from.port};
       } else {
         const model::Link* arriving = target.find_link(path.links[i - 1]);
@@ -272,7 +300,7 @@ Result<void> install_mapping(model::Nffg& target, const sg::ServiceGraph& sg,
         rule.in = model::PortRef{node, port};
       }
       // Egress side.
-      if (i == last && ep.to_is_nf) {
+      if (i == nodes.size() - 1 && route.ep.to_is_nf) {
         rule.out = model::PortRef{link.to.node, link.to.port};
       } else {
         const model::Link* departing = target.find_link(path.links[i]);
@@ -282,11 +310,11 @@ Result<void> install_mapping(model::Nffg& target, const sg::ServiceGraph& sg,
       // Tagging: set at the first BiS-BiS, match afterwards, strip at the
       // last; single-node realizations need no tag at all.
       if (multi_node) {
-        if (i == first_bb) {
+        if (i == route.first_bb) {
           rule.set_tag = qualified;
         } else {
           rule.match_tag = qualified;
-          if (i == last_bb) rule.set_tag = "-";
+          if (i == route.last_bb) rule.set_tag = "-";
         }
       }
       rules_by_node[node].push_back(std::move(rule));
@@ -301,33 +329,49 @@ Result<void> install_mapping(model::Nffg& target, const sg::ServiceGraph& sg,
 Result<void> uninstall_mapping(model::Nffg& target,
                                const sg::ServiceGraph& sg,
                                const Mapping& mapping) {
-  // Remove flowrules first (removing NFs would drop NF-attached rules but
-  // not transit rules on intermediate nodes).
+  // Check everything before changing anything, so a failed uninstall
+  // leaves `target` as it was: each SG link resolves to the nodes its
+  // rules went to, each substrate link exists, each NF sits on its host.
+  std::map<std::string, std::vector<std::string>> rules_by_node;
+  std::vector<std::pair<model::Link*, double>> releases;
   for (const auto& [sg_link_id, path] : mapping.link_paths) {
     const sg::SgLink* link = sg.find_link(sg_link_id);
     if (link == nullptr) {
       return Error{ErrorCode::kNotFound, "SG link " + sg_link_id};
     }
-    for (const auto& [bb_id, bb] : target.bisbis()) {
-      // Collect ids first: remove_flowrule mutates the vector.
-      std::vector<std::string> doomed;
-      for (const model::Flowrule& fr : bb.flowrules) {
-        if (fr.id == sg.id() + ":" + sg_link_id + "@" + bb_id) {
-          doomed.push_back(fr.id);
-        }
-      }
-      for (const std::string& id : doomed) {
-        UNIFY_RETURN_IF_ERROR(target.remove_flowrule(bb_id, id));
-      }
+    UNIFY_ASSIGN_OR_RETURN(const LinkRoute route,
+                           route_link(target, sg, mapping, *link, path));
+    const std::string tag = link_tag(sg, sg_link_id);
+    for (std::size_t i = route.first_bb; i <= route.last_bb; ++i) {
+      const std::string& node = route.nodes[i];
+      rules_by_node[node].push_back(rule_id(tag, node));
     }
     for (const std::string& substrate_link : path.links) {
-      model::Link* l = target.find_link(substrate_link);
-      if (l == nullptr) {
-        return Error{ErrorCode::kNotFound, "substrate link " + substrate_link};
-      }
-      l->reserved -= link->bandwidth;
+      releases.emplace_back(target.find_link(substrate_link),
+                            link->bandwidth);
     }
   }
+  for (const auto& [nf_id, host] : mapping.nf_host) {
+    const model::BisBis* bb = target.find_bisbis(host);
+    if (bb == nullptr) {
+      return Error{ErrorCode::kNotFound, "BiS-BiS " + host};
+    }
+    if (bb->nfs.count(nf_id) == 0) {
+      return Error{ErrorCode::kNotFound, "NF " + nf_id + " on " + host};
+    }
+  }
+
+  // Remove flowrules first (removing NFs would drop NF-attached rules but
+  // not transit rules on intermediate nodes); a rule already gone is
+  // skipped.
+  for (const auto& [node, ids] : rules_by_node) {
+    model::BisBis* bb = target.find_bisbis(node);
+    if (bb == nullptr) continue;
+    std::erase_if(bb->flowrules, [&](const model::Flowrule& fr) {
+      return std::find(ids.begin(), ids.end(), fr.id) != ids.end();
+    });
+  }
+  for (const auto& [link, bandwidth] : releases) link->reserved -= bandwidth;
   for (const auto& [nf_id, host] : mapping.nf_host) {
     UNIFY_RETURN_IF_ERROR(target.remove_nf(host, nf_id));
   }

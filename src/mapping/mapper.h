@@ -129,7 +129,8 @@ class Mapper {
 /// Materializes a mapping onto `target` (normally a copy of the substrate
 /// the mapping was computed against): places NF instances, installs the
 /// tag-switched flowrule chains realizing each SG link, and reserves
-/// bandwidth along the paths. Tags are "<sg id>:<sg link id>".
+/// bandwidth along the paths. Tags are "<sg id>:<sg link id>", and the
+/// rule on BiS-BiS <node> is "<tag>@<node>".
 /// `force_placement` skips capacity/type checks — used when re-recording a
 /// placement that is already physically running (e.g. restoring after a
 /// failed migration onto a view whose advertised capacity shrank).
@@ -140,7 +141,12 @@ class Mapper {
                                            bool force_placement = false);
 
 /// Reverts install_mapping: removes the NFs and flowrules of this mapping
-/// and releases the reserved bandwidth.
+/// and releases the reserved bandwidth. Touches only what the install
+/// made: each SG link's rule ids and hosting BiS-BiS are re-derived from
+/// the mapping, so the cost is O(request) lookups plus one pass over the
+/// rules of each BiS-BiS the request used. A rule that is already gone is
+/// skipped. All or nothing: every SG link, substrate link and NF is
+/// checked first, and on error `target` is unchanged.
 [[nodiscard]] Result<void> uninstall_mapping(model::Nffg& target,
                                              const sg::ServiceGraph& sg,
                                              const Mapping& mapping);

@@ -378,20 +378,41 @@ Result<void> Nffg::remove_flowrule(const std::string& bisbis_id,
 }
 
 Result<void> Nffg::add_hint(ServiceHint hint) {
-  if (hint.id.empty()) {
-    return Error{ErrorCode::kInvalidArgument, "hint id must not be empty"};
+  std::vector<ServiceHint> hints;
+  hints.push_back(std::move(hint));
+  return add_hints(std::move(hints));
+}
+
+Result<void> Nffg::add_hints(std::vector<ServiceHint> hints) {
+  // id -> index of its first hint in the batch, or kTaken when the config
+  // already holds that id (the add_flowrules scheme).
+  constexpr std::size_t kTaken = static_cast<std::size_t>(-1);
+  std::unordered_map<std::string_view, std::size_t> first;
+  first.reserve(hints.size());
+  for (std::size_t i = 0; i < hints.size(); ++i) {
+    first.emplace(hints[i].id, i);
   }
   for (const ServiceHint& existing : hints_) {
-    if (existing.id == hint.id) {
+    if (const auto it = first.find(existing.id); it != first.end()) {
+      it->second = kTaken;
+    }
+  }
+  for (std::size_t i = 0; i < hints.size(); ++i) {
+    const ServiceHint& hint = hints[i];
+    if (hint.id.empty()) {
+      return Error{ErrorCode::kInvalidArgument, "hint id must not be empty"};
+    }
+    if (first.find(hint.id)->second != i) {
       return Error{ErrorCode::kAlreadyExists, "hint " + hint.id};
     }
-  }
-  for (const std::string* sap : {&hint.from_sap, &hint.to_sap}) {
-    if (saps_.count(*sap) == 0) {
-      return Error{ErrorCode::kNotFound, "hint SAP " + *sap};
+    for (const std::string* sap : {&hint.from_sap, &hint.to_sap}) {
+      if (saps_.count(*sap) == 0) {
+        return Error{ErrorCode::kNotFound, "hint SAP " + *sap};
+      }
     }
   }
-  hints_.push_back(std::move(hint));
+  hints_.insert(hints_.end(), std::make_move_iterator(hints.begin()),
+                std::make_move_iterator(hints.end()));
   return Result<void>::success();
 }
 

@@ -277,8 +277,16 @@ class Nffg {
 
   // ------------------------------------------------------------- hints
 
-  /// Attaches a service hint (id must be unique, SAPs must exist).
+  /// Attaches a service hint (id must be non-empty and unique, SAPs must
+  /// exist): add_hints() of one.
   Result<void> add_hint(ServiceHint hint);
+  /// Attaches `hints` with add_hint's checks, applied in hint order (the
+  /// first failing hint's error is returned). Duplicates, within the batch
+  /// or against the hints already attached, are found through one hash
+  /// set over both, so a batch costs O(existing + batch) instead of
+  /// O(existing x batch). All or nothing: on error the config is
+  /// unchanged.
+  Result<void> add_hints(std::vector<ServiceHint> hints);
   Result<void> remove_hint(const std::string& hint_id);
   [[nodiscard]] const std::vector<ServiceHint>& hints() const noexcept {
     return hints_;

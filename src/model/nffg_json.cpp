@@ -360,6 +360,8 @@ Result<Nffg> nffg_from_json(const json::Value& value) {
     if (!hints->is_array()) {
       return Error{ErrorCode::kProtocol, "hints must be an array"};
     }
+    std::vector<ServiceHint> parsed;
+    parsed.reserve(hints->as_array().size());
     for (const Value& hv : hints->as_array()) {
       if (!hv.is_object()) {
         return Error{ErrorCode::kProtocol, "hint must be an object"};
@@ -372,8 +374,9 @@ Result<Nffg> nffg_from_json(const json::Value& value) {
           "max_delay", std::numeric_limits<double>::infinity());
       hint.min_bandwidth = hv.get_number("min_bandwidth");
       hint.via = string_at(hv, "via");
-      UNIFY_RETURN_IF_ERROR(nffg.add_hint(std::move(hint)));
+      parsed.push_back(std::move(hint));
     }
+    UNIFY_RETURN_IF_ERROR(nffg.add_hints(std::move(parsed)));
   }
 
   if (const Value* constraints = value.get("constraints")) {

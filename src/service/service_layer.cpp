@@ -156,11 +156,17 @@ Result<model::Nffg> ServiceLayer::view() {
   return *view_;
 }
 
+void ServiceLayer::set_graph(ServiceRequest& request,
+                             sg::ServiceGraph graph) {
+  request.prefixed = prefix_elements(graph, request.id);
+  request.graph = std::move(graph);
+}
+
 sg::ServiceGraph ServiceLayer::merged_active() const {
   sg::ServiceGraph merged{"active-services"};
   for (const auto& [id, request] : requests_) {
     if (!is_active(request.state)) continue;
-    const sg::ServiceGraph prefixed = prefix_elements(request.graph, id);
+    const sg::ServiceGraph& prefixed = request.prefixed;
     for (const auto& [sap_id, name] : prefixed.saps()) {
       if (!merged.has_sap(sap_id)) (void)merged.add_sap(sap_id, name);
     }
@@ -364,9 +370,10 @@ void ServiceLayer::commit(const std::vector<sg::ServiceGraph>& requests,
   for (const std::size_t i : indices) {
     sg::ServiceGraph graph = requests[i];
     graph.anchor_requirements();
-    requests_.emplace(requests[i].id(),
-                      ServiceRequest{requests[i].id(), std::move(graph),
-                                     RequestState::kDeployed, ""});
+    ServiceRequest& request = requests_[requests[i].id()];
+    request.id = requests[i].id();
+    request.state = RequestState::kDeployed;
+    set_graph(request, std::move(graph));
   }
   // The first cause naming each failed request (by wave position).
   std::map<std::size_t, Error> failed;
@@ -423,7 +430,7 @@ void ServiceLayer::record_outcome(const AdmissionEntry& entry,
                                   RequestState state, std::string error) {
   ServiceRequest& request = requests_[entry.graph.id()];
   request.id = entry.graph.id();
-  request.graph = entry.graph;
+  set_graph(request, entry.graph);
   request.state = state;
   request.error = std::move(error);
 }
@@ -639,13 +646,15 @@ Result<void> ServiceLayer::update(const sg::ServiceGraph& request) {
   if (auto invalid = validate_request(request); invalid.has_value()) {
     return *std::move(invalid);
   }
-  sg::ServiceGraph previous = std::exchange(it->second.graph, request);
-  it->second.graph.anchor_requirements();
+  sg::ServiceGraph previous = std::move(it->second.graph);
+  sg::ServiceGraph next = request;
+  next.anchor_requirements();
+  set_graph(it->second, std::move(next));
   bool diverged = false;
   const auto pushed = push_or_restore(
       "update",
       [&](const Error&) {
-        it->second.graph = std::move(previous);
+        set_graph(it->second, std::move(previous));
         return true;
       },
       &diverged);

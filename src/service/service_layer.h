@@ -62,6 +62,9 @@ struct ServiceRequest {
   sg::ServiceGraph graph;
   RequestState state = RequestState::kDeployed;
   std::string error;  ///< set when state == kFailed / kDegraded / kShed
+  /// prefix_elements(graph, id): the request as every push carries it,
+  /// built once whenever the layer sets `graph`.
+  sg::ServiceGraph prefixed = {};
 };
 
 /// Knobs of the overload-safe admission lifecycle (enqueue()/pump()).
@@ -264,6 +267,10 @@ class ServiceLayer {
   /// Records a terminal admission outcome (kShed/kFailed) for `entry`.
   void record_outcome(const AdmissionEntry& entry, RequestState state,
                       std::string error);
+  /// The one place a record's graph is set: stores `graph` and builds its
+  /// prefixed copy for merged_active(). `request.id` must be set.
+  static void set_graph(ServiceRequest& request, sg::ServiceGraph graph);
+  /// Union of the prefixed graphs of every active record.
   [[nodiscard]] sg::ServiceGraph merged_active() const;
   /// Pure per-request checks (structure + SAP existence against the
   /// fetched view). Thread-safe; submit_batch runs these on the pool.

@@ -10,6 +10,7 @@
 #include "mapping/decomp_aware_mapper.h"
 #include "mapping/greedy_mapper.h"
 #include "model/nffg_builder.h"
+#include "util/rng.h"
 
 namespace unify::mapping {
 namespace {
@@ -401,6 +402,128 @@ TEST(DecompAware, InstallUsesExpandedGraph) {
           .ok());
   EXPECT_TRUE(substrate.validate().empty());
   EXPECT_FALSE(substrate.find_nf("secure-gw0").has_value());
+}
+
+// ------------------------------------------------------------- uninstall
+
+/// sap1 - bb1 - bb2 - bb3 - bb4 - sap2, with sap3 on bb2: services between
+/// any two SAPs crowd onto the same few BiS-BiS.
+Nffg shared_line() {
+  Nffg g{"shared"};
+  for (int i = 1; i <= 4; ++i) {
+    EXPECT_TRUE(g.add_bisbis(model::make_bisbis("bb" + std::to_string(i),
+                                                {8, 8192, 100}, 4, 0.1))
+                    .ok());
+  }
+  model::connect(g, "bb1", 1, "bb2", 1, {1000, 1.0});
+  model::connect(g, "bb2", 2, "bb3", 1, {1000, 1.0});
+  model::connect(g, "bb3", 2, "bb4", 1, {1000, 1.0});
+  model::attach_sap(g, "sap1", "bb1", 0, {1000, 0.1});
+  model::attach_sap(g, "sap2", "bb4", 0, {1000, 0.1});
+  model::attach_sap(g, "sap3", "bb2", 3, {1000, 0.1});
+  return g;
+}
+
+// Seeded golden for uninstall: K chain-DP services that share BiS-BiS are
+// installed on one view, then a random subset leaves in random order.
+// After each removal the view equals a fresh install of the survivors in
+// their original order, flowrule order included. Integer bandwidths keep
+// every reservation sum exact. The first service to leave has lost one of
+// its NF-attached rules beforehand, which its uninstall skips.
+TEST(UninstallMapping, LeavesSurvivorsExact) {
+  const NfCatalog cat = catalog::default_catalog();
+  const std::vector<std::string> types{"nat", "monitor", "fw-lite"};
+  const std::vector<std::string> saps{"sap1", "sap2", "sap3"};
+  struct Installed {
+    ServiceGraph sg;
+    Mapping mapping;
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const Nffg pristine = shared_line();
+    Nffg view = pristine;
+    std::vector<Installed> installed;
+    for (int k = 0; k < 10; ++k) {
+      const std::size_t in = rng.next_below(saps.size());
+      const std::size_t out = (in + 1 + rng.next_below(2)) % saps.size();
+      std::vector<std::string> chain(
+          static_cast<std::size_t>(rng.next_int(1, 3)));
+      for (std::string& type : chain) type = types[rng.next_below(3)];
+      const auto bandwidth = static_cast<double>(rng.next_int(1, 50));
+      ServiceGraph sg = sg::make_chain("svc" + std::to_string(k), saps[in],
+                                       chain, saps[out], bandwidth, 100);
+      auto mapping = ChainDpMapper().map(sg, view, cat);
+      if (!mapping.ok()) continue;
+      ASSERT_TRUE(install_mapping(view, sg, cat, *mapping).ok());
+      installed.push_back({std::move(sg), *std::move(mapping)});
+    }
+    ASSERT_GE(installed.size(), 6u) << "seed " << seed;
+
+    std::vector<std::size_t> order(installed.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    for (std::size_t i = order.size() - 1; i > 0; --i) {
+      std::swap(order[i], order[rng.next_below(i + 1)]);
+    }
+    const auto leaving = static_cast<std::size_t>(
+        rng.next_int(1, static_cast<std::int64_t>(order.size())));
+    std::vector<bool> alive(installed.size(), true);
+    for (std::size_t step = 0; step < leaving; ++step) {
+      const Installed& gone = installed[order[step]];
+      if (step == 0) {
+        const auto& [nf_id, host] = *gone.mapping.nf_host.begin();
+        const auto& rules = view.find_bisbis(host)->flowrules;
+        const auto attached = std::find_if(
+            rules.begin(), rules.end(), [&](const model::Flowrule& fr) {
+              return fr.in.node == nf_id || fr.out.node == nf_id;
+            });
+        ASSERT_NE(attached, rules.end()) << "seed " << seed;
+        ASSERT_TRUE(view.remove_flowrule(host, attached->id).ok());
+      }
+      const auto removed = uninstall_mapping(view, gone.sg, gone.mapping);
+      ASSERT_TRUE(removed.ok())
+          << "seed " << seed << ": " << removed.error().to_string();
+      alive[order[step]] = false;
+
+      Nffg fresh = pristine;
+      for (std::size_t i = 0; i < installed.size(); ++i) {
+        if (!alive[i]) continue;
+        ASSERT_TRUE(install_mapping(fresh, installed[i].sg, cat,
+                                    installed[i].mapping)
+                        .ok());
+      }
+      ASSERT_TRUE(view == fresh) << "seed " << seed << " step " << step;
+    }
+  }
+}
+
+TEST(UninstallMapping, FailedUninstallLeavesViewUnchanged) {
+  const NfCatalog cat = catalog::default_catalog();
+  Nffg view = line_substrate();
+  const ServiceGraph sg = fw_nat_chain();
+  const auto mapping = ChainDpMapper().map(sg, view, cat);
+  ASSERT_TRUE(mapping.ok());
+  ASSERT_TRUE(install_mapping(view, sg, cat, *mapping).ok());
+  const Nffg before = view;
+
+  // Each fault sits last in map order, behind SG links and NFs that an
+  // uninstall would otherwise have released already.
+  Mapping ghost_link = *mapping;
+  ghost_link.link_paths.rbegin()->second.links = {"ghost"};
+  Mapping ghost_sg_link = *mapping;
+  ghost_sg_link.link_paths["zz"] = PathInfo{};
+  Mapping ghost_nf = *mapping;
+  ghost_nf.nf_host["zz"] = "bb1";
+  for (const Mapping* broken : {&ghost_link, &ghost_sg_link, &ghost_nf}) {
+    const auto removed = uninstall_mapping(view, sg, *broken);
+    ASSERT_FALSE(removed.ok());
+    EXPECT_EQ(removed.error().code, ErrorCode::kNotFound)
+        << removed.error().to_string();
+    EXPECT_TRUE(view == before) << removed.error().to_string();
+  }
+  EXPECT_EQ(uninstall_mapping(view, sg, ghost_link).error().message,
+            "substrate link ghost");
+  ASSERT_TRUE(uninstall_mapping(view, sg, *mapping).ok());
+  EXPECT_TRUE(view == line_substrate());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "model/nffg_builder.h"
+#include "model/nffg_json.h"
 
 namespace unify::model {
 namespace {
@@ -263,6 +264,54 @@ TEST(Nffg, AddFlowrulesChecksInRuleOrderAndIsAllOrNothing) {
   EXPECT_EQ(rules[1].id, "a");
   EXPECT_EQ(rules[2].id, "b");
   EXPECT_TRUE(g.add_flowrules("bb1", {}).ok());
+}
+
+TEST(Nffg, AddHintsChecksInOrderAndIsAllOrNothing) {
+  Nffg g = two_node_graph();
+  ASSERT_TRUE(g.add_hint(ServiceHint{"h1", "sap1", "sap2", 5, 0}).ok());
+  const auto hint = [](std::string id, std::string to = "sap2") {
+    return ServiceHint{std::move(id), "sap1", std::move(to), 5, 0};
+  };
+  const auto first_error = [&](std::vector<ServiceHint> hints) {
+    const auto added = g.add_hints(std::move(hints));
+    EXPECT_FALSE(added.ok());
+    return added.ok() ? Error{} : added.error();
+  };
+
+  // The first failing hint decides the error, whatever comes after it.
+  Error e = first_error({hint("a"), hint("h1"), hint("b", "ghost")});
+  EXPECT_EQ(e.code, ErrorCode::kAlreadyExists);
+  EXPECT_EQ(e.message, "hint h1");
+  e = first_error({hint("a"), hint("b", "ghost"), hint("h1")});
+  EXPECT_EQ(e.code, ErrorCode::kNotFound);
+  EXPECT_EQ(e.message, "hint SAP ghost");
+  // A repeat inside the batch is a duplicate at its second occurrence.
+  e = first_error({hint("a"), hint("b"), hint("a", "ghost")});
+  EXPECT_EQ(e.code, ErrorCode::kAlreadyExists);
+  EXPECT_EQ(e.message, "hint a");
+  e = first_error({hint("a"), hint(""), hint("h1")});
+  EXPECT_EQ(e.code, ErrorCode::kInvalidArgument);
+  EXPECT_EQ(e.message, "hint id must not be empty");
+  // Failed batches left the config as it was.
+  ASSERT_EQ(g.hints().size(), 1u);
+
+  ASSERT_TRUE(g.add_hints({hint("a"), hint("b")}).ok());
+  ASSERT_EQ(g.hints().size(), 3u);
+  EXPECT_EQ(g.hints()[1].id, "a");
+  EXPECT_EQ(g.hints()[2].id, "b");
+  EXPECT_TRUE(g.add_hints({}).ok());
+  EXPECT_EQ(g.add_hint(hint("b")).error().message, "hint b");
+
+  // The JSON decoder attaches a config's hints as one batch: a repeated id
+  // still fails there.
+  std::string wire = to_json_string(g);
+  const std::string b_id = "\"id\":\"b\"";
+  ASSERT_NE(wire.find(b_id), std::string::npos);
+  wire.replace(wire.find(b_id), b_id.size(), "\"id\":\"a\"");
+  const auto decoded = nffg_from_json_string(wire);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().code, ErrorCode::kAlreadyExists);
+  EXPECT_EQ(decoded.error().message, "hint a");
 }
 
 TEST(Nffg, RemoveNfDropsItsFlowrules) {

@@ -633,5 +633,91 @@ TEST(ServiceLayer, SubmitRejectsIdOfDegradedService) {
   EXPECT_FALSE(handle->last_config().find_nf("svc.dpi0").has_value());
 }
 
+/// The config a push of `layer`'s books must equal, built from scratch: a
+/// fresh prefix_elements of every active record, merged in id order.
+model::Nffg fresh_config(ServiceLayer& layer) {
+  sg::ServiceGraph merged{"active-services"};
+  for (const auto& [id, request] : layer.requests()) {
+    if (request.state != RequestState::kDeployed &&
+        request.state != RequestState::kDegraded) {
+      continue;
+    }
+    const sg::ServiceGraph prefixed = prefix_elements(request.graph, id);
+    for (const auto& [sap_id, name] : prefixed.saps()) {
+      if (!merged.has_sap(sap_id)) (void)merged.add_sap(sap_id, name);
+    }
+    for (const auto& [nf_id, nf] : prefixed.nfs()) {
+      EXPECT_TRUE(merged.add_nf(nf).ok());
+    }
+    for (const sg::SgLink& link : prefixed.links()) {
+      EXPECT_TRUE(merged.add_link(link).ok());
+    }
+    for (const sg::E2eRequirement& req : prefixed.requirements()) {
+      EXPECT_TRUE(merged.add_requirement(req).ok());
+    }
+    for (const sg::PlacementConstraint& c : prefixed.constraints()) {
+      EXPECT_TRUE(merged.add_constraint(c).ok());
+    }
+  }
+  const auto view = layer.view();
+  EXPECT_TRUE(view.ok());
+  auto config = core::service_graph_to_config(merged, *view, "big");
+  EXPECT_TRUE(config.ok()) << config.error().to_string();
+  return config.ok() ? *std::move(config) : model::Nffg{};
+}
+
+TEST(ServiceLayer, PrefixedGraphsFollowEveryGraphChange) {
+  StatusClient* handle = nullptr;
+  const auto layer = status_layer(&handle);
+  const auto expect_fresh = [&](const char* step) {
+    for (const auto& [id, request] : layer->requests()) {
+      EXPECT_EQ(request.prefixed, prefix_elements(request.graph, id))
+          << step << ": " << id;
+    }
+    EXPECT_TRUE(handle->last_config() == fresh_config(*layer)) << step;
+  };
+  ASSERT_TRUE(layer
+                  ->submit_batch({sg::make_chain("a", "sap1", {"nat"}, "sap2",
+                                                 10, 100),
+                                  sg::make_chain("b", "sap1",
+                                                 {"monitor", "nat"}, "sap2",
+                                                 20, 100)})[1]
+                  .ok());
+  expect_fresh("wave");
+
+  // An update whose push fails is restored: the restore push and every
+  // later one carry the previous version of "a".
+  const sg::ServiceGraph original = layer->requests().at("a").graph;
+  handle->lose_next_ack();
+  ASSERT_FALSE(
+      layer->update(sg::make_chain("a", "sap1", {"dpi"}, "sap2", 30, 100))
+          .ok());
+  EXPECT_EQ(layer->requests().at("a").graph, original);
+  expect_fresh("restored update");
+  ASSERT_TRUE(
+      layer->update(sg::make_chain("a", "sap1", {"fw-lite"}, "sap2", 40, 100))
+          .ok());
+  EXPECT_TRUE(handle->last_config().find_nf("a.fw-lite0").has_value());
+  expect_fresh("landed update");
+
+  // A failed id is reusable: the new graph replaces the old record's.
+  handle->lose_next_ack();
+  ASSERT_FALSE(
+      layer->submit(sg::make_chain("f", "sap1", {"nat"}, "sap2", 10, 100))
+          .ok());
+  ASSERT_EQ(layer->requests().at("f").state, RequestState::kFailed);
+  expect_fresh("failed submit");
+  ASSERT_TRUE(layer
+                  ->submit(sg::make_chain("f", "sap1", {"monitor", "dpi"},
+                                          "sap2", 15, 100))
+                  .ok());
+  EXPECT_TRUE(handle->last_config().find_nf("f.dpi1").has_value());
+  EXPECT_FALSE(handle->last_config().find_nf("f.nat0").has_value());
+  expect_fresh("resubmitted id");
+
+  ASSERT_TRUE(layer->remove("b").ok());
+  expect_fresh("removal");
+}
+
 }  // namespace
 }  // namespace unify::service

@@ -1,7 +1,9 @@
 #include "model/nffg.h"
 
 #include <algorithm>
+#include <array>
 #include <iterator>
+#include <memory_resource>
 #include <string_view>
 #include <unordered_map>
 
@@ -385,9 +387,13 @@ Result<void> Nffg::add_hint(ServiceHint hint) {
 
 Result<void> Nffg::add_hints(std::vector<ServiceHint> hints) {
   // id -> index of its first hint in the batch, or kTaken when the config
-  // already holds that id (the add_flowrules scheme).
+  // already holds that id (the add_flowrules scheme). The set lives in a
+  // stack arena: a decoded config's few hints then cost no heap
+  // allocation per id, which the linear scan this replaced did not pay.
   constexpr std::size_t kTaken = static_cast<std::size_t>(-1);
-  std::unordered_map<std::string_view, std::size_t> first;
+  std::array<std::byte, 4096> arena;
+  std::pmr::monotonic_buffer_resource pool{arena.data(), arena.size()};
+  std::pmr::unordered_map<std::string_view, std::size_t> first{&pool};
   first.reserve(hints.size());
   for (std::size_t i = 0; i < hints.size(); ++i) {
     first.emplace(hints[i].id, i);

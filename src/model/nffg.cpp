@@ -388,8 +388,8 @@ Result<void> Nffg::add_hint(ServiceHint hint) {
 Result<void> Nffg::add_hints(std::vector<ServiceHint> hints) {
   // id -> index of its first hint in the batch, or kTaken when the config
   // already holds that id (the add_flowrules scheme). The set lives in a
-  // stack arena: a decoded config's few hints then cost no heap
-  // allocation per id, which the linear scan this replaced did not pay.
+  // stack arena so that a decoded config's few hints, which every
+  // get-config reply carries, cost no heap allocation per id.
   constexpr std::size_t kTaken = static_cast<std::size_t>(-1);
   std::array<std::byte, 4096> arena;
   std::pmr::monotonic_buffer_resource pool{arena.data(), arena.size()};

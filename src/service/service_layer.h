@@ -64,7 +64,7 @@ struct ServiceRequest {
   std::string error;  ///< set when state == kFailed / kDegraded / kShed
   /// prefix_elements(graph, id): the request as every push carries it,
   /// built once whenever the layer sets `graph`.
-  sg::ServiceGraph prefixed = {};
+  sg::ServiceGraph prefixed;
 };
 
 /// Knobs of the overload-safe admission lifecycle (enqueue()/pump()).

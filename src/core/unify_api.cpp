@@ -11,11 +11,22 @@ UnifyServer::UnifyServer(Virtualizer& virtualizer,
       peer_(std::move(transport), std::move(name)) {
   peer_.on_request(
       "get-config",
-      [this](const json::Value&) -> Result<json::Value> {
+      [this](const json::Value& params) -> Result<json::Value> {
+        json::Object out;
+        // Conditional get: a caller that already holds the current reply
+        // gets its tag confirmed instead of a fresh render.
+        if (const json::Value* seen = params.get("if-none-match");
+            seen != nullptr && seen->is_string() &&
+            seen->as_string() == virtualizer_->config_tag()) {
+          out.set("unchanged", true);
+          return json::Value{std::move(out)};
+        }
         UNIFY_ASSIGN_OR_RETURN(const model::Nffg config,
                                virtualizer_->get_config());
-        json::Object out;
         out.set("config", model::to_json(config));
+        // Read after get_config(): its first call renders the skeleton,
+        // which moves the tag.
+        out.set("tag", virtualizer_->config_tag());
         return json::Value{std::move(out)};
       });
   peer_.on_request(
@@ -63,15 +74,33 @@ UnifyClientAdapter::UnifyClientAdapter(
       rpc_timeout_us_(rpc_timeout_us) {}
 
 Result<model::Nffg> UnifyClientAdapter::fetch_view() {
+  // A new transport may reach another virtualizer whose counters happen
+  // to give the same tag: a kept reply never outlives its transport.
+  const std::uint64_t reconnects = session_.reconnects();
+  if (kept_.has_value() && kept_->reconnects != reconnects) kept_.reset();
+  json::Object params;
+  if (kept_.has_value()) params.set("if-none-match", kept_->tag);
   UNIFY_ASSIGN_OR_RETURN(
-      const json::Value reply,
-      session_.call_and_wait("get-config", json::Value{json::Object{}},
+      json::Value reply,
+      session_.call_and_wait("get-config", json::Value{std::move(params)},
                              rpc_timeout_us_));
-  const json::Value* config = reply.get("config");
+  if (kept_.has_value() && reply.get_bool("unchanged")) {
+    ++get_config_hits_;
+    return model::nffg_from_json(kept_->config);
+  }
+  json::Value* config =
+      reply.is_object() ? reply.as_object().find("config") : nullptr;
   if (config == nullptr) {
     return Error{ErrorCode::kProtocol, "get-config reply missing config"};
   }
-  return model::nffg_from_json(*config);
+  const json::Value* tag = reply.get("tag");
+  if (tag == nullptr || !tag->is_string()) {
+    // A server without conditional get: nothing to revalidate against.
+    kept_.reset();
+    return model::nffg_from_json(*config);
+  }
+  kept_ = KeptReply{std::move(*config), tag->as_string(), reconnects};
+  return model::nffg_from_json(kept_->config);
 }
 
 Result<adapters::PushTicket> UnifyClientAdapter::begin_apply(

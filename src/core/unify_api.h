@@ -3,8 +3,16 @@
 // interface").
 //
 // Methods (JSON-RPC over a framed transport):
-//   get-config   {}                      -> {"config": <NFFG>}
+//   get-config   {}                      -> {"config": <NFFG>, "tag": <tag>}
+//                {"if-none-match": <tag>} -> {"unchanged": true} when <tag>
+//                                           is Virtualizer::config_tag(),
+//                                           else the full reply above
 //   edit-config  {"config": <NFFG>}      -> {}
+//
+// get-config is conditional (DESIGN.md §13): a caller that sends the tag
+// of the reply it holds gets "unchanged" instead of a fresh render. A
+// server without it ignores the param and omits "tag"; a client without
+// it sends none; either way the full reply flows.
 //
 // UnifyServer exposes a Virtualizer northbound. UnifyClientAdapter makes a
 // remote UNIFY domain look like any other DomainAdapter to the RO above —
@@ -72,7 +80,15 @@ class UnifyClientAdapter final : public adapters::DomainAdapter {
   [[nodiscard]] const std::string& domain() const noexcept override {
     return domain_;
   }
+  /// get-config, conditional on the last reply: keeps that reply's config
+  /// and tag, sends the tag as "if-none-match" and decodes the kept config
+  /// when the server answers "unchanged". Keeps nothing from a reply
+  /// without a tag, and drops what it kept when the session reconnects.
   [[nodiscard]] Result<model::Nffg> fetch_view() override;
+  /// fetch_view() calls answered "unchanged" from the kept reply.
+  [[nodiscard]] std::uint64_t get_config_hits() const noexcept {
+    return get_config_hits_;
+  }
 
   /// Native transactional push: begin_apply issues the edit-config RPC and
   /// returns immediately; await drives the transport until the child's
@@ -125,6 +141,15 @@ class UnifyClientAdapter final : public adapters::DomainAdapter {
   };
   std::optional<InflightPush> inflight_;
   std::uint64_t next_push_id_ = 1;
+  /// The last tagged get-config reply: its config, moved out of the reply,
+  /// its tag and the session's reconnect count when it arrived.
+  struct KeptReply {
+    json::Value config;
+    std::string tag;
+    std::uint64_t reconnects = 0;
+  };
+  std::optional<KeptReply> kept_;
+  std::uint64_t get_config_hits_ = 0;
   std::vector<std::shared_ptr<void>> dependencies_;
 };
 

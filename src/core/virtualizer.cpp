@@ -210,6 +210,7 @@ Result<void> Virtualizer::ensure_skeleton() {
     skeleton_ = std::move(view);
   }
   accepted_ = *skeleton_;
+  ++accepted_version_;
   return Result<void>::success();
 }
 
@@ -264,6 +265,11 @@ Result<model::Nffg> Virtualizer::get_config() {
     }
   }
   return out;
+}
+
+std::string Virtualizer::config_tag() const {
+  return std::to_string(accepted_version_) + "." +
+         std::to_string(ro_->view_state().epoch());
 }
 
 std::vector<std::string> Virtualizer::active_requests() const {
@@ -438,6 +444,7 @@ Result<void> Virtualizer::edit_config(const model::Nffg& desired) {
 
   // What was accepted is the desired config minus the failed elements.
   accepted_ = failure.has_value() ? without(desired, failed_ids) : desired;
+  ++accepted_version_;
   UNIFY_LOG(kInfo, "orch.virt")
       << ro_->name() << ": edit-config accepted (" << services_.size()
       << " active services, " << failed_ids.size() << " elements failed)";

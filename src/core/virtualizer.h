@@ -50,6 +50,14 @@ class Virtualizer {
   /// running iff all its components are).
   [[nodiscard]] Result<model::Nffg> get_config();
 
+  /// Names the reply get_config() gives now, without rendering it: the
+  /// version of the accepted config and the RO view epoch, e.g. "3.17".
+  /// get_config() reads only the accepted config and the RO's NF
+  /// statuses, and every write to either moves one of the two counters,
+  /// so an unchanged tag means an unchanged reply. Deterministic: the
+  /// same sequence of operations gives the same tags.
+  [[nodiscard]] std::string config_tag() const;
+
   /// Accepts a full desired configuration over the view. When some new
   /// components fail (they do not map, or a failed southbound push rolled
   /// them back), the others stay deployed and the error carries the first
@@ -91,6 +99,8 @@ class Virtualizer {
   std::string big_node_id_;
   std::optional<model::Nffg> skeleton_;
   model::Nffg accepted_;  ///< last accepted client config
+  /// Bumped on every assignment of accepted_ (config_tag()).
+  std::uint64_t accepted_version_ = 0;
   /// RO request id -> the component deployed under it.
   std::map<std::string, Component> services_;
   /// Client NF, link and requirement id -> RO request id of each component

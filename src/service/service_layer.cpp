@@ -387,6 +387,7 @@ void ServiceLayer::commit(const std::vector<sg::ServiceGraph>& requests,
             ServiceRequest& request = requests_.at(requests[i].id());
             request.state = RequestState::kFailed;
             request.error = cause.to_string();
+            request.prefixed = sg::ServiceGraph{};
           }
           // The layer below already runs the books, unless a failed request
           // got part of itself deployed (another of its components).
@@ -404,6 +405,7 @@ void ServiceLayer::commit(const std::vector<sg::ServiceGraph>& requests,
           ServiceRequest& request = requests_.at(requests[i].id());
           request.state = RequestState::kFailed;
           request.error = error.to_string();
+          request.prefixed = sg::ServiceGraph{};
         }
         return true;
       },
@@ -430,7 +432,9 @@ void ServiceLayer::record_outcome(const AdmissionEntry& entry,
                                   RequestState state, std::string error) {
   ServiceRequest& request = requests_[entry.graph.id()];
   request.id = entry.graph.id();
-  set_graph(request, entry.graph);
+  // Not active, so merged_active() never reads its prefixed copy.
+  request.graph = entry.graph;
+  request.prefixed = sg::ServiceGraph{};
   request.state = state;
   request.error = std::move(error);
 }

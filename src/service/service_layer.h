@@ -63,7 +63,8 @@ struct ServiceRequest {
   RequestState state = RequestState::kDeployed;
   std::string error;  ///< set when state == kFailed / kDegraded / kShed
   /// prefix_elements(graph, id): the request as every push carries it,
-  /// built once whenever the layer sets `graph`.
+  /// built once whenever the record becomes active (kDeployed). Empty in
+  /// every other state: merged_active() reads only active records.
   sg::ServiceGraph prefixed;
 };
 
@@ -267,7 +268,7 @@ class ServiceLayer {
   /// Records a terminal admission outcome (kShed/kFailed) for `entry`.
   void record_outcome(const AdmissionEntry& entry, RequestState state,
                       std::string error);
-  /// The one place a record's graph is set: stores `graph` and builds its
+  /// Sets an active record's graph: stores `graph` and builds its
   /// prefixed copy for merged_active(). `request.id` must be set.
   static void set_graph(ServiceRequest& request, sg::ServiceGraph graph);
   /// Union of the prefixed graphs of every active record.

@@ -183,12 +183,22 @@ TEST(UnifyTcpE2e, HundredConcurrentSessionsMatchInMemoryByteForByte) {
   }
 
   // Every manager session reads the same child config — byte-identical to
-  // what the in-memory channel produced.
-  for (auto& manager : managers) {
-    auto view = manager->fetch_view();
-    ASSERT_TRUE(view.ok()) << view.error().to_string();
-    EXPECT_EQ(model::to_json(*view).dump(), expected_initial);
-  }
+  // what the in-memory channel produced — twice. Nothing is written in
+  // between, so the second read is a conditional-get hit decoded from the
+  // kept reply, and it must equal the first byte for byte.
+  const auto read_twice = [](UnifyClientAdapter& manager,
+                             const std::string& expected) {
+    const std::uint64_t hits = manager.get_config_hits();
+    auto first = manager.fetch_view();
+    ASSERT_TRUE(first.ok()) << first.error().to_string();
+    const std::string bytes = model::to_json(*first).dump();
+    EXPECT_EQ(bytes, expected);
+    auto second = manager.fetch_view();
+    ASSERT_TRUE(second.ok()) << second.error().to_string();
+    EXPECT_EQ(manager.get_config_hits(), hits + 1);
+    EXPECT_EQ(model::to_json(*second).dump(), bytes);
+  };
+  for (auto& manager : managers) read_twice(*manager, expected_initial);
 
   // All sessions push the same edit-config concurrently: the requests are
   // all on the wire before the first acknowledgment is awaited. The server
@@ -207,12 +217,9 @@ TEST(UnifyTcpE2e, HundredConcurrentSessionsMatchInMemoryByteForByte) {
                              << pushed.error().to_string();
   }
 
-  // Post-edit state is identical across all sessions and to the reference.
-  for (auto& manager : managers) {
-    auto view = manager->fetch_view();
-    ASSERT_TRUE(view.ok()) << view.error().to_string();
-    EXPECT_EQ(model::to_json(*view).dump(), expected_after_edit);
-  }
+  // Post-edit state is identical across all sessions and to the reference;
+  // the edits moved the tag, so each first read is a full reply again.
+  for (auto& manager : managers) read_twice(*manager, expected_after_edit);
 
   EXPECT_GE(server.peak_sessions(), static_cast<std::uint64_t>(kSessions));
 

@@ -669,9 +669,14 @@ model::Nffg fresh_config(ServiceLayer& layer) {
 TEST(ServiceLayer, PrefixedGraphsFollowEveryGraphChange) {
   StatusClient* handle = nullptr;
   const auto layer = status_layer(&handle);
+  // An active record holds its prefixed graph; every other record holds
+  // an empty one, since no push reads it.
   const auto expect_fresh = [&](const char* step) {
     for (const auto& [id, request] : layer->requests()) {
-      EXPECT_EQ(request.prefixed, prefix_elements(request.graph, id))
+      const bool active = request.state == RequestState::kDeployed ||
+                          request.state == RequestState::kDegraded;
+      EXPECT_EQ(request.prefixed, active ? prefix_elements(request.graph, id)
+                                         : sg::ServiceGraph{})
           << step << ": " << id;
     }
     EXPECT_TRUE(handle->last_config() == fresh_config(*layer)) << step;
@@ -717,6 +722,26 @@ TEST(ServiceLayer, PrefixedGraphsFollowEveryGraphChange) {
 
   ASSERT_TRUE(layer->remove("b").ok());
   expect_fresh("removal");
+
+  // The admission lifecycle: queued, then parked on a lost ack, then
+  // readmitted by the retry backstop and deployed.
+  ASSERT_TRUE(
+      layer->enqueue(sg::make_chain("q", "sap1", {"nat"}, "sap2", 10, 100), 0)
+          .ok());
+  ASSERT_EQ(layer->requests().at("q").state, RequestState::kQueued);
+  expect_fresh("queued");
+  handle->lose_next_ack();
+  ASSERT_EQ(layer->pump(0).postponed, 1u);
+  ASSERT_EQ(layer->requests().at("q").state, RequestState::kPostponed);
+  expect_fresh("postponed");
+  for (int i = 0; i < 8 && layer->requests().at("q").state !=
+                               RequestState::kDeployed;
+       ++i) {
+    (void)layer->pump(0);
+  }
+  ASSERT_EQ(layer->requests().at("q").state, RequestState::kDeployed);
+  EXPECT_TRUE(handle->last_config().find_nf("q.nat0").has_value());
+  expect_fresh("readmitted");
 }
 
 }  // namespace

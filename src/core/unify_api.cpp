@@ -75,18 +75,21 @@ UnifyClientAdapter::UnifyClientAdapter(
 
 Result<model::Nffg> UnifyClientAdapter::fetch_view() {
   // A new transport may reach another virtualizer whose counters happen
-  // to give the same tag: a kept reply never outlives its transport.
+  // to give the same tag: nothing learnt from a reply outlives its
+  // transport.
   const std::uint64_t reconnects = session_.reconnects();
-  if (kept_.has_value() && kept_->reconnects != reconnects) kept_.reset();
+  if (last_.has_value() && last_->reconnects != reconnects) last_.reset();
+  const bool revalidate = last_.has_value() && last_->config.has_value();
   json::Object params;
-  if (kept_.has_value()) params.set("if-none-match", kept_->tag);
+  if (revalidate) params.set("if-none-match", last_->tag);
   UNIFY_ASSIGN_OR_RETURN(
       json::Value reply,
       session_.call_and_wait("get-config", json::Value{std::move(params)},
                              rpc_timeout_us_));
-  if (kept_.has_value() && reply.get_bool("unchanged")) {
+  if (revalidate && reply.get_bool("unchanged")) {
     ++get_config_hits_;
-    return model::nffg_from_json(kept_->config);
+    last_->hit = true;
+    return model::nffg_from_json(*last_->config);
   }
   json::Value* config =
       reply.is_object() ? reply.as_object().find("config") : nullptr;
@@ -96,11 +99,19 @@ Result<model::Nffg> UnifyClientAdapter::fetch_view() {
   const json::Value* tag = reply.get("tag");
   if (tag == nullptr || !tag->is_string()) {
     // A server without conditional get: nothing to revalidate against.
-    kept_.reset();
+    last_.reset();
     return model::nffg_from_json(*config);
   }
-  kept_ = KeptReply{std::move(*config), tag->as_string(), reconnects};
-  return model::nffg_from_json(kept_->config);
+  // Keep the config only where the next get is likely to hit: on the
+  // first reply, after a hit, or when this reply repeats the last tag. A
+  // reader whose every get follows a change keeps nothing alive between
+  // its gets.
+  const bool keep = !last_.has_value() || last_->hit ||
+                    last_->tag == tag->as_string();
+  last_ = LastReply{tag->as_string(), std::nullopt, reconnects, false};
+  if (!keep) return model::nffg_from_json(*config);
+  last_->config = std::move(*config);
+  return model::nffg_from_json(*last_->config);
 }
 
 Result<adapters::PushTicket> UnifyClientAdapter::begin_apply(

@@ -80,10 +80,12 @@ class UnifyClientAdapter final : public adapters::DomainAdapter {
   [[nodiscard]] const std::string& domain() const noexcept override {
     return domain_;
   }
-  /// get-config, conditional on the last reply: keeps that reply's config
-  /// and tag, sends the tag as "if-none-match" and decodes the kept config
-  /// when the server answers "unchanged". Keeps nothing from a reply
-  /// without a tag, and drops what it kept when the session reconnects.
+  /// get-config, conditional on the last reply: sends the tag of a kept
+  /// config as "if-none-match" and decodes the kept config when the server
+  /// answers "unchanged". A config is kept (moved out of its reply) on the
+  /// first tagged reply, after a hit, or when the tag repeats the last
+  /// one. Nothing is kept from a reply without a tag, and nothing survives
+  /// a reconnect.
   [[nodiscard]] Result<model::Nffg> fetch_view() override;
   /// fetch_view() calls answered "unchanged" from the kept reply.
   [[nodiscard]] std::uint64_t get_config_hits() const noexcept {
@@ -141,14 +143,16 @@ class UnifyClientAdapter final : public adapters::DomainAdapter {
   };
   std::optional<InflightPush> inflight_;
   std::uint64_t next_push_id_ = 1;
-  /// The last tagged get-config reply: its config, moved out of the reply,
-  /// its tag and the session's reconnect count when it arrived.
-  struct KeptReply {
-    json::Value config;
+  /// The last tagged get-config reply: its tag, its config when kept, the
+  /// session's reconnect count when it arrived, and whether a later get
+  /// was answered "unchanged" from it.
+  struct LastReply {
     std::string tag;
+    std::optional<json::Value> config;
     std::uint64_t reconnects = 0;
+    bool hit = false;
   };
-  std::optional<KeptReply> kept_;
+  std::optional<LastReply> last_;
   std::uint64_t get_config_hits_ = 0;
   std::vector<std::shared_ptr<void>> dependencies_;
 };

@@ -411,6 +411,46 @@ TEST(UnifyConditionalGet, ServerWithoutTagsKeepsWorking) {
   EXPECT_EQ(params_seen, std::vector<std::string>(3, "{}"));
 }
 
+TEST(UnifyConditionalGet, KeepsAConfigOnlyWhileGetsRepeat) {
+  SimClock clock;
+  Stack stack(ViewPolicy::kSingleBisBis);
+  Virtualizer& virt = *stack.virtualizer;
+  auto reader = make_unify_link(virt, clock, "reader");
+  const auto read = [&] {
+    const auto view = reader->fetch_view();
+    ASSERT_TRUE(view.ok()) << view.error().to_string();
+    EXPECT_EQ(model::to_json(*view).dump(), stack.fresh());
+  };
+  int next_chain = 0;
+  const auto change = [&] {
+    model::Nffg config = *virt.get_config();
+    const std::string id = "c" + std::to_string(next_chain++);
+    add_chain(config, Chain{id, virt.big_node_id(), "sap0", "sap2", {id}}, 5,
+              false);
+    ASSERT_TRUE(virt.edit_config(config).ok());
+  };
+
+  // The first reply is kept; after that, every get follows a change and
+  // the reader stops keeping.
+  read();
+  for (int i = 0; i < 3; ++i) {
+    change();
+    read();
+  }
+  EXPECT_EQ(reader->get_config_hits(), 0u);
+  // So this get, although nothing changed, is a full reply. It repeats
+  // the last tag, so its config is kept and the next get hits.
+  read();
+  EXPECT_EQ(reader->get_config_hits(), 0u);
+  read();
+  EXPECT_EQ(reader->get_config_hits(), 1u);
+  // After a hit, a new reply is kept straight away.
+  change();
+  read();
+  read();
+  EXPECT_EQ(reader->get_config_hits(), 2u);
+}
+
 TEST(UnifyConditionalGet, EditThatFailsAsAWholeKeepsRepliesRight) {
   SimClock clock;
   Stack stack(ViewPolicy::kSingleBisBis);

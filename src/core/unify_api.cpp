@@ -1,5 +1,6 @@
 #include "core/unify_api.h"
 
+#include "model/nffg_delta.h"
 #include "model/nffg_json.h"
 
 namespace unify::core {
@@ -32,14 +33,32 @@ UnifyServer::UnifyServer(Virtualizer& virtualizer,
   peer_.on_request(
       "edit-config",
       [this](const json::Value& params) -> Result<json::Value> {
-        const json::Value* config_json = params.get("config");
-        if (config_json == nullptr) {
+        json::Object out;
+        std::optional<model::Nffg> desired;
+        if (const json::Value* delta_json = params.get("delta")) {
+          // Conditional edit: the delta applies only to the accepted
+          // config the caller named.
+          const json::Value* base = params.get("if-match");
+          if (base == nullptr || !base->is_string()) {
+            return Error{ErrorCode::kProtocol, "a delta needs if-match"};
+          }
+          if (base->as_string() !=
+              std::to_string(virtualizer_->accepted_version())) {
+            out.set("stale", true);
+            return json::Value{std::move(out)};
+          }
+          UNIFY_ASSIGN_OR_RETURN(model::NffgDelta delta,
+                                 model::nffg_delta_from_json(*delta_json));
+          desired = virtualizer_->accepted_config();
+          UNIFY_RETURN_IF_ERROR(model::apply_delta(*desired, std::move(delta)));
+        } else if (const json::Value* config_json = params.get("config")) {
+          UNIFY_ASSIGN_OR_RETURN(desired, model::nffg_from_json(*config_json));
+        } else {
           return Error{ErrorCode::kProtocol, "edit-config needs a config"};
         }
-        UNIFY_ASSIGN_OR_RETURN(const model::Nffg desired,
-                               model::nffg_from_json(*config_json));
-        UNIFY_RETURN_IF_ERROR(virtualizer_->edit_config(desired));
-        return json::Value{json::Object{}};
+        UNIFY_RETURN_IF_ERROR(virtualizer_->edit_config(*desired));
+        out.set("accepted", std::to_string(virtualizer_->accepted_version()));
+        return json::Value{std::move(out)};
       });
 }
 
@@ -114,20 +133,59 @@ Result<model::Nffg> UnifyClientAdapter::fetch_view() {
   return model::nffg_from_json(*last_->config);
 }
 
+Result<UnifyClientAdapter::ReplySlot> UnifyClientAdapter::send_edit(
+    json::Object params) {
+  auto slot = std::make_shared<std::optional<Result<json::Value>>>();
+  UNIFY_RETURN_IF_ERROR(session_.call(
+      "edit-config", json::Value{std::move(params)},
+      [slot](Result<json::Value> reply) { *slot = std::move(reply); },
+      rpc_timeout_us_));
+  return slot;
+}
+
+Result<json::Value> UnifyClientAdapter::wait_for(const ReplySlot& slot) {
+  // Drive the transport until the child's acknowledgment (or the RPC
+  // deadline) fires — simulated timers for channels, the epoll reactor
+  // for sockets. Over a channel this is where the child stack runs.
+  while (!slot->has_value() && session_.driver().pump()) {
+  }
+  if (!slot->has_value()) {
+    return Error{ErrorCode::kUnavailable,
+                 "driver idle with push still open (peer gone?)"};
+  }
+  return std::move(**slot);
+}
+
 Result<adapters::PushTicket> UnifyClientAdapter::begin_apply(
     const model::Nffg& desired) {
   if (inflight_.has_value()) {
     return Error{ErrorCode::kUnavailable,
                  "push already in flight in domain " + domain_};
   }
+  // As with get-config's kept reply, nothing learnt from a reply outlives
+  // its transport.
+  const std::uint64_t reconnects = session_.reconnects();
+  if (accepted_.has_value() && accepted_->reconnects != reconnects) {
+    accepted_.reset();
+  }
   json::Object params;
-  params.set("config", model::to_json(desired));
-  auto slot = std::make_shared<std::optional<Result<json::Value>>>();
-  UNIFY_RETURN_IF_ERROR(session_.call(
-      "edit-config", json::Value{std::move(params)},
-      [slot](Result<json::Value> reply) { *slot = std::move(reply); },
-      rpc_timeout_us_));
-  inflight_ = InflightPush{next_push_id_++, std::move(slot)};
+  bool delta = false;
+  if (accepted_.has_value()) {
+    // A config without an exact delta (duplicate ids, say) goes whole.
+    if (auto d = model::nffg_delta(accepted_->config, desired); d.ok()) {
+      params.set("if-match", accepted_->version);
+      params.set("delta", model::to_json(*d));
+      delta = true;
+    }
+  }
+  if (!delta) params.set("config", model::to_json(desired));
+  auto slot = send_edit(std::move(params));
+  if (!slot.ok()) {
+    accepted_.reset();
+    return slot.error();
+  }
+  inflight_ = InflightPush{next_push_id_++, *std::move(slot), desired, delta,
+                           reconnects};
   return adapters::PushTicket{inflight_->id};
 }
 
@@ -137,21 +195,31 @@ Result<void> UnifyClientAdapter::await(const adapters::PushTicket& ticket) {
                  "stale push ticket " + std::to_string(ticket.id) +
                      " for domain " + domain_};
   }
-  const auto slot = inflight_->slot;
+  InflightPush push = *std::move(inflight_);
   inflight_.reset();
-  // Drive the transport until the child's acknowledgment (or the RPC
-  // deadline) fires — simulated timers for channels, the epoll reactor
-  // for sockets. Over a channel this is where the child stack runs.
-  while (!slot->has_value() && session_.driver().pump()) {
+  Result<json::Value> reply = wait_for(push.slot);
+  if (push.delta && reply.ok() && reply->get_bool("stale")) {
+    // Another writer moved the server's config since ours was accepted:
+    // nothing was applied, so send the config whole.
+    push.delta = false;
+    json::Object params;
+    params.set("config", model::to_json(push.desired));
+    auto slot = send_edit(std::move(params));
+    reply = slot.ok() ? wait_for(*slot) : Result<json::Value>{slot.error()};
   }
   // Whatever happened, the edit-config reached the wire: the child's
   // config may have changed, so this domain must not look clean.
   bump_epoch();
-  if (!slot->has_value()) {
-    return Error{ErrorCode::kUnavailable,
-                 "driver idle with push still open (peer gone?)"};
+  const json::Value* version = reply.ok() ? reply->get("accepted") : nullptr;
+  if (version != nullptr && version->is_string() &&
+      session_.reconnects() == push.reconnects) {
+    accepted_ = AcceptedConfig{std::move(push.desired), version->as_string(),
+                               push.reconnects};
+  } else {
+    accepted_.reset();
   }
-  if (!(*slot)->ok()) return (*slot)->error();
+  if (!reply.ok()) return reply.error();
+  if (push.delta) ++delta_edits_;
   return Result<void>::success();
 }
 

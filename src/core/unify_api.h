@@ -7,12 +7,23 @@
 //                {"if-none-match": <tag>} -> {"unchanged": true} when <tag>
 //                                           is Virtualizer::config_tag(),
 //                                           else the full reply above
-//   edit-config  {"config": <NFFG>}      -> {}
+//   edit-config  {"config": <NFFG>}      -> {"accepted": <version>}
+//                {"if-match": <version>,  -> {"accepted": <version>} when
+//                 "delta": <NffgDelta>}      <version> is Virtualizer::
+//                                           accepted_version(), else
+//                                           {"stale": true}, nothing applied
 //
 // get-config is conditional (DESIGN.md §13): a caller that sends the tag
 // of the reply it holds gets "unchanged" instead of a fresh render. A
 // server without it ignores the param and omits "tag"; a client without
 // it sends none; either way the full reply flows.
+//
+// edit-config is conditional too: a caller that holds the config the
+// server last accepted, and its version, sends only the delta from it
+// (model/nffg_delta.h); the server rebuilds the full config from its own
+// accepted copy and edits with that. A client sends a delta only after a
+// reply that named a version, so a server without conditional edits only
+// ever sees full configs, and a client without them ignores "accepted".
 //
 // UnifyServer exposes a Virtualizer northbound. UnifyClientAdapter makes a
 // remote UNIFY domain look like any other DomainAdapter to the RO above —
@@ -99,9 +110,22 @@ class UnifyClientAdapter final : public adapters::DomainAdapter {
   /// its domain pushes out on the same shared pool — inside that drive,
   /// which is the architecture's recursion point; over TCP the child is a
   /// separate process and the drive pumps the socket.
+  ///
+  /// edit-config is conditional on the last accepted config: once the
+  /// server has accepted a config in full and named its version, the
+  /// adapter keeps a copy and sends the next edit as the delta from it
+  /// (model/nffg_delta.h) with that version as "if-match". A "stale"
+  /// answer makes await resend the full config. The copy is dropped on
+  /// any edit error, a timeout, a reconnect, and a reply without a
+  /// version, so a server without conditional edits only ever gets full
+  /// configs.
   Result<adapters::PushTicket> begin_apply(const model::Nffg& desired) override;
   Result<void> await(const adapters::PushTicket& ticket) override;
   Result<void> apply(const model::Nffg& desired) override;
+  /// Edit-configs sent as a delta and applied (not answered "stale").
+  [[nodiscard]] std::uint64_t delta_edits() const noexcept {
+    return delta_edits_;
+  }
 
   [[nodiscard]] std::uint64_t native_operations() const noexcept override {
     return session_.counters().messages_sent;
@@ -136,13 +160,33 @@ class UnifyClientAdapter final : public adapters::DomainAdapter {
   proto::ResilientSession session_;
   const void* exclusion_key_;
   SimTime rpc_timeout_us_;
-  /// One in-flight edit-config: ticket id + where the response lands.
+  using ReplySlot = std::shared_ptr<std::optional<Result<json::Value>>>;
+  /// Issues one edit-config; its reply lands in the returned slot.
+  Result<ReplySlot> send_edit(json::Object params);
+  /// Drives the transport until `slot` is filled.
+  Result<json::Value> wait_for(const ReplySlot& slot);
+
+  /// One in-flight edit-config: ticket id, where the response lands, the
+  /// config it carries, whether it went as a delta, and the session's
+  /// reconnect count when it was sent.
   struct InflightPush {
     std::uint64_t id = 0;
-    std::shared_ptr<std::optional<Result<json::Value>>> slot;
+    ReplySlot slot;
+    model::Nffg desired;
+    bool delta = false;
+    std::uint64_t reconnects = 0;
   };
   std::optional<InflightPush> inflight_;
   std::uint64_t next_push_id_ = 1;
+  /// The last config the server accepted in full, with the version its
+  /// reply named and the session's reconnect count then.
+  struct AcceptedConfig {
+    model::Nffg config;
+    std::string version;
+    std::uint64_t reconnects = 0;
+  };
+  std::optional<AcceptedConfig> accepted_;
+  std::uint64_t delta_edits_ = 0;
   /// The last tagged get-config reply: its tag, its config when kept, the
   /// session's reconnect count when it arrived, and whether a later get
   /// was answered "unchanged" from it.

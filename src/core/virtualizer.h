@@ -10,7 +10,9 @@
 //  * kFull — the client sees the complete topology and decides placements
 //    itself; this RO only routes and enforces.
 //
-// edit-config is declarative: the client sends its full desired config.
+// edit-config is declarative: it takes the client's full desired config
+// (over the wire the client may send a delta, which UnifyServer applies
+// to accepted_config() first).
 // The virtualizer keeps one set of books: every deployed component (one RO
 // request) keeps the client-level service graph it was deployed from. An
 // edit translates the desired config once, removes every component whose
@@ -58,6 +60,18 @@ class Virtualizer {
   /// same sequence of operations gives the same tags.
   [[nodiscard]] std::string config_tag() const;
 
+  /// The config the last edit accepted (the skeleton before any edit),
+  /// without NF statuses rolled up: what a conditional edit-config's delta
+  /// applies to (DESIGN.md §13).
+  [[nodiscard]] const model::Nffg& accepted_config() const noexcept {
+    return accepted_;
+  }
+  /// Bumped whenever accepted_config() is replaced; 0 before the first
+  /// get_config/edit_config. config_tag() reads the same counter.
+  [[nodiscard]] std::uint64_t accepted_version() const noexcept {
+    return accepted_version_;
+  }
+
   /// Accepts a full desired configuration over the view. When some new
   /// components fail (they do not map, or a failed southbound push rolled
   /// them back), the others stay deployed and the error carries the first
@@ -99,7 +113,8 @@ class Virtualizer {
   std::string big_node_id_;
   std::optional<model::Nffg> skeleton_;
   model::Nffg accepted_;  ///< last accepted client config
-  /// Bumped on every assignment of accepted_ (config_tag()).
+  /// Bumped on every assignment of accepted_ (config_tag(),
+  /// accepted_version()).
   std::uint64_t accepted_version_ = 0;
   /// RO request id -> the component deployed under it.
   std::map<std::string, Component> services_;

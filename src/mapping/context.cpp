@@ -26,16 +26,23 @@ Result<model::Resources> Context::footprint(const sg::SgNf& nf) const {
 model::Resources Context::residual(const std::string& host) const {
   const model::BisBis* bb = base_->find_bisbis(host);
   if (bb == nullptr) return {};
-  model::Resources left = bb->residual();
+  model::Resources left = bb->capacity - base_allocated(*bb);
   const auto extra = extra_alloc_.find(host);
   if (extra != extra_alloc_.end()) left -= extra->second;
   return left;
 }
 
+const model::Resources& Context::base_allocated(
+    const model::BisBis& bb) const {
+  const auto [it, fresh] = base_alloc_.try_emplace(&bb);
+  if (fresh) it->second = bb.allocated();
+  return it->second;
+}
+
 double Context::utilization(const std::string& host) const {
   const model::BisBis* bb = base_->find_bisbis(host);
   if (bb == nullptr) return 0;
-  model::Resources alloc = bb->allocated();
+  model::Resources alloc = base_allocated(*bb);
   const auto extra = extra_alloc_.find(host);
   if (extra != extra_alloc_.end()) alloc += extra->second;
   const model::Resources& cap = bb->capacity;

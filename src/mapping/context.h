@@ -42,6 +42,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -214,6 +215,12 @@ class Context {
   /// released edges.
   void invalidate_trees_above(double min_pre_residual);
 
+  /// BisBis::allocated() of a base host, summed on first use: the base
+  /// is not written while a Context lives, and residual()/utilization()
+  /// ask for the same hosts again and again.
+  [[nodiscard]] const model::Resources& base_allocated(
+      const model::BisBis& bb) const;
+
   /// Overlay reservation on one edge (0 when untouched). Sorted-vector
   /// lookup; empty() fast path keeps pristine scans at base speed.
   [[nodiscard]] double extra_reserved(graph::EdgeId edge) const noexcept;
@@ -236,6 +243,8 @@ class Context {
   /// Substrate edges each routed SG link reserved on (for release).
   std::map<std::string, std::vector<graph::EdgeId>> routed_edges_;
 
+  mutable std::unordered_map<const model::BisBis*, model::Resources>
+      base_alloc_;
   mutable graph::PathWorkspace workspace_;
   mutable std::map<TreeKey, graph::ShortestPathTree> trees_;
   /// Scratch for tree_delay()'s parent walk (target-first node ids).

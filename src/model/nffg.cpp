@@ -6,6 +6,7 @@
 #include <memory_resource>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace unify::model {
 
@@ -174,19 +175,22 @@ Result<void> check_link_endpoint(const Nffg& g, const PortRef& ref) {
 
 }  // namespace
 
-Result<void> Nffg::add_link(Link link) {
+Result<void> Nffg::check_link(const Link& link, bool duplicate) const {
   if (link.id.empty()) {
     return Error{ErrorCode::kInvalidArgument, "link id must not be empty"};
   }
-  if (links_.count(link.id) != 0) {
-    return Error{ErrorCode::kAlreadyExists, "link " + link.id};
-  }
+  if (duplicate) return Error{ErrorCode::kAlreadyExists, "link " + link.id};
   UNIFY_RETURN_IF_ERROR(check_link_endpoint(*this, link.from));
   UNIFY_RETURN_IF_ERROR(check_link_endpoint(*this, link.to));
   if (link.attrs.bandwidth < 0 || link.attrs.delay < 0 || link.reserved < 0) {
     return Error{ErrorCode::kInvalidArgument,
                  "link " + link.id + " has negative attributes"};
   }
+  return Result<void>::success();
+}
+
+Result<void> Nffg::add_link(Link link) {
+  UNIFY_RETURN_IF_ERROR(check_link(link, links_.count(link.id) != 0));
   links_.emplace(link.id, std::move(link));
   return Result<void>::success();
 }
@@ -318,6 +322,23 @@ Result<void> Nffg::add_flowrule(const std::string& bisbis_id, Flowrule rule) {
   return add_flowrules(bisbis_id, std::move(rules));
 }
 
+Result<void> Nffg::check_flowrule(const std::string& bisbis_id,
+                                  const Flowrule& rule, bool duplicate) const {
+  if (rule.id.empty()) {
+    return Error{ErrorCode::kInvalidArgument, "flowrule id must not be empty"};
+  }
+  if (duplicate) {
+    return Error{ErrorCode::kAlreadyExists,
+                 "flowrule " + rule.id + " on " + bisbis_id};
+  }
+  if (rule.bandwidth < 0) {
+    return Error{ErrorCode::kInvalidArgument,
+                 "flowrule " + rule.id + " has negative bandwidth"};
+  }
+  UNIFY_RETURN_IF_ERROR(check_port_ref(bisbis_id, rule.in));
+  return check_port_ref(bisbis_id, rule.out);
+}
+
 Result<void> Nffg::add_flowrules(const std::string& bisbis_id,
                                  std::vector<Flowrule> rules) {
   BisBis* bb = find_bisbis(bisbis_id);
@@ -339,21 +360,8 @@ Result<void> Nffg::add_flowrules(const std::string& bisbis_id,
     }
   }
   for (std::size_t i = 0; i < rules.size(); ++i) {
-    const Flowrule& rule = rules[i];
-    if (rule.id.empty()) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "flowrule id must not be empty"};
-    }
-    if (first.find(rule.id)->second != i) {
-      return Error{ErrorCode::kAlreadyExists,
-                   "flowrule " + rule.id + " on " + bisbis_id};
-    }
-    if (rule.bandwidth < 0) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "flowrule " + rule.id + " has negative bandwidth"};
-    }
-    UNIFY_RETURN_IF_ERROR(check_port_ref(bisbis_id, rule.in));
-    UNIFY_RETURN_IF_ERROR(check_port_ref(bisbis_id, rule.out));
+    UNIFY_RETURN_IF_ERROR(check_flowrule(
+        bisbis_id, rules[i], first.find(rules[i].id)->second != i));
   }
   bb->flowrules.insert(bb->flowrules.end(),
                        std::make_move_iterator(rules.begin()),
@@ -385,6 +393,19 @@ Result<void> Nffg::add_hint(ServiceHint hint) {
   return add_hints(std::move(hints));
 }
 
+Result<void> Nffg::check_hint(const ServiceHint& hint, bool duplicate) const {
+  if (hint.id.empty()) {
+    return Error{ErrorCode::kInvalidArgument, "hint id must not be empty"};
+  }
+  if (duplicate) return Error{ErrorCode::kAlreadyExists, "hint " + hint.id};
+  for (const std::string* sap : {&hint.from_sap, &hint.to_sap}) {
+    if (saps_.count(*sap) == 0) {
+      return Error{ErrorCode::kNotFound, "hint SAP " + *sap};
+    }
+  }
+  return Result<void>::success();
+}
+
 Result<void> Nffg::add_hints(std::vector<ServiceHint> hints) {
   // id -> index of its first hint in the batch, or kTaken when the config
   // already holds that id (the add_flowrules scheme). The set lives in a
@@ -404,18 +425,8 @@ Result<void> Nffg::add_hints(std::vector<ServiceHint> hints) {
     }
   }
   for (std::size_t i = 0; i < hints.size(); ++i) {
-    const ServiceHint& hint = hints[i];
-    if (hint.id.empty()) {
-      return Error{ErrorCode::kInvalidArgument, "hint id must not be empty"};
-    }
-    if (first.find(hint.id)->second != i) {
-      return Error{ErrorCode::kAlreadyExists, "hint " + hint.id};
-    }
-    for (const std::string* sap : {&hint.from_sap, &hint.to_sap}) {
-      if (saps_.count(*sap) == 0) {
-        return Error{ErrorCode::kNotFound, "hint SAP " + *sap};
-      }
-    }
+    UNIFY_RETURN_IF_ERROR(
+        check_hint(hints[i], first.find(hints[i].id)->second != i));
   }
   hints_.insert(hints_.end(), std::make_move_iterator(hints.begin()),
                 std::make_move_iterator(hints.end()));
@@ -442,6 +453,13 @@ const char* to_string(ConstraintKind kind) noexcept {
 }
 
 Result<void> Nffg::add_constraint(PlacementConstraint constraint) {
+  UNIFY_RETURN_IF_ERROR(check_constraint(constraint));
+  constraints_.push_back(std::move(constraint));
+  return Result<void>::success();
+}
+
+Result<void> Nffg::check_constraint(
+    const PlacementConstraint& constraint) const {
   if (!find_nf(constraint.nf_a).has_value()) {
     return Error{ErrorCode::kNotFound, "constraint NF " + constraint.nf_a};
   }
@@ -453,7 +471,47 @@ Result<void> Nffg::add_constraint(PlacementConstraint constraint) {
     return Error{ErrorCode::kInvalidArgument,
                  "pin/forbid constraints need a host"};
   }
-  constraints_.push_back(std::move(constraint));
+  return Result<void>::success();
+}
+
+Result<void> Nffg::check_references() const {
+  // nffg_from_json's order: SAPs, then per node its own id, NFs and
+  // flowrules, then links, hints and constraints.
+  for (const auto& [id, sap] : saps_) {
+    if (sap.id.empty()) {
+      return Error{ErrorCode::kInvalidArgument, "SAP id must not be empty"};
+    }
+  }
+  std::unordered_set<std::string_view> seen;
+  for (const auto& [bb_id, bb] : bisbis_) {
+    if (bb.id.empty()) {
+      return Error{ErrorCode::kInvalidArgument, "BiS-BiS id must not be empty"};
+    }
+    if (saps_.count(bb.id) != 0) {
+      return Error{ErrorCode::kAlreadyExists, "node " + bb.id};
+    }
+    for (const auto& [nf_id, nf] : bb.nfs) {
+      if (nf.id.empty()) {
+        return Error{ErrorCode::kInvalidArgument, "NF id must not be empty"};
+      }
+    }
+    seen.clear();
+    for (const Flowrule& rule : bb.flowrules) {
+      UNIFY_RETURN_IF_ERROR(
+          check_flowrule(bb_id, rule, !seen.insert(rule.id).second));
+    }
+  }
+  for (const auto& [id, link] : links_) {
+    UNIFY_RETURN_IF_ERROR(check_link(link, /*duplicate=*/false));
+  }
+  seen.clear();
+  for (const ServiceHint& hint : hints_) {
+    UNIFY_RETURN_IF_ERROR(
+        check_hint(hint, !seen.insert(hint.id).second));
+  }
+  for (const PlacementConstraint& c : constraints_) {
+    UNIFY_RETURN_IF_ERROR(check_constraint(c));
+  }
   return Result<void>::success();
 }
 

@@ -196,6 +196,8 @@ struct NffgStats {
   Resources total_allocated;
 };
 
+struct NffgDelta;  // nffg_delta.h
+
 /// The NFFG container. Node/link ids are strings unique within their kind.
 /// Maps keep entities sorted by id so iteration, serialization and diffs
 /// are deterministic.
@@ -324,11 +326,32 @@ class Nffg {
   /// bandwidth-overcommitted, NF/flowrule ids unique per node.
   [[nodiscard]] std::vector<std::string> validate() const;
 
+  /// The checks nffg_from_json makes while it builds a config, run over
+  /// this one in the same order, so both report the same first error:
+  /// non-empty and unique ids, flowrule ports that resolve, link
+  /// endpoints that exist, non-negative link attributes and rule
+  /// bandwidths, hint SAPs and constraint NFs that exist. Capacity is not
+  /// checked (a decoded view may be overcommitted).
+  [[nodiscard]] Result<void> check_references() const;
+
   friend bool operator==(const Nffg& a, const Nffg& b);
+  /// Writes a delta's entries without per-entry checks, then runs
+  /// check_references() (nffg_delta.h).
+  friend Result<void> apply_delta(Nffg& nffg, NffgDelta delta);
 
  private:
   Result<void> check_port_ref(const std::string& bisbis_id,
                               const PortRef& ref) const;
+  /// add_flowrules' checks of one rule; `duplicate` says whether the node
+  /// already holds its id.
+  Result<void> check_flowrule(const std::string& bisbis_id,
+                              const Flowrule& rule, bool duplicate) const;
+  /// add_link's checks of one link.
+  Result<void> check_link(const Link& link, bool duplicate) const;
+  /// add_hints' checks of one hint.
+  Result<void> check_hint(const ServiceHint& hint, bool duplicate) const;
+  /// add_constraint's checks of one constraint.
+  Result<void> check_constraint(const PlacementConstraint& constraint) const;
 
   std::string id_;
   std::string name_;

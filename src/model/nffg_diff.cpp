@@ -1,7 +1,8 @@
 #include "model/nffg_diff.h"
 
-#include <algorithm>
 #include <set>
+#include <string_view>
+#include <unordered_map>
 
 namespace unify::model {
 
@@ -53,21 +54,31 @@ Result<ConfigDelta> diff(const Nffg& base, const Nffg& target) {
     // Flowrules (identified by id within the node). A rule whose endpoints
     // touch a replaced NF must be reinstalled even when textually
     // unchanged: applying the NF removal implicitly tears the rule down.
+    // Each side's rules are indexed by id once, so a node costs
+    // O(rules), not O(rules^2).
     const auto touches_replaced = [&](const Flowrule& fr) {
       return replaced_nfs.count(fr.in.node) != 0 ||
              replaced_nfs.count(fr.out.node) != 0;
     };
+    const auto by_id = [](const std::vector<Flowrule>& rules) {
+      std::unordered_map<std::string_view, const Flowrule*> index;
+      index.reserve(rules.size());
+      for (const Flowrule& fr : rules) index.emplace(fr.id, &fr);
+      return index;
+    };
+    const auto base_rules = by_id(base_bb.flowrules);
+    const auto target_rules = by_id(target_bb->flowrules);
     for (const Flowrule& base_fr : base_bb.flowrules) {
-      const Flowrule* target_fr = target_bb->find_flowrule(base_fr.id);
-      if (target_fr == nullptr) {
+      const auto it = target_rules.find(base_fr.id);
+      if (it == target_rules.end()) {
         delta.rule_removals.push_back(RuleRemoval{id, base_fr.id});
-      } else if (!(*target_fr == base_fr) || touches_replaced(base_fr)) {
+      } else if (!(*it->second == base_fr) || touches_replaced(base_fr)) {
         delta.rule_removals.push_back(RuleRemoval{id, base_fr.id});
-        delta.rule_installs.push_back(RuleInstall{id, *target_fr});
+        delta.rule_installs.push_back(RuleInstall{id, *it->second});
       }
     }
     for (const Flowrule& target_fr : target_bb->flowrules) {
-      if (base_bb.find_flowrule(target_fr.id) == nullptr) {
+      if (base_rules.count(target_fr.id) == 0) {
         delta.rule_installs.push_back(RuleInstall{id, target_fr});
       }
     }

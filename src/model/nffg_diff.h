@@ -1,12 +1,16 @@
 // Configuration deltas: the NF placements and flowrules that turn one NFFG
-// configuration into another.
+// configuration into another, as native operations.
 //
-// Northbound edit-config carries full desired trees; deltas exist only
-// inside the domain adapters, where BaseAdapter::apply diffs the desired
-// slice against the domain's current one and executes the difference as
-// native operations (DESIGN.md §6.4). A delta only carries the parts a
-// manager owns: NF placements and flowrules. Infrastructure topology and
-// link reservations are derived/owned by the layer below.
+// BaseAdapter::apply diffs the desired slice against the domain's current
+// one and executes the difference (DESIGN.md §6.4). A delta only carries
+// the parts a manager owns: NF placements and flowrules. Infrastructure
+// topology and link reservations are derived/owned by the layer below.
+//
+// This is not the northbound edit-config delta (nffg_delta.h). That one
+// must rebuild the whole target exactly, order, SAPs, links, hints and
+// constraints included; this one describes operations, so a rule that
+// touches a replaced NF is reinstalled (the NF removal tears it down) and
+// rule order is not kept.
 #pragma once
 
 #include <string>

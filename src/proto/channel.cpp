@@ -21,8 +21,8 @@ Result<void> Endpoint::send(std::string bytes) {
   counters_.bytes_sent += bytes.size();
   const auto schedule = [this](std::string data) {
     driver_->schedule(latency_us_,
-                      [weak = peer_weak_, data = std::move(data)] {
-                        if (auto p = weak.lock()) p->deliver(data);
+                      [weak = peer_weak_, data = std::move(data)]() mutable {
+                        if (auto p = weak.lock()) p->deliver(std::move(data));
                       });
   };
   if (chunk_size_ == 0 || bytes.size() <= chunk_size_) {

@@ -147,8 +147,9 @@ class RoServer {
 
 TEST(UnifyTcpE2e, HundredConcurrentSessionsMatchInMemoryByteForByte) {
   // ---- Reference run: the in-memory channel path.
-  std::string expected_initial, expected_after_edit;
+  std::string expected_initial, expected_after_edit, expected_after_second;
   model::Nffg desired{"desired"};
+  model::Nffg second{"second"};
   {
     SimClock clock;
     LeafDomain leaf("leaf");
@@ -166,8 +167,20 @@ TEST(UnifyTcpE2e, HundredConcurrentSessionsMatchInMemoryByteForByte) {
     auto after = adapter->fetch_view();
     ASSERT_TRUE(after.ok());
     expected_after_edit = model::to_json(*after).dump();
+
+    // A second edit: the chain at twice the bandwidth.
+    auto rewritten = service_graph_to_config(
+        sg::make_chain("svc", "leaf-sap", {"nat"}, "xp", 20, 100), *view,
+        "leaf.big");
+    ASSERT_TRUE(rewritten.ok()) << rewritten.error().to_string();
+    second = *rewritten;
+    ASSERT_TRUE(adapter->apply(second).ok());
+    after = adapter->fetch_view();
+    ASSERT_TRUE(after.ok());
+    expected_after_second = model::to_json(*after).dump();
   }
   ASSERT_NE(expected_initial, expected_after_edit);
+  ASSERT_NE(expected_after_edit, expected_after_second);
 
   // ---- The same RO stack served for real, over loopback TCP.
   RoServer server;
@@ -220,6 +233,28 @@ TEST(UnifyTcpE2e, HundredConcurrentSessionsMatchInMemoryByteForByte) {
   // Post-edit state is identical across all sessions and to the reference;
   // the edits moved the tag, so each first read is a full reply again.
   for (auto& manager : managers) read_twice(*manager, expected_after_edit);
+
+  // A second concurrent round. Every session holds the config its own
+  // edit was accepted as, so each sends a delta against that version. The
+  // first delta the server applies moves the version, so the other 99
+  // bases are stale: those sessions get "stale" and resend in full, and
+  // all of them must still converge byte for byte.
+  tickets.clear();
+  for (auto& manager : managers) {
+    auto ticket = manager->begin_apply(second);
+    ASSERT_TRUE(ticket.ok()) << ticket.error().to_string();
+    tickets.push_back(*ticket);
+  }
+  std::uint64_t deltas = 0;
+  for (int i = 0; i < kSessions; ++i) {
+    auto& manager = *managers[static_cast<std::size_t>(i)];
+    const auto pushed = manager.await(tickets[static_cast<std::size_t>(i)]);
+    ASSERT_TRUE(pushed.ok()) << "session " << i << ": "
+                             << pushed.error().to_string();
+    deltas += manager.delta_edits();
+  }
+  EXPECT_EQ(deltas, 1u) << "one delta applied, 99 stale";
+  for (auto& manager : managers) read_twice(*manager, expected_after_second);
 
   EXPECT_GE(server.peak_sessions(), static_cast<std::uint64_t>(kSessions));
 

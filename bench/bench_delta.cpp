@@ -1,11 +1,12 @@
 // E7 — the delta-based edit-config ablation (DESIGN.md §6.4).
 //
 // A manager keeps re-sending its (growing) full desired configuration; the
-// adapter either computes the difference against what is already deployed
-// (the UNIFY design) or naively tears down and reinstalls everything. The
-// series of interest is native domain operations and simulated control
-// latency per *newly added* service when N services already run: O(1) for
-// the delta strategy vs O(N) for the naive one.
+// adapter computes the difference against what is already deployed (the
+// UNIFY design); the naive baseline first tears everything down, by
+// applying the adapter's initial empty view, and then installs the whole
+// desired config. The series of interest is native domain operations and
+// simulated control latency per *newly added* service when N services
+// already run: O(1) for the delta strategy vs O(N) for the naive one.
 #include <benchmark/benchmark.h>
 
 #include "adapters/un_adapter.h"
@@ -44,7 +45,6 @@ void run(benchmark::State& state, bool full_reinstall) {
     infra::UniversalNode un(clock, "un", model::Resources{64, 65536, 500},
                             config);
     adapters::UnAdapter adapter(un);
-    adapter.set_full_reinstall(full_reinstall);
     adapter.map_sap(0, "in", {10000, 0.1});
     adapter.map_sap(1, "out", {10000, 0.1});
     auto view = adapter.fetch_view();
@@ -65,6 +65,10 @@ void run(benchmark::State& state, bool full_reinstall) {
     add_service(desired, adapter.bisbis_id(), preexisting);
     state.ResumeTiming();
 
+    if (full_reinstall && !adapter.apply(*view).ok()) {
+      state.SkipWithError("teardown failed");
+      break;
+    }
     if (!adapter.apply(desired).ok()) {
       state.SkipWithError("apply failed");
       break;

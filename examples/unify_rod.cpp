@@ -116,9 +116,9 @@ int load(const std::string& host, std::uint16_t port, int session_count,
   std::vector<Session> sessions(static_cast<std::size_t>(session_count));
   std::size_t index = 0;
   for (auto& session : sessions) {
-    // Reconnecting sessions with wire-default heartbeats (PR 9's open
-    // item): each owns a factory so a server restart or an injected reset
-    // heals transparently — the closed loop below only sees a transient
+    // Reconnecting, heartbeating sessions: each owns a factory so a server
+    // restart or an injected reset heals transparently, and its name seeds
+    // its own backoff jitter — the closed loop below only sees a transient
     // kUnavailable it retries. The fault injector persists across
     // incarnations, so --faults keeps biting reconnected transports.
     std::shared_ptr<proto::FaultInjector> injector;
@@ -137,8 +137,7 @@ int load(const std::string& host, std::uint16_t port, int session_count,
       return wire;
     };
     session.wire = std::make_unique<proto::ResilientSession>(
-        "load-" + std::to_string(index), reactor, std::move(factory),
-        proto::wire_session_options());
+        "load-" + std::to_string(index), reactor, std::move(factory));
     session.retries_left = 5 * rpcs_per_session;
     ++index;
   }

@@ -19,29 +19,8 @@ Result<model::Nffg> BaseAdapter::fetch_view() {
 
 Result<void> BaseAdapter::apply(const model::Nffg& desired) {
   UNIFY_RETURN_IF_ERROR(ensure_initialized());
-  model::ConfigDelta delta;
-  if (full_reinstall_) {
-    // Naive strategy: everything currently deployed is removed, everything
-    // desired is installed, regardless of overlap.
-    for (const auto& [bb_id, bb] : deployed_.bisbis()) {
-      for (const model::Flowrule& fr : bb.flowrules) {
-        delta.rule_removals.push_back(model::RuleRemoval{bb_id, fr.id});
-      }
-      for (const auto& [nf_id, nf] : bb.nfs) {
-        delta.nf_removals.push_back(model::NfRemoval{bb_id, nf_id});
-      }
-    }
-    for (const auto& [bb_id, bb] : desired.bisbis()) {
-      for (const auto& [nf_id, nf] : bb.nfs) {
-        delta.nf_placements.push_back(model::NfPlacement{bb_id, nf});
-      }
-      for (const model::Flowrule& fr : bb.flowrules) {
-        delta.rule_installs.push_back(model::RuleInstall{bb_id, fr});
-      }
-    }
-  } else {
-    UNIFY_ASSIGN_OR_RETURN(delta, model::diff(deployed_, desired));
-  }
+  UNIFY_ASSIGN_OR_RETURN(const model::ConfigDelta delta,
+                         model::diff(deployed_, desired));
   UNIFY_LOG(kDebug, "adapter") << domain() << ": applying delta of "
                                << delta.size() << " operations";
   // Mark the deployed config as (possibly) changed before issuing ops: a

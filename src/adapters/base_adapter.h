@@ -13,13 +13,6 @@ class BaseAdapter : public DomainAdapter {
   [[nodiscard]] Result<model::Nffg> fetch_view() override;
   Result<void> apply(const model::Nffg& desired) override;
 
-  /// Ablation switch (DESIGN.md §6.4): when enabled, apply() tears the
-  /// whole deployed config down and reinstalls the desired one instead of
-  /// computing a delta — the naive strategy the delta design replaces.
-  void set_full_reinstall(bool enabled) noexcept {
-    full_reinstall_ = enabled;
-  }
-
  protected:
   /// Topology + capacities, no NFs/flowrules. Called once, lazily.
   [[nodiscard]] virtual Result<model::Nffg> build_skeleton() = 0;
@@ -43,7 +36,6 @@ class BaseAdapter : public DomainAdapter {
 
   model::Nffg deployed_;
   bool initialized_ = false;
-  bool full_reinstall_ = false;
 };
 
 }  // namespace unify::adapters

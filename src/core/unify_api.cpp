@@ -62,33 +62,20 @@ UnifyServer::UnifyServer(Virtualizer& virtualizer,
       });
 }
 
-namespace {
-
-proto::SessionOptions single_shot_options() {
-  // A fixed transport cannot be re-dialed: the session dies with it.
-  proto::SessionOptions options;
-  options.reconnect.enabled = false;
-  return options;
-}
-
-}  // namespace
-
 UnifyClientAdapter::UnifyClientAdapter(
     std::string domain_name, std::shared_ptr<proto::Transport> transport,
     SimTime rpc_timeout_us)
     : domain_(std::move(domain_name)),
       session_(domain_ + "-unify-client", transport->driver(), nullptr,
-               single_shot_options(), transport),
+               transport),
       exclusion_key_(session_.driver().exclusion_key()),
       rpc_timeout_us_(rpc_timeout_us) {}
 
 UnifyClientAdapter::UnifyClientAdapter(
     std::string domain_name, proto::Driver& driver,
-    proto::ResilientSession::TransportFactory factory,
-    proto::SessionOptions session_options, SimTime rpc_timeout_us)
+    proto::ResilientSession::TransportFactory factory, SimTime rpc_timeout_us)
     : domain_(std::move(domain_name)),
-      session_(domain_ + "-unify-client", driver, std::move(factory),
-               session_options),
+      session_(domain_ + "-unify-client", driver, std::move(factory)),
       exclusion_key_(driver.exclusion_key()),
       rpc_timeout_us_(rpc_timeout_us) {}
 

@@ -68,24 +68,23 @@ class UnifyServer {
 
 class UnifyClientAdapter final : public adapters::DomainAdapter {
  public:
-  /// Single-transport session: dies with the transport (no reconnect),
-  /// the pre-§14 behaviour.
+  /// Single-shot session: no redial and no heartbeat, so it dies with
+  /// `transport` and leaves a SimClock idle between calls.
   UnifyClientAdapter(std::string domain_name,
                      std::shared_ptr<proto::Transport> transport,
                      SimTime rpc_timeout_us = 0);
 
-  /// Survivable session: connects through `factory` and reconnects with
-  /// backoff after any disconnect (proto/resilient_session.h). While the
-  /// session is between transports every operation fails with a transient
-  /// kUnavailable — the push retry policy and the epoch+hash dirty
-  /// tracking above turn that into a cheap full resync after reconnect.
-  /// Heartbeat verdicts and reconnect outcomes stream through
-  /// on_liveness(); wire them to ResourceOrchestrator::
-  /// note_domain_liveness so a silent partition trips the breaker at
-  /// heartbeat speed.
+  /// Survivable session: connects through `factory`, redials with backoff
+  /// after any disconnect and heartbeats while idle
+  /// (proto/resilient_session.h). While the session is between transports
+  /// every operation fails with a transient kUnavailable — the push retry
+  /// policy and the epoch+hash dirty tracking above turn that into a cheap
+  /// full resync after reconnect. Heartbeat verdicts and reconnect
+  /// outcomes stream through on_liveness(); wire them to
+  /// ResourceOrchestrator::note_domain_liveness so a silent partition
+  /// trips the breaker at heartbeat speed.
   UnifyClientAdapter(std::string domain_name, proto::Driver& driver,
                      proto::ResilientSession::TransportFactory factory,
-                     proto::SessionOptions session_options = {},
                      SimTime rpc_timeout_us = 0);
 
   [[nodiscard]] const std::string& domain() const noexcept override {

@@ -44,10 +44,9 @@ bool Reactor::pump() {
 int Reactor::timeout_until_next_timer(int timeout_ms) const {
   if (timers_.empty()) return timeout_ms;
   const auto delta = timers_.top().deadline - Clock::now();
-  const auto ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(delta).count();
   // Round up so a 0.4 ms deadline does not busy-spin at timeout 0.
-  int until = ms <= 0 ? 0 : static_cast<int>(ms) + 1;
+  const auto ms = std::chrono::ceil<std::chrono::milliseconds>(delta).count();
+  const int until = ms <= 0 ? 0 : static_cast<int>(ms);
   if (timeout_ms < 0) return until;
   return until < timeout_ms ? until : timeout_ms;
 }

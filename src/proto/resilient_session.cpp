@@ -7,29 +7,32 @@
 
 namespace unify::proto {
 
-SessionOptions wire_session_options() noexcept {
-  SessionOptions options;
-  options.heartbeat.interval_us = 1'000'000;
-  options.heartbeat.timeout_us = 0;  // one interval per ping
-  options.heartbeat.miss_threshold = 3;
-  return options;  // reconnect: the ReconnectPolicy defaults (enabled)
+namespace {
+
+/// 64-bit FNV-1a: the same seed for the same name on every toolchain
+/// (std::hash promises neither), a different one per name.
+std::uint64_t name_seed(const std::string& name) noexcept {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const char c : name) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001B3ULL;
+  }
+  return h;
 }
+
+}  // namespace
 
 ResilientSession::ResilientSession(std::string name, Driver& driver,
                                    TransportFactory factory,
-                                   SessionOptions options,
                                    std::shared_ptr<Transport> initial)
     : name_(std::move(name)),
       driver_(&driver),
       factory_(std::move(factory)),
-      options_(options),
-      jitter_rng_(options.reconnect.jitter_seed) {
+      jitter_rng_(name_seed(name_)) {
   if (initial != nullptr) {
     adopt(std::move(initial));
   } else if (factory_) {
     attempt_connect();
-  } else {
-    gave_up_ = true;  // nothing to connect with, ever
   }
 }
 
@@ -38,26 +41,10 @@ ResilientSession::~ResilientSession() {
   peer_.reset();
 }
 
-void ResilientSession::on_request(std::string method,
-                                  RpcPeer::Handler handler) {
-  if (peer_ != nullptr) peer_->on_request(method, handler);
-  handlers_[std::move(method)] = std::move(handler);
-}
-
-void ResilientSession::on_notification(std::string method,
-                                       RpcPeer::NotificationHandler handler) {
-  if (peer_ != nullptr) peer_->on_notification(method, handler);
-  notification_handlers_[std::move(method)] = std::move(handler);
-}
-
 Result<void> ResilientSession::call(std::string method, json::Value params,
                                     RpcPeer::ResponseFn done,
                                     SimTime timeout_us) {
-  if (peer_ == nullptr) {
-    return Error{ErrorCode::kUnavailable,
-                 "session " + name_ +
-                     (gave_up_ ? " gave up reconnecting" : " reconnecting")};
-  }
+  if (peer_ == nullptr) return unavailable();
   return peer_->call(std::move(method), std::move(params), std::move(done),
                      timeout_us);
 }
@@ -65,20 +52,14 @@ Result<void> ResilientSession::call(std::string method, json::Value params,
 Result<json::Value> ResilientSession::call_and_wait(std::string method,
                                                     json::Value params,
                                                     SimTime timeout_us) {
-  if (peer_ == nullptr) {
-    return Error{ErrorCode::kUnavailable,
-                 "session " + name_ +
-                     (gave_up_ ? " gave up reconnecting" : " reconnecting")};
-  }
+  if (peer_ == nullptr) return unavailable();
   return peer_->call_and_wait(std::move(method), std::move(params),
                               timeout_us);
 }
 
-Result<void> ResilientSession::notify(std::string method, json::Value params) {
-  if (peer_ == nullptr) {
-    return Error{ErrorCode::kUnavailable, "session " + name_ + " down"};
-  }
-  return peer_->notify(std::move(method), std::move(params));
+Error ResilientSession::unavailable() const {
+  return Error{ErrorCode::kUnavailable,
+               "session " + name_ + (factory_ ? " reconnecting" : " closed")};
 }
 
 bool ResilientSession::connected() const noexcept {
@@ -99,12 +80,6 @@ const TransportCounters& ResilientSession::counters() const noexcept {
 
 void ResilientSession::adopt(std::shared_ptr<Transport> transport) {
   peer_ = std::make_unique<RpcPeer>(std::move(transport), name_);
-  for (const auto& [method, handler] : handlers_) {
-    peer_->on_request(method, handler);
-  }
-  for (const auto& [method, handler] : notification_handlers_) {
-    peer_->on_notification(method, handler);
-  }
   // The disconnect hook runs inside the transport's close callback with
   // the peer mid-teardown; the session reacts one driver tick later, when
   // destroying the peer is safe.
@@ -141,18 +116,7 @@ void ResilientSession::handle_disconnected() {
 }
 
 void ResilientSession::schedule_reconnect() {
-  const ReconnectPolicy& policy = options_.reconnect;
-  if (!policy.enabled || !factory_ || gave_up_ || reconnect_pending_) {
-    if (!policy.enabled || !factory_) gave_up_ = true;
-    return;
-  }
-  if (policy.max_attempts > 0 && failed_attempts_ >= policy.max_attempts) {
-    gave_up_ = true;
-    UNIFY_LOG(kWarn, "proto.session")
-        << name_ << ": gave up after " << failed_attempts_
-        << " connect attempts";
-    return;
-  }
+  if (!factory_ || reconnect_pending_) return;
   reconnect_pending_ = true;
   driver_->schedule(next_backoff_delay(),
                     [this, weak = std::weak_ptr<char>(alive_)] {
@@ -177,31 +141,21 @@ void ResilientSession::attempt_connect() {
 }
 
 SimTime ResilientSession::next_backoff_delay() {
-  const ReconnectPolicy& policy = options_.reconnect;
   // failed_attempts_ == 0 (a lost established session) and == 1 (first
   // retry) both wait the initial delay; growth starts at the second retry.
-  SimTime delay = policy.backoff_initial_us;
-  for (int i = 1; i < failed_attempts_ && delay < policy.backoff_cap_us;
-       ++i) {
-    delay = static_cast<SimTime>(static_cast<double>(delay) *
-                                 policy.backoff_multiplier);
+  SimTime delay = kBackoffInitialUs;
+  for (int i = 1; i < failed_attempts_ && delay < kBackoffCapUs; ++i) {
+    delay *= kBackoffMultiplier;
   }
-  delay = std::min(delay, policy.backoff_cap_us);
-  if (policy.jitter > 0) {
-    const auto span = static_cast<std::uint64_t>(
-        policy.jitter * static_cast<double>(delay));
-    if (span > 0) {
-      delay += static_cast<SimTime>(jitter_rng_.next_below(span + 1));
-    }
-  }
-  return delay;
+  delay = std::min(delay, kBackoffCapUs);
+  const auto span = static_cast<std::uint64_t>(delay * kJitterPercent / 100);
+  return delay + static_cast<SimTime>(jitter_rng_.next_below(span + 1));
 }
 
 void ResilientSession::schedule_heartbeat() {
-  const HeartbeatPolicy& policy = options_.heartbeat;
-  if (policy.interval_us <= 0 || heartbeat_armed_) return;
+  if (!factory_ || heartbeat_armed_) return;
   heartbeat_armed_ = true;
-  driver_->schedule(policy.interval_us,
+  driver_->schedule(kHeartbeatIntervalUs,
                     [this, weak = std::weak_ptr<char>(alive_)] {
                       if (weak.expired()) return;
                       heartbeat_armed_ = false;
@@ -223,9 +177,6 @@ void ResilientSession::heartbeat_tick() {
     return;
   }
   if (ping_in_flight_) return;  // one probe at a time
-  const HeartbeatPolicy& policy = options_.heartbeat;
-  const SimTime timeout =
-      policy.timeout_us > 0 ? policy.timeout_us : policy.interval_us;
   ++heartbeats_sent_;
   ping_in_flight_ = true;
   const auto sent = peer_->call(
@@ -245,8 +196,7 @@ void ResilientSession::heartbeat_tick() {
                      "session " + name_ + " missed heartbeat " +
                          std::to_string(misses_) + ": " +
                          reply.error().message});
-        if (misses_ >= options_.heartbeat.miss_threshold &&
-            peer_ != nullptr) {
+        if (misses_ >= kHeartbeatMissThreshold && peer_ != nullptr) {
           // The peer is silently gone (half-open partition): force the
           // close so the reconnect machinery takes over.
           UNIFY_LOG(kWarn, "proto.session")
@@ -255,7 +205,7 @@ void ResilientSession::heartbeat_tick() {
           peer_->transport().disconnect();
         }
       },
-      timeout);
+      kHeartbeatIntervalUs);
   if (!sent.ok()) {
     // Send failure == the transport just died; the close path handles it.
     ping_in_flight_ = false;

@@ -4,23 +4,25 @@
 // sessions, and the recursive architecture only works if a parent RO
 // tolerates a child domain's control channel flapping. A bare RpcPeer dies
 // with its transport; ResilientSession owns the peer *and* the policy that
-// brings it back (DESIGN.md §14):
+// brings it back (DESIGN.md §14). The factory is the policy: a session
+// built with one redials and heartbeats, a session built without one is
+// single-shot and dies with its first transport.
 //
 //   - Disconnect detection: the transport close fails every in-flight call
 //     with kUnavailable — never a silent retry, because edit-config is not
 //     idempotent from the wire's point of view. Callers see a transient
 //     kUnavailable and their own retry/dirty-tracking machinery (push
 //     retries + epoch/nffg_hash resync) makes the re-push cheap and exact.
-//   - Reconnect: capped exponential backoff with deterministic seeded
-//     jitter through a TransportFactory, scheduled on the session's
-//     Driver. Handlers are re-installed on the fresh peer; counters
-//     aggregate across incarnations.
+//   - Reconnect: capped exponential backoff with jitter seeded from the
+//     session's name, scheduled on the session's Driver; it never gives
+//     up. Counters aggregate across incarnations.
 //   - Heartbeat: driver-scheduled keepalive pings on idle sessions. Every
 //     missed ping (and every disconnect / failed connect) is reported
 //     through the liveness hook; a miss-threshold trip force-closes the
 //     transport so the reconnect path takes over. Wired to a
 //     HealthManager, a silently partitioned domain trips its breaker in
-//     O(heartbeat interval) instead of O(push deadline).
+//     O(heartbeat interval) instead of O(push deadline). The heartbeat
+//     timer keeps a SimClock non-idle for as long as the session lives.
 //
 // Threading: like everything over a transport, a session belongs to its
 // driver's single-threaded execution domain.
@@ -28,7 +30,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 
@@ -38,48 +39,24 @@
 
 namespace unify::proto {
 
-struct ReconnectPolicy {
-  bool enabled = true;
-  /// Consecutive failed connect attempts before the session gives up
-  /// permanently (gave_up()); 0 = keep trying forever.
-  int max_attempts = 0;
-  SimTime backoff_initial_us = 10'000;
-  double backoff_multiplier = 2.0;
-  SimTime backoff_cap_us = 1'000'000;
-  /// Fraction of each backoff delay added as uniform jitter (decorrelates
-  /// reconnect storms when many sessions lose one peer together).
-  double jitter = 0.2;
-  /// Seed of the jitter draw — deterministic like every schedule here.
-  std::uint64_t jitter_seed = 0x5eedu;
-};
-
-struct HeartbeatPolicy {
-  /// Keepalive period on an idle session; 0 disables the heartbeat.
-  SimTime interval_us = 0;
-  /// Per-ping deadline; 0 = one interval.
-  SimTime timeout_us = 0;
-  /// Consecutive missed pings that declare the peer dead (the transport is
-  /// force-closed and the reconnect path takes over).
-  int miss_threshold = 3;
-};
-
-struct SessionOptions {
-  ReconnectPolicy reconnect;
-  HeartbeatPolicy heartbeat;
-};
-
-/// Production defaults for sessions on a real wire (unify_rod and every
-/// TCP client riding the reactor): reconnect enabled with the standard
-/// capped backoff, plus a 1 s heartbeat with a 3-miss threshold so a
-/// silently partitioned peer trips liveness in seconds instead of waiting
-/// out a push deadline. Simulated/in-process tests arm their own policies
-/// explicitly (a heartbeat on a loopback pair is just noise).
-[[nodiscard]] SessionOptions wire_session_options() noexcept;
-
 class ResilientSession {
  public:
+  /// The first retry waits kBackoffInitialUs, each later one
+  /// kBackoffMultiplier times the last, up to kBackoffCapUs; a uniform
+  /// jitter of up to kJitterPercent of the delay is added on top, so
+  /// sessions that lose one peer together do not redial in lockstep.
+  static constexpr SimTime kBackoffInitialUs = 10'000;
+  static constexpr SimTime kBackoffMultiplier = 2;
+  static constexpr SimTime kBackoffCapUs = 1'000'000;
+  static constexpr SimTime kJitterPercent = 20;
+  /// Keepalive period on an idle session, and the deadline of each ping.
+  static constexpr SimTime kHeartbeatIntervalUs = 1'000'000;
+  /// Consecutive missed pings that declare the peer dead (the transport is
+  /// force-closed and the reconnect path takes over).
+  static constexpr int kHeartbeatMissThreshold = 3;
+
   /// Produces a fresh connected transport on the session's driver. Called
-  /// once per (re)connect attempt; a failure counts towards max_attempts.
+  /// once per (re)connect attempt.
   using TransportFactory =
       std::function<Result<std::shared_ptr<Transport>>()>;
   /// Liveness evidence stream: success() for a (re)connect or a heartbeat
@@ -88,21 +65,18 @@ class ResilientSession {
   /// ResourceOrchestrator::note_domain_liveness to drive the breaker.
   using LivenessFn = std::function<void(const Result<void>&)>;
 
-  /// Connects through `factory` immediately (unless `initial` supplies the
-  /// first transport); a failed first attempt enters the backoff loop like
-  /// any later one. `driver` is the timer home for backoff and heartbeat
-  /// and must be the driver of every transport the factory produces.
+  /// With a `factory`, connects through it immediately (unless `initial`
+  /// supplies the first transport), redials after every loss and runs the
+  /// heartbeat; a failed first attempt enters the backoff loop like any
+  /// later one. Without one, the session lives and dies with `initial`.
+  /// `driver` is the timer home for backoff and heartbeat and must be the
+  /// driver of every transport the session uses.
   ResilientSession(std::string name, Driver& driver, TransportFactory factory,
-                   SessionOptions options = {},
                    std::shared_ptr<Transport> initial = nullptr);
   ~ResilientSession();
   ResilientSession(const ResilientSession&) = delete;
   ResilientSession& operator=(const ResilientSession&) = delete;
 
-  /// Handler registration; stored and re-installed on every reconnect.
-  void on_request(std::string method, RpcPeer::Handler handler);
-  void on_notification(std::string method,
-                       RpcPeer::NotificationHandler handler);
   void on_liveness(LivenessFn fn) { liveness_ = std::move(fn); }
 
   /// RpcPeer::call while connected; fails fast with kUnavailable while the
@@ -112,12 +86,8 @@ class ResilientSession {
                     RpcPeer::ResponseFn done, SimTime timeout_us = 0);
   Result<json::Value> call_and_wait(std::string method, json::Value params,
                                     SimTime timeout_us = 0);
-  Result<void> notify(std::string method, json::Value params);
 
   [[nodiscard]] bool connected() const noexcept;
-  /// True once max_attempts consecutive connect failures exhausted the
-  /// reconnect budget: the session is permanently dead.
-  [[nodiscard]] bool gave_up() const noexcept { return gave_up_; }
   /// The live peer, or nullptr between transports.
   [[nodiscard]] RpcPeer* peer() noexcept { return peer_.get(); }
   [[nodiscard]] const RpcPeer* peer() const noexcept { return peer_.get(); }
@@ -141,8 +111,14 @@ class ResilientSession {
   [[nodiscard]] std::uint64_t heartbeat_misses() const noexcept {
     return heartbeat_misses_;
   }
+  /// A heartbeat ping awaits its answer: the one call of the live peer's
+  /// pending_calls() that the session made itself.
+  [[nodiscard]] bool ping_in_flight() const noexcept {
+    return ping_in_flight_;
+  }
 
  private:
+  [[nodiscard]] Error unavailable() const;
   void adopt(std::shared_ptr<Transport> transport);
   /// Folds the dying peer's counters and destroys it. Safe only outside
   /// the peer's own callbacks (disconnects defer here via the driver).
@@ -158,10 +134,7 @@ class ResilientSession {
   std::string name_;
   Driver* driver_;
   TransportFactory factory_;
-  SessionOptions options_;
   std::unique_ptr<RpcPeer> peer_;
-  std::map<std::string, RpcPeer::Handler> handlers_;
-  std::map<std::string, RpcPeer::NotificationHandler> notification_handlers_;
   LivenessFn liveness_;
   Rng jitter_rng_;
   /// Deferred-teardown / timer guard: timers and callbacks hold a weak ref
@@ -169,7 +142,6 @@ class ResilientSession {
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
 
   bool reconnect_pending_ = false;
-  bool gave_up_ = false;
   int failed_attempts_ = 0;  ///< consecutive, reset by any success
 
   bool heartbeat_armed_ = false;

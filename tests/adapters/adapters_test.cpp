@@ -261,7 +261,6 @@ TEST(FullReinstallAblation, SameFinalStateMoreOps) {
   infra::UniversalNode un_naive(clock, "b", {8, 8192, 100});
   UnAdapter delta(un_delta);
   UnAdapter naive(un_naive);
-  naive.set_full_reinstall(true);
   for (UnAdapter* adapter : {&delta, &naive}) {
     adapter->map_sap(0, "in", {1000, 0.1});
     adapter->map_sap(1, "out", {1000, 0.1});
@@ -287,6 +286,9 @@ TEST(FullReinstallAblation, SameFinalStateMoreOps) {
   const std::uint64_t delta_before = delta.native_operations();
   const std::uint64_t naive_before = naive.native_operations();
   ASSERT_TRUE(delta.apply(grow(*view_delta, "a.un", 3)).ok());
+  // The naive strategy: tear down to the initial empty view, then install
+  // everything desired.
+  ASSERT_TRUE(naive.apply(*view_naive).ok());
   ASSERT_TRUE(naive.apply(grow(*view_naive, "b.un", 3)).ok());
 
   // Same final state in both domains...

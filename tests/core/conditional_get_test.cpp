@@ -349,7 +349,7 @@ TEST(UnifyConditionalGet, ReconnectToAnotherServerDropsTheKeptReply) {
     servers.push_back(std::make_unique<UnifyServer>(target, south, "server"));
     return std::static_pointer_cast<proto::Transport>(north);
   };
-  UnifyClientAdapter reader("leaf", driver, factory, proto::SessionOptions{},
+  UnifyClientAdapter reader("leaf", driver, factory,
                             /*rpc_timeout_us=*/200'000);
   auto view = reader.fetch_view();
   ASSERT_TRUE(view.ok()) << view.error().to_string();

@@ -770,7 +770,7 @@ TEST(DeltaEdit, ReconnectDropsTheKeptConfig) {
     servers.push_back(std::make_unique<UnifyServer>(virt, south, "server"));
     return std::static_pointer_cast<proto::Transport>(north);
   };
-  UnifyClientAdapter client("leaf", driver, factory, proto::SessionOptions{},
+  UnifyClientAdapter client("leaf", driver, factory,
                             /*rpc_timeout_us=*/200'000);
   ASSERT_TRUE(virt.get_config().ok());
   ASSERT_TRUE(push(client, with_chain(virt, "c0")).result.ok());

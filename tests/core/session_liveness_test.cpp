@@ -64,7 +64,8 @@ struct LeafDomain {
   std::unique_ptr<Virtualizer> virtualizer;
 };
 
-constexpr SimTime kHeartbeatUs = 100'000;
+constexpr SimTime kHeartbeatUs =
+    proto::ResilientSession::kHeartbeatIntervalUs;
 
 TEST(SessionLiveness, HeartbeatTripsBreakerAndHealReadmits) {
   SimClock clock;
@@ -83,11 +84,8 @@ TEST(SessionLiveness, HeartbeatTripsBreakerAndHealReadmits) {
     return std::static_pointer_cast<proto::Transport>(north);
   };
 
-  proto::SessionOptions options;
-  options.heartbeat.interval_us = kHeartbeatUs;
-  options.heartbeat.miss_threshold = 3;
   auto adapter = std::make_unique<UnifyClientAdapter>(
-      "leaf", driver, factory, options, /*rpc_timeout_us=*/500'000);
+      "leaf", driver, factory, /*rpc_timeout_us=*/500'000);
   auto* session_adapter = adapter.get();
 
   ResourceOrchestrator ro("parent",

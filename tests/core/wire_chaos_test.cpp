@@ -5,13 +5,15 @@
 // Invariants:
 //   - every session converges: each operation either matches the fault-free
 //     golden bytes or fails cleanly (kUnavailable / kTimeout) and succeeds
-//     on a later attempt — zero wedged sessions, zero give-ups;
+//     on a later attempt — zero wedged sessions, also after ~10 s of
+//     simulated idle time in which the heartbeats run;
 //   - no leaked pending calls on any surviving peer;
 //   - the child's final state is byte-identical to a fault-free run;
 //   - a rerun under the same seed replays bit-identically (schedules,
-//     failure counts, final bytes).
+//     failure and heartbeat counts, final bytes).
 // Everything runs over SimClock channels, so the whole soak — timeouts,
-// backoff, jitter — is deterministic. WIRE_SEED overrides the seeds:
+// backoff, jitter, heartbeats — is deterministic. WIRE_SEED overrides the
+// seeds:
 //
 //   WIRE_SEED=1234 ctest -L wire_chaos --output-on-failure
 #include <gtest/gtest.h>
@@ -32,6 +34,7 @@ namespace unify::core {
 namespace {
 
 constexpr int kSessions = 100;
+constexpr std::uint64_t kDefaultSeed = 20260809;
 
 class AcceptAllAdapter final : public adapters::DomainAdapter {
  public:
@@ -101,6 +104,8 @@ struct RunOutcome {
   std::vector<std::vector<proto::FaultKind>> schedules;  ///< per session
   std::uint64_t faults = 0;
   std::uint64_t reconnects = 0;
+  std::uint64_t heartbeats_sent = 0;
+  std::uint64_t heartbeat_misses = 0;
   std::uint64_t clean_failures = 0;
   bool converged = false;
 };
@@ -135,8 +140,7 @@ RunOutcome run_chaos(std::uint64_t seed, const proto::FaultProfile& profile,
               north, injectors[static_cast<std::size_t>(i)]));
     };
     managers.push_back(std::make_unique<UnifyClientAdapter>(
-        "leaf", driver, std::move(factory), proto::SessionOptions{},
-        /*rpc_timeout_us=*/200'000));
+        "leaf", driver, std::move(factory), /*rpc_timeout_us=*/200'000));
   }
 
   // Drives one operation across all sessions in retry rounds: a failed
@@ -178,22 +182,29 @@ RunOutcome run_chaos(std::uint64_t seed, const proto::FaultProfile& profile,
   drive("edit-config", [&](int i) -> Result<void> {
     return managers[static_cast<std::size_t>(i)]->apply(desired);
   });
-  drive("fetch-final", [&](int i) -> Result<void> {
+  const auto fetch_after = [&](int i) -> Result<void> {
     auto view = managers[static_cast<std::size_t>(i)]->fetch_view();
     if (!view.ok()) return view.error();
     EXPECT_EQ(model::to_json(*view).dump(), golden_after)
         << "session " << i << " post-edit bytes diverged";
     return Result<void>::success();
-  });
+  };
+  drive("fetch-final", fetch_after);
+  // Idle: only the heartbeats talk, and over a faulty wire some of them
+  // miss and force reconnects. The sessions must still converge after.
+  for (int step = 0; step < 100; ++step) clock.advance(100'000);
+  drive("fetch-after-idle", fetch_after);
 
   for (int i = 0; i < kSessions; ++i) {
     const auto& session = managers[static_cast<std::size_t>(i)]->session();
-    EXPECT_FALSE(session.gave_up()) << "session " << i;
     if (const auto* peer = session.peer()) {
-      EXPECT_EQ(peer->pending_calls(), 0u)
+      // A heartbeat ping may be waiting out its deadline; nothing else.
+      EXPECT_EQ(peer->pending_calls(), session.ping_in_flight() ? 1u : 0u)
           << "session " << i << " leaked pending calls";
     }
     outcome.reconnects += session.reconnects();
+    outcome.heartbeats_sent += session.heartbeats_sent();
+    outcome.heartbeat_misses += session.heartbeat_misses();
     outcome.schedules.push_back(
         injectors[static_cast<std::size_t>(i)]->schedule());
     outcome.faults +=
@@ -232,9 +243,11 @@ TEST(WireChaos, HundredFaultySessionsConvergeAndReplayBitIdentically) {
                                      golden_initial, golden_after, desired);
   ASSERT_TRUE(clean.converged);
   ASSERT_EQ(clean.faults, 0u);
+  EXPECT_GT(clean.heartbeats_sent, 0u);
+  EXPECT_EQ(clean.heartbeat_misses, 0u);
 
   for (const std::uint64_t seed :
-       test::soak_seeds("WIRE_SEED", {20260809u})) {
+       test::soak_seeds("WIRE_SEED", {kDefaultSeed})) {
     UNIFY_SEED_TRACE("WIRE_SEED", seed);
     const RunOutcome first =
         run_chaos(seed, soak_profile(), golden_initial, golden_after,
@@ -244,15 +257,22 @@ TEST(WireChaos, HundredFaultySessionsConvergeAndReplayBitIdentically) {
     // yet the child ended byte-identical to the fault-free run.
     EXPECT_GT(first.faults, 0u);
     EXPECT_GT(first.reconnects, 0u);
+    EXPECT_GT(first.heartbeats_sent, 0u);
+    if (seed == kDefaultSeed) {
+      // The faults reached the heartbeat too (other seeds may be kinder).
+      EXPECT_GT(first.heartbeat_misses, 0u);
+    }
     EXPECT_EQ(first.child_final, clean.child_final);
 
     // Bit-identical replay under the fixed seed: same fault schedules,
-    // same failure count, same final bytes.
+    // same failure and heartbeat counts, same final bytes.
     const RunOutcome second =
         run_chaos(seed, soak_profile(), golden_initial, golden_after,
                   desired);
     EXPECT_EQ(first.schedules, second.schedules);
     EXPECT_EQ(first.clean_failures, second.clean_failures);
+    EXPECT_EQ(first.heartbeats_sent, second.heartbeats_sent);
+    EXPECT_EQ(first.heartbeat_misses, second.heartbeat_misses);
     EXPECT_EQ(first.child_final, second.child_final);
   }
 }

@@ -1,12 +1,14 @@
 // Unit tests for the survivable session: fail-fast call semantics between
-// transports, capped-backoff reconnection through the factory, give-up
-// budgets, and heartbeat-driven detection of half-open partitions — all
-// over SimClock channels so every schedule is deterministic.
+// transports, capped-backoff reconnection through the factory with jitter
+// seeded per session name, the single-shot shape without a factory, and
+// heartbeat-driven detection of half-open partitions — all over SimClock
+// channels so every schedule is deterministic.
 #include "proto/resilient_session.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -72,7 +74,6 @@ TEST_F(SessionFixture, ConnectsOnConstructionAndEchoes) {
   auto reply = session.call_and_wait("echo", empty_params(), 100'000);
   ASSERT_TRUE(reply.ok()) << reply.error().to_string();
   EXPECT_EQ(session.reconnects(), 0u);
-  EXPECT_FALSE(session.gave_up());
 }
 
 TEST_F(SessionFixture, DisconnectFailsInFlightThenReconnects) {
@@ -116,48 +117,82 @@ TEST_F(SessionFixture, DisconnectFailsInFlightThenReconnects) {
 
 TEST_F(SessionFixture, BackoffGrowsUntilTheCap) {
   fail_next_connects = 1'000'000;  // never connects
-  SessionOptions options;
-  options.reconnect.max_attempts = 6;
-  options.reconnect.backoff_initial_us = 10'000;
-  options.reconnect.backoff_multiplier = 2.0;
-  options.reconnect.backoff_cap_us = 50'000;
-  options.reconnect.jitter = 0;  // exact delays for this assertion
-  ResilientSession session("s", driver, make_factory(), options);
-  clock.run_until_idle();  // bounded: the give-up stops the timer chain
+  ResilientSession session("s", driver, make_factory());
+  // Bounded by simulated time: a session never gives up redialing.
+  clock.advance(10 * ResilientSession::kBackoffCapUs);
 
-  EXPECT_TRUE(session.gave_up());
-  EXPECT_EQ(session.connect_failures(), 6u);
-  ASSERT_EQ(factory_times.size(), 6u);
-  std::vector<SimTime> gaps;
+  ASSERT_GE(factory_times.size(), 10u);
+  EXPECT_EQ(session.connect_failures(), factory_times.size());
+  // Each gap is the capped doubling delay plus at most 20% jitter.
+  SimTime base = ResilientSession::kBackoffInitialUs;
   for (std::size_t i = 1; i < factory_times.size(); ++i) {
-    gaps.push_back(factory_times[i] - factory_times[i - 1]);
+    const SimTime gap = factory_times[i] - factory_times[i - 1];
+    EXPECT_GE(gap, base) << "gap " << i;
+    EXPECT_LE(gap, base + base * ResilientSession::kJitterPercent / 100)
+        << "gap " << i;
+    base = std::min(base * ResilientSession::kBackoffMultiplier,
+                    ResilientSession::kBackoffCapUs);
   }
-  EXPECT_EQ(gaps, (std::vector<SimTime>{10'000, 20'000, 40'000, 50'000,
-                                        50'000}));
+  EXPECT_EQ(base, ResilientSession::kBackoffCapUs);  // the cap was reached
 
-  // A dead session fails fast forever.
+  // Between transports, every call fails fast.
   auto reply = session.call_and_wait("echo", empty_params());
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.error().code, ErrorCode::kUnavailable);
 }
 
-TEST_F(SessionFixture, JitterIsDeterministicPerSeed) {
-  auto delays_for = [this](std::uint64_t seed) {
+TEST_F(SessionFixture, JitterIsDeterministicPerName) {
+  auto delays_for = [this](const std::string& name) {
     factory_times.clear();
-    factory_calls = 0;
     fail_next_connects = 4;
-    SessionOptions options;
-    options.reconnect.max_attempts = 4;
-    options.reconnect.jitter_seed = seed;
-    ResilientSession session("s", driver, make_factory(), options);
-    clock.run_until_idle();
+    const SimTime start = clock.now();
+    ResilientSession session(name, driver, make_factory());
+    clock.advance(ResilientSession::kBackoffCapUs);
+    EXPECT_TRUE(session.connected());
+    for (auto& t : factory_times) t -= start;  // the clock keeps running
     return factory_times;
   };
-  const auto a = delays_for(11);
-  const SimTime base = clock.now();
-  auto b = delays_for(11);
-  for (auto& t : b) t -= base;  // rebase: the clock keeps running
-  EXPECT_EQ(a, b);
+  const auto a = delays_for("s");
+  EXPECT_EQ(a.size(), 5u);
+  EXPECT_EQ(delays_for("s"), a);
+}
+
+TEST_F(SessionFixture, JitterDecorrelatesSessionsThatLoseOnePeer) {
+  // Three sessions lose their server together, which then refuses three
+  // redials of each: two share a name, one does not.
+  struct Dialer {
+    std::vector<SimTime> times;
+    int refuse = 0;
+  };
+  std::array<Dialer, 3> dialers;
+  auto base = make_factory();
+  const auto factory_for = [this, &base](Dialer& dialer) {
+    return [this, &base, &dialer]() -> Result<std::shared_ptr<Transport>> {
+      dialer.times.push_back(clock.now());
+      if (dialer.refuse > 0) {
+        --dialer.refuse;
+        return Error{ErrorCode::kUnavailable, "refused"};
+      }
+      return base();
+    };
+  };
+  ResilientSession a("load-0", driver, factory_for(dialers[0]));
+  ResilientSession b("load-1", driver, factory_for(dialers[1]));
+  ResilientSession c("load-0", driver, factory_for(dialers[2]));
+  for (auto& dialer : dialers) dialer.refuse = 3;
+  for (const auto& end : server_ends) end->disconnect();
+  clock.advance(ResilientSession::kBackoffCapUs);
+  for (const ResilientSession* session : {&a, &b, &c}) {
+    EXPECT_TRUE(session->connected());
+    EXPECT_EQ(session->reconnects(), 1u);
+  }
+  ASSERT_EQ(dialers[0].times.size(), 5u);
+  EXPECT_EQ(dialers[0].times, dialers[2].times);
+  // Every one of the four redials of the other name lands elsewhere.
+  ASSERT_EQ(dialers[1].times.size(), 5u);
+  for (std::size_t i = 1; i < 5; ++i) {
+    EXPECT_NE(dialers[0].times[i], dialers[1].times[i]) << "redial " << i;
+  }
 }
 
 TEST_F(SessionFixture, ConnectFailuresFeedLivenessThenRecovery) {
@@ -192,16 +227,14 @@ TEST_F(SessionFixture, HeartbeatDetectsHalfOpenPartitionAndRecovers) {
         FaultTransport::wrap(std::move(*inner), injector));
   };
 
-  SessionOptions options;
-  options.heartbeat.interval_us = 100'000;
-  options.heartbeat.miss_threshold = 3;
-  ResilientSession session("s", driver, std::move(factory), options);
+  constexpr SimTime kInterval = ResilientSession::kHeartbeatIntervalUs;
+  ResilientSession session("s", driver, std::move(factory));
   session.on_liveness(collect(liveness));
   ASSERT_TRUE(session.connected());
 
   // 3 intervals of silence + ping timeouts + backoff: bounded advance.
   for (int i = 0; i < 100 && session.reconnects() == 0; ++i) {
-    clock.advance(100'000);
+    clock.advance(kInterval);
   }
   EXPECT_GE(session.heartbeats_sent(), 3u);
   EXPECT_GE(session.heartbeat_misses(), 3u);
@@ -216,58 +249,46 @@ TEST_F(SessionFixture, HeartbeatDetectsHalfOpenPartitionAndRecovers) {
   // The clean second wire answers pings natively: further heartbeats keep
   // the session up without another disconnect.
   const auto disconnects_before = session.disconnects();
-  for (int i = 0; i < 10; ++i) clock.advance(100'000);
+  for (int i = 0; i < 10; ++i) clock.advance(kInterval);
+  EXPECT_GT(session.heartbeats_sent(), session.heartbeat_misses());
   EXPECT_EQ(session.disconnects(), disconnects_before);
   EXPECT_TRUE(session.connected());
 }
 
 TEST_F(SessionFixture, HeartbeatSkipsSessionsWithInboundTraffic) {
-  SessionOptions options;
-  options.heartbeat.interval_us = 100'000;
-  ResilientSession session("s", driver, make_factory(), options);
+  ResilientSession session("s", driver, make_factory());
   ASSERT_TRUE(session.connected());
-  // The server chatters faster than the heartbeat interval: inbound bytes
-  // prove liveness and no ping should ever be spent.
+  // The server calls in faster than the heartbeat interval: inbound bytes
+  // prove liveness and no ping should ever be spent. The session serves
+  // nothing, so each call is answered with an error — still traffic.
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(
-        server_peers.back()->notify("nf-status", empty_params()).ok());
-    clock.advance(50'000);
+    ASSERT_TRUE(server_peers.back()
+                    ->call("nf-status", empty_params(),
+                           [](Result<json::Value>) {})
+                    .ok());
+    clock.advance(ResilientSession::kHeartbeatIntervalUs / 2);
   }
   EXPECT_EQ(session.heartbeats_sent(), 0u);
   EXPECT_TRUE(session.connected());
 }
 
-TEST_F(SessionFixture, HandlersSurviveReconnect) {
-  ResilientSession session("s", driver, make_factory());
-  int served = 0;
-  session.on_request("probe", [&served](const json::Value&) {
-    ++served;
-    return Result<json::Value>(json::Value{json::Object{}});
-  });
-
-  auto call_from_server = [this]() {
-    return server_peers.back()->call_and_wait(
-        "probe", json::Value{json::Object{}}, 100'000);
-  };
-  ASSERT_TRUE(call_from_server().ok());
-
-  kill_current_connection();
-  clock.advance(2'000'000);  // backoff + reconnect
-  ASSERT_TRUE(session.connected());
-  ASSERT_TRUE(call_from_server().ok());  // handler re-installed on the new peer
-  EXPECT_EQ(served, 2);
-}
-
 TEST_F(SessionFixture, DisabledReconnectStaysDown) {
-  SessionOptions options;
-  options.reconnect.enabled = false;
-  ResilientSession session("s", driver, make_factory(), options);
+  // Without a factory a session is single-shot: it lives and dies with
+  // its first transport and arms no timer.
+  auto wire = make_factory()();
+  ASSERT_TRUE(wire.ok());
+  ResilientSession session("s", driver, nullptr, std::move(*wire));
   ASSERT_TRUE(session.connected());
   kill_current_connection();
-  clock.run_until_idle();  // bounded: no reconnect timers get scheduled
+  clock.run_until_idle();  // bounded: no reconnect or heartbeat timers
   EXPECT_FALSE(session.connected());
-  EXPECT_TRUE(session.gave_up());
+  EXPECT_EQ(session.disconnects(), 1u);
+  EXPECT_EQ(session.reconnects(), 0u);
+  EXPECT_EQ(session.heartbeats_sent(), 0u);
   EXPECT_EQ(factory_calls, 1);
+  auto reply = session.call_and_wait("echo", empty_params());
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.error().code, ErrorCode::kUnavailable);
 }
 
 }  // namespace

@@ -72,6 +72,20 @@ TEST(Reactor, TimerScheduledWhileFiringRunsNextBatch) {
   EXPECT_EQ(generations, 3);
 }
 
+TEST(Reactor, SubMillisecondRemainderSleepsInsteadOfSpinning) {
+  Reactor reactor;
+  bool fired = false;
+  reactor.schedule(1'500, [&] { fired = true; });
+  // The first 1 ms poll leaves ~0.5 ms: the next poll must sleep it out,
+  // not return at once (a busy spin would count thousands of polls).
+  int polls = 0;
+  while (!fired) {
+    reactor.poll(1);
+    ++polls;
+  }
+  EXPECT_LE(polls, 5);
+}
+
 TEST(TcpTransport, ConnectToClosedPortFails) {
   Reactor reactor;
   // Grab an ephemeral port, then close the listener: nobody listens there.
